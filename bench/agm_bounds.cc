@@ -32,7 +32,7 @@ int main() {
     char bound[32];
     std::snprintf(bound, sizeof(bound), "%.3g", agm.bound);
     table.AddRow({w.name, bound,
-                  cell.timed_out ? "-" : std::to_string(cell.count), cover});
+                  cell.status.ok() ? std::to_string(cell.count) : "-", cover});
   }
   table.Print();
   return 0;

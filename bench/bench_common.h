@@ -32,7 +32,7 @@ inline double CellTimeoutSeconds() {
 
 struct Cell {
   double seconds = 0.0;
-  bool timed_out = false;
+  Status status;  // non-OK: timed out or failed, count is not an answer
   uint64_t count = 0;
 };
 
@@ -62,7 +62,7 @@ inline Cell RunCell(const std::string& engine_name, const BoundQuery& bq) {
     }
   }
   const ExecResult r = RunTimed(*engine, bq, opts);
-  return {r.seconds, r.timed_out, r.count};
+  return {r.seconds, r.status, r.count};
 }
 
 // Cold variant: every index is rebuilt inside the timed region (the
@@ -75,7 +75,7 @@ inline Cell RunCellCold(const std::string& engine_name,
   ExecOptions opts;
   opts.deadline = Deadline::AfterSeconds(CellTimeoutSeconds());
   const ExecResult r = RunTimed(*engine, cold, opts);
-  return {r.seconds, r.timed_out, r.count};
+  return {r.seconds, r.status, r.count};
 }
 
 // The 12 datasets of Tables 1-4 (everything but the three giants).

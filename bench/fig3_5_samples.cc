@@ -33,8 +33,8 @@ int main() {
       std::string matches = "-";
       for (const auto& engine : engines) {
         const Cell cell = RunCell(engine, bq);
-        row.push_back(FormatSeconds(cell.seconds, cell.timed_out));
-        if (!cell.timed_out) matches = std::to_string(cell.count);
+        row.push_back(FormatSeconds(cell.seconds, cell.status));
+        if (cell.status.ok()) matches = std::to_string(cell.count);
       }
       row.push_back(matches);
       table.AddRow(std::move(row));

@@ -29,9 +29,9 @@ inline void RunIdeasSpeedupTable(double selectivity, bool idea4_only_block) {
         BoundQuery bq = BindWorkload(WorkloadByName(qname), rels);
         const Cell on = RunCell("ms", bq);
         const Cell off = RunCell(off_engine, bq);
-        if (on.timed_out) {
+        if (!on.status.ok()) {
           row.push_back("-");
-        } else if (off.timed_out) {
+        } else if (!off.status.ok()) {
           row.push_back("inf");
         } else {
           row.push_back(FormatRatio(off.seconds / std::max(on.seconds, 1e-9)));

@@ -11,9 +11,9 @@
 // BENCH_cds_arena.json (arena-backed CDS vs the pre-change pointer
 // implementation on insert/merge and ComputeFreeTuple-heavy workloads;
 // see EmitCdsArenaReport), BENCH_morsel_sched.json (morsel-driven
-// work-stealing scheduling vs the pre-change static value-uniform
-// partitioner on skewed Rmat cells, plus the cross-morsel CDS retention
-// pin; see EmitMorselSchedReport), and BENCH_persist.json (cold index
+// work-stealing scheduling on skewed Rmat cells, with and without the
+// cross-morsel CDS retention; see EmitMorselSchedReport), and
+// BENCH_persist.json (cold index
 // build vs mmap open of the persistent catalog, per tier policy, plus
 // the end-to-end warm-start query; see EmitPersistReport).
 
@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,7 +31,6 @@
 #include "core/engine.h"
 #include "core/leapfrog.h"
 #include "graph/generators.h"
-#include "parallel/job_pool.h"
 #include "parallel/partitioned_run.h"
 #include "parallel/worker_pool.h"
 #include "query/parser.h"
@@ -1068,66 +1066,14 @@ void EmitCdsArenaReport(const char* path) {
   std::printf("wrote %s\n", path);
 }
 
-// --- Static vs morsel scheduling (BENCH_morsel_sched.json) ---
-
-// Faithful port of the pre-change §4.10 partitioner: num_threads *
-// granularity value-uniform var0 ranges (lo + span*p/parts boundaries)
-// pulled off JobPool's shared cursor, per-worker scratch. Kept here
-// only as the baseline the BENCH_morsel_sched.json speedups are
-// measured against. The node-id domains below are narrow, so the span
-// arithmetic that overflows on wide domains (fixed by the rank-based
-// splits in the live scheduler) cannot fire. Requires a pre-warmed
-// catalog — the report warms it before timing, as RunCell does.
-ExecResult StaticPartitionedExecute(const Engine& engine, const BoundQuery& q,
-                                    const ExecOptions& opts, int num_threads,
-                                    int granularity,
-                                    ExecScratchPool* scratch_pool) {
-  ExecResult total;
-  scratch_pool->Reserve(std::max(1, num_threads));
-  IndexCatalog* catalog = EffectiveCatalog(q, opts);
-  Value lo = kPosInf, hi = kNegInf;
-  for (const auto& atom : q.atoms) {
-    if (std::find(atom.vars.begin(), atom.vars.end(), 0) ==
-        atom.vars.end()) {
-      continue;
-    }
-    const TrieIndex* index =
-        catalog->GetOrBuild(*atom.relation, GaoConsistentPerm(atom.vars));
-    if (index->size() == 0) continue;
-    lo = std::min(lo, index->ColMin(0));
-    hi = std::max(hi, index->ColMax(0));
-  }
-  if (lo > hi) return total;
-  const int parts = std::max(1, num_threads * granularity);
-  const Value span = hi - lo + 1;
-  wcoj::Mutex mu;
-  std::vector<std::function<void(int)>> jobs;
-  for (int p = 0; p < parts; ++p) {
-    const Value a = lo + span * p / parts;
-    const Value b = lo + span * (p + 1) / parts - 1;
-    if (a > b) continue;
-    jobs.push_back([&, a, b](int worker) {
-      ExecOptions job_opts = opts;
-      job_opts.var0_min = a;
-      job_opts.var0_max = b;
-      job_opts.scratch = scratch_pool->ForWorker(worker);
-      ExecResult r = engine.Execute(q, job_opts);
-      wcoj::MutexLock lock(mu);
-      total.count += r.count;
-      total.timed_out |= r.timed_out;
-      total.stats.Add(r.stats);
-    });
-  }
-  JobPool(num_threads).Run(jobs);
-  return total;
-}
+// --- Morsel scheduling (BENCH_morsel_sched.json) ---
 
 struct MorselCell {
   std::string engine;
   std::string query;
   uint64_t count = 0;
   bool counts_equal = false;
-  double static_seconds = 0.0, morsel_seconds = 0.0;
+  double morsel_seconds = 0.0;
   // Morsel scheduler with per-morsel CDS Reconfigure (the pre-change
   // behavior, morsel_cds_reuse=false): the baseline the cross-morsel
   // CDS retention win is pinned against. Only Minesweeper-family
@@ -1136,11 +1082,10 @@ struct MorselCell {
 };
 
 // Skewed cell: the triangle on an Rmat graph whose hub vertices sit
-// at the low end of the id space, so
-// value-uniform slicing piles the work into the first partitions while
-// the quantile splits spread resident keys evenly and stealing mops up
-// the rest. Both schedulers run the same engine, catalog, threads, and
-// granularity; medians over kReps runs.
+// at the low end of the id space, where the quantile splits spread
+// resident keys evenly and stealing mops up the rest. Both variants run
+// the same engine, catalog, pool, threads, and granularity; medians
+// over kReps runs.
 void EmitMorselSchedReport(const char* path) {
   constexpr int kReps = 3;
   constexpr int kThreads = 8;
@@ -1170,18 +1115,10 @@ void EmitMorselSchedReport(const char* path) {
       // Resident indexes before the clock starts: the report measures
       // scheduling, not index builds.
       WarmQueryIndexes(bq);
-      ExecScratchPool static_scratch, morsel_scratch, noreuse_scratch;
-      uint64_t static_count = 0, morsel_count = 0, noreuse_count = 0;
-      std::vector<double> stat, morsel, noreuse;
+      ExecScratchPool morsel_scratch, noreuse_scratch;
+      uint64_t morsel_count = 0, noreuse_count = 0;
+      std::vector<double> morsel, noreuse;
       for (int rep = 0; rep < kReps; ++rep) {
-        {
-          Stopwatch w;
-          const ExecResult r = StaticPartitionedExecute(
-              *engine, bq, ExecOptions{}, kThreads, kGranularity,
-              &static_scratch);
-          stat.push_back(w.ElapsedSeconds());
-          static_count = r.count;
-        }
         {
           Stopwatch w;
           const ExecResult r =
@@ -1202,9 +1139,7 @@ void EmitMorselSchedReport(const char* path) {
         }
       }
       cell.count = morsel_count;
-      cell.counts_equal =
-          static_count == morsel_count && noreuse_count == morsel_count;
-      cell.static_seconds = MedianSeconds(stat);
+      cell.counts_equal = noreuse_count == morsel_count;
       cell.morsel_seconds = MedianSeconds(morsel);
       cell.morsel_noreuse_seconds = MedianSeconds(noreuse);
       cells.push_back(cell);
@@ -1224,13 +1159,10 @@ void EmitMorselSchedReport(const char* path) {
     std::fprintf(
         f,
         "    {\"engine\": \"%s\", \"query\": \"%s\", "
-        "\"static_seconds\": %.6f, \"morsel_seconds\": %.6f, "
-        "\"speedup\": %.3f, "
+        "\"morsel_seconds\": %.6f, "
         "\"morsel_noreuse_seconds\": %.6f, \"cds_reuse_speedup\": %.3f, "
         "\"count\": %llu, \"counts_equal\": %s}%s\n",
-        c.engine.c_str(), c.query.c_str(), c.static_seconds,
-        c.morsel_seconds,
-        c.morsel_seconds > 0 ? c.static_seconds / c.morsel_seconds : 0.0,
+        c.engine.c_str(), c.query.c_str(), c.morsel_seconds,
         c.morsel_noreuse_seconds,
         c.morsel_seconds > 0 ? c.morsel_noreuse_seconds / c.morsel_seconds
                              : 0.0,

@@ -26,9 +26,9 @@ int main() {
       BoundQuery bq = BindWorkload(WorkloadByName(qname), rels);
       const Cell on = RunCell("ms", bq);
       const Cell off = RunCell("ms-noidea7", bq);
-      if (on.timed_out) {
+      if (!on.status.ok()) {
         row.push_back("-");
-      } else if (off.timed_out) {
+      } else if (!off.status.ok()) {
         row.push_back("inf");  // the paper's ∞ / thrashing cells
       } else {
         row.push_back(FormatRatio(off.seconds / std::max(on.seconds, 1e-9)));

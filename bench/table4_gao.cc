@@ -47,7 +47,7 @@ int main() {
       ExecOptions opts;
       opts.deadline = Deadline::AfterSeconds(CellTimeoutSeconds());
       const ExecResult r = RunTimed(*ms, bq, opts);
-      row.push_back(FormatSeconds(r.seconds, r.timed_out));
+      row.push_back(FormatSeconds(r.seconds, r.status));
     }
     row.push_back(std::to_string(g.num_edges()));
     table.AddRow(std::move(row));

@@ -44,7 +44,7 @@ int main() {
         ExecResult r =
             PartitionedExecute(*ms, bq, opts, threads, granularities[i]);
         const double secs = watch.ElapsedSeconds();
-        if (r.timed_out) continue;
+        if (!r.ok()) continue;
         if (i == 0) base = secs;
         if (base > 0) {
           sums[i] += secs / base;

@@ -30,7 +30,7 @@ int main() {
         DatasetRelations rels(g);
         BoundQuery bq = BindWorkload(WorkloadByName(qname), rels);
         const Cell cell = RunCell(engine, bq);
-        row.push_back(FormatSeconds(cell.seconds, cell.timed_out));
+        row.push_back(FormatSeconds(cell.seconds, cell.status));
       }
       table.AddRow(std::move(row));
     }

@@ -57,7 +57,7 @@ int main() {
         std::vector<std::string> row = {dname, std::to_string((int)sel)};
         for (const auto& engine : engines) {
           const Cell cell = RunCell(engine, bq);
-          row.push_back(FormatSeconds(cell.seconds, cell.timed_out));
+          row.push_back(FormatSeconds(cell.seconds, cell.status));
         }
         table.AddRow(std::move(row));
       }

@@ -56,8 +56,8 @@ int main() {
     std::string name;
     for (const auto& v : gao) name += v;
     table.AddRow({name, nested ? "yes" : "no",
-                  FormatSeconds(r.seconds, r.timed_out),
-                  r.timed_out ? "-" : std::to_string(r.count)});
+                  FormatSeconds(r.seconds, r.status),
+                  r.ok() ? std::to_string(r.count) : "-"});
   }
   table.Print();
   std::printf(

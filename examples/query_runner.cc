@@ -258,9 +258,9 @@ int main(int argc, char** argv) {
     } else {
       r = RunTimed(*engine, bq, opts);
     }
-    if (r.timed_out || !r.ok()) {
+    if (!r.ok()) {
       std::printf("%s: no answer (%s)\n", engine->name().c_str(),
-                  r.status.ok() ? "timeout" : r.status.ToString().c_str());
+                  r.status.ToString().c_str());
       // Structured exit codes (CliExitCode): budget refusals (3) and
       // expired deadlines (4) are distinguishable from each other and
       // from cancellation, so wrappers can retry with more memory or

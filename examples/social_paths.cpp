@@ -37,8 +37,8 @@ int main() {
       ExecOptions opts;
       opts.deadline = Deadline::AfterSeconds(20);
       ExecResult r = RunTimed(*engine, bq, opts);
-      cells.push_back(FormatSeconds(r.seconds, r.timed_out));
-      if (!r.timed_out) matches = std::to_string(r.count);
+      cells.push_back(FormatSeconds(r.seconds, r.status));
+      if (r.ok()) matches = std::to_string(r.count);
     }
     row.push_back(matches);
     row.insert(row.end(), cells.begin(), cells.end());

@@ -39,8 +39,8 @@ int main() {
       ExecOptions opts;
       opts.deadline = Deadline::AfterSeconds(10);
       ExecResult r = RunTimed(*engine, bq, opts);
-      cells.push_back(FormatSeconds(r.seconds, r.timed_out));
-      if (!r.timed_out) triangles = std::to_string(r.count);
+      cells.push_back(FormatSeconds(r.seconds, r.status));
+      if (r.ok()) triangles = std::to_string(r.count);
     }
     row.push_back(triangles);
     row.insert(row.end(), cells.begin(), cells.end());

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
               "seeks");
   for (const std::string& name : EngineNames()) {
     const ExecResult r = RunTimed(*CreateEngine(name), bq, opts);
-    if (r.timed_out) {
+    if (!r.ok()) {
       std::printf("%-12s %12s %10s %12s\n", name.c_str(), "-", "-", "-");
       continue;
     }

@@ -53,14 +53,14 @@ class BinaryJoinRun {
       // Charge the materialized intermediate against the query budget
       // (release-then-charge: the previous step's intermediate is dead).
       // A refusal latches the budget's exceeded() flag, which
-      // FinalizeExecStatus maps to kBudgetExceeded.
+      // AbortStatus maps to kBudgetExceeded.
       const uint64_t row_bytes =
           inter.empty() ? 0 : 8u * inter[0].size() + 24u;
       if (!inter_charge_.TryRebase(inter.size() * row_bytes)) {
-        result_->timed_out = true;
+        result_->status.Update(opts_.AbortStatus());
         return;
       }
-      if (result_->timed_out) return;
+      if (!result_->status.ok()) return;
       ApplyFilters(&inter, bound);
     }
     // All variables bound; project to GAO order and report.
@@ -74,12 +74,11 @@ class BinaryJoinRun {
 
  private:
   bool Expired() {
-    if (opts_.stop != nullptr && opts_.stop->stop_requested()) {
-      result_->timed_out = true;  // cancelled: result is incomplete
-    } else if (++steps_ % 4096 == 0 && opts_.Aborted()) {
-      result_->timed_out = true;
+    if ((opts_.stop != nullptr && opts_.stop->stop_requested()) ||
+        (++steps_ % 4096 == 0 && opts_.Aborted())) {
+      result_->status.Update(opts_.AbortStatus());  // result is incomplete
     }
-    return result_->timed_out;
+    return !result_->status.ok();
   }
 
   // Initial scan of atom `a`, deduped on its variable set, with the var0
@@ -183,7 +182,6 @@ class BinaryJoinRun {
                                  ? Status(StatusCode::kInternal,
                                           "index build failed")
                                  : build_status);
-      result_->timed_out = true;
       return {};
     }
     // Trie column holding var0, if the atom binds it (partition filter).
@@ -209,7 +207,7 @@ class BinaryJoinRun {
     auto emit = [&](auto&& self, const Tuple& row, int depth, size_t lo,
                     size_t hi) -> void {
       for (size_t node = lo; node < hi; ++node) {
-        if (result_->timed_out) return;
+        if (!result_->status.ok()) return;
         const Value v = index->KeyAt(depth, node);
         if (depth == var0_col && (v < opts_.var0_min || v > opts_.var0_max)) {
           continue;
@@ -229,7 +227,7 @@ class BinaryJoinRun {
       }
     };
     for (const Tuple& row : inter) {
-      if (result_->timed_out) break;
+      if (!result_->status.ok()) break;
       size_t lo = 0, hi = index->LevelSize(0);
       bool matched = true;
       for (int i = 0; i < k; ++i) {
@@ -308,7 +306,7 @@ ExecResult BinaryJoinEngine::Execute(const BoundQuery& q,
                     &result);
   run.Run();
   FinalizeExecStatus(&result, opts);
-  if (result.timed_out) {
+  if (!result.ok()) {
     result.count = 0;
     result.tuples.clear();
   }

@@ -153,9 +153,7 @@ ExecResult CliqueEngine::Execute(const BoundQuery& q,
   const Shape shape = DetectShape(q);
   if (!shape.ok) {
     // Unsupported pattern: a specialized engine simply has no program for
-    // it. Report a structured non-answer (kept timeout-shaped for legacy
-    // callers that only look at timed_out).
-    result.timed_out = true;
+    // it. Report a structured non-answer.
     result.status = Status(StatusCode::kUnimplemented,
                            "clique engine supports only full 3-/4-clique "
                            "patterns over binary atoms");
@@ -198,7 +196,7 @@ ExecResult CliqueEngine::Execute(const BoundQuery& q,
   for (const auto& [u, v] : g.edges()) {
     if ((opts.stop != nullptr && opts.stop->stop_requested()) ||
         (++steps % 1024 == 0 && opts.Aborted())) {
-      result.timed_out = true;
+      result.status = opts.AbortStatus();
       FinalizeExecStatus(&result, opts);
       return result;
     }

@@ -65,7 +65,7 @@ ExecResult YannakakisEngine::Execute(const BoundQuery& q,
     const uint64_t bytes =
         8u * atom.relation->size() * atom.relation->arity() + 4096u;
     if (!copy_charge.TryCharge(bytes)) {
-      result.timed_out = true;
+      result.status = opts.AbortStatus();
       FinalizeExecStatus(&result, opts);
       return result;
     }
@@ -83,7 +83,7 @@ ExecResult YannakakisEngine::Execute(const BoundQuery& q,
         changed |= Semijoin(q, &reduced[i], q.atoms[i].vars, reduced[j],
                             q.atoms[j].vars);
         if (opts.Aborted()) {
-          result.timed_out = true;
+          result.status = opts.AbortStatus();
           FinalizeExecStatus(&result, opts);
           return result;
         }

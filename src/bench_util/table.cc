@@ -46,8 +46,8 @@ std::string TextTable::ToString() const {
 
 void TextTable::Print() const { std::cout << ToString() << std::flush; }
 
-std::string FormatSeconds(double seconds, bool timed_out) {
-  if (timed_out) return "-";
+std::string FormatSeconds(double seconds, const Status& outcome) {
+  if (!outcome.ok()) return "-";
   char buf[32];
   if (seconds < 0.01) {
     std::snprintf(buf, sizeof(buf), "%.4f", seconds);

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "util/status.h"
+
 namespace wcoj {
 
 class TextTable {
@@ -22,8 +24,9 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// Seconds with adaptive precision; "-" when timed out (like the paper).
-std::string FormatSeconds(double seconds, bool timed_out);
+// Seconds with adaptive precision; "-" when the run failed, e.g. timed
+// out (like the paper).
+std::string FormatSeconds(double seconds, const Status& outcome);
 // Speedup ratios with 2 decimals; "inf" for thrashing (paper's ∞).
 std::string FormatRatio(double ratio);
 

@@ -141,7 +141,7 @@ struct ExecOptions {
   ExecScratch* scratch = nullptr;
   // Shared cooperative stop: engines treat a requested stop exactly like
   // an expired deadline (wind down at the next frontier boundary, report
-  // timed_out). The morsel scheduler hands every morsel the same token
+  // kCancelled). The morsel scheduler hands every morsel the same token
   // so one partition's timeout cancels the whole run; callers may
   // install their own to cancel a run externally. Must outlive the
   // execution. Engines only ever *read* it.
@@ -161,18 +161,27 @@ struct ExecOptions {
   // kBudgetExceeded when the budget latches. Null means ungoverned.
   MemoryBudget* budget = nullptr;
 
-  // True when this execution should wind down: requested stop or expired
-  // deadline. Engines poll the stop token every iteration (relaxed atomic
-  // load) but rate-limit the deadline's clock read themselves.
-  bool Cancelled() const {
-    return (stop != nullptr && stop->stop_requested()) || deadline.Expired();
+  // The full "stop working now" predicate engines poll at frontier
+  // boundaries: latched budget, requested stop, or expired deadline. The
+  // first two legs are relaxed atomic loads; engines rate-limit the
+  // deadline's clock read themselves.
+  bool Aborted() const {
+    return (budget != nullptr && budget->exceeded()) ||
+           (stop != nullptr && stop->stop_requested()) || deadline.Expired();
   }
 
-  // Cancelled() plus the budget governor: the full "stop working now"
-  // predicate engines poll at frontier boundaries. All three legs are
-  // relaxed atomic loads or rate-limited clock reads.
-  bool Aborted() const {
-    return (budget != nullptr && budget->exceeded()) || Cancelled();
+  // Why an Aborted() execution winds down, applied at the engine's
+  // wind-down point: a latched budget wins, then a requested stop
+  // (kCancelled), else the deadline.
+  Status AbortStatus() const {
+    if (budget != nullptr && budget->exceeded()) {
+      return Status(StatusCode::kBudgetExceeded,
+                    "query memory budget exceeded");
+    }
+    if (stop != nullptr && stop->stop_requested()) {
+      return Status(StatusCode::kCancelled, "execution cancelled");
+    }
+    return Status(StatusCode::kDeadlineExceeded, "deadline expired");
   }
 };
 
@@ -183,48 +192,32 @@ inline IndexCatalog* EffectiveCatalog(const BoundQuery& q,
 }
 
 struct ExecResult {
-  bool timed_out = false;
   uint64_t count = 0;
   std::vector<Tuple> tuples;  // populated iff collect_tuples
   EngineStats stats;
   double seconds = 0.0;  // filled by RunTimed
-  // Structured outcome. OK means count/tuples are the exact answer;
-  // any other code means the run failed closed (cancel, deadline,
-  // budget, bad input, internal fault) and partial output must not be
-  // trusted. timed_out stays true for the cancel/deadline/budget codes
-  // so pre-Status callers keep working.
+  // The one record of how the run ended. OK means count/tuples are the
+  // exact answer; any other code means the run failed closed (cancel,
+  // deadline, budget, bad input, internal fault) and partial output
+  // must not be trusted.
   Status status;
 
   bool ok() const { return status.ok(); }
 };
 
-// Maps an engine's wind-down state to its structured outcome, applied
-// once at every Execute exit: a latched budget fails the run with
-// kBudgetExceeded even if the engine raced past the poll and finished
-// (deterministic fail-closed), then timed_out resolves to kCancelled
-// (stop token fired) or kDeadlineExceeded. Also snapshots the budget
-// high-water mark into stats. Engines that fail for their own reasons
-// (bad input, stalls, alloc failure) set result->status before calling
-// this; a pre-set error always wins.
+// Applied once at every Execute exit: snapshots the budget high-water
+// mark into stats, and fails an otherwise-OK run with kBudgetExceeded
+// when the budget latched — even if the engine raced past its poll and
+// finished (deterministic fail-closed). A status the engine already set
+// (its AbortStatus at wind-down, bad input, a stall, an alloc failure)
+// always wins.
 inline void FinalizeExecStatus(ExecResult* result, const ExecOptions& opts) {
-  if (opts.budget != nullptr) {
-    result->stats.peak_budget_bytes =
-        std::max(result->stats.peak_budget_bytes, opts.budget->peak());
-    if (result->status.ok() && opts.budget->exceeded()) {
-      result->timed_out = true;
-      result->status =
-          Status(StatusCode::kBudgetExceeded, "query memory budget exceeded");
-    }
+  if (opts.budget == nullptr) return;
+  result->stats.peak_budget_bytes =
+      std::max(result->stats.peak_budget_bytes, opts.budget->peak());
+  if (result->status.ok() && opts.budget->exceeded()) {
+    result->status = opts.AbortStatus();
   }
-  if (result->status.ok() && result->timed_out) {
-    if (opts.stop != nullptr && opts.stop->stop_requested()) {
-      result->status = Status(StatusCode::kCancelled, "execution cancelled");
-    } else {
-      result->status =
-          Status(StatusCode::kDeadlineExceeded, "deadline expired");
-    }
-  }
-  if (!result->status.ok()) result->timed_out = true;
 }
 
 // How an engine's catalog usage is made resident ahead of timed runs:

@@ -104,7 +104,6 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
 
   ExecResult result;
   result.stats = prefix_result.stats;
-  result.timed_out = prefix_result.timed_out;
   result.status = prefix_result.status;
   if (!result.status.ok()) {
     FinalizeExecStatus(&result, opts);
@@ -135,8 +134,8 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
   // explicit). Only valid when we need counts, not tuples.
   std::unordered_map<Value, uint64_t> memo;
   for (const Tuple& p : prefix_result.tuples) {
-    if (opts.Cancelled()) {
-      result.timed_out = true;
+    if (opts.Aborted()) {
+      result.status = opts.AbortStatus();
       break;
     }
     const Value j = p[s - 1];
@@ -168,9 +167,8 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
     bind.vars = {0};
     sq.atoms.push_back(std::move(bind));
     ExecResult sub = lftj.ExecuteWithIndexes(sq, suffix_opts, index_ptrs);
-    if (sub.timed_out || !sub.ok()) {
-      result.timed_out = true;
-      result.status.Update(sub.status);
+    if (!sub.ok()) {
+      result.status = sub.status;
       break;
     }
     result.stats.Add(sub.stats);

@@ -86,12 +86,11 @@ class LftjRun {
 
  private:
   bool Expired() {
-    if (opts_.stop != nullptr && opts_.stop->stop_requested()) {
-      result_->timed_out = true;  // cancelled: result is incomplete
-    } else if (++steps_ % 4096 == 0 && opts_.Aborted()) {
-      result_->timed_out = true;
+    if ((opts_.stop != nullptr && opts_.stop->stop_requested()) ||
+        (++steps_ % 4096 == 0 && opts_.Aborted())) {
+      result_->status.Update(opts_.AbortStatus());  // result is incomplete
     }
-    return result_->timed_out;
+    return !result_->status.ok();
   }
 
   void Emit() {
@@ -100,7 +99,7 @@ class LftjRun {
   }
 
   void Search(int depth) {
-    if (result_->timed_out) return;
+    if (!result_->status.ok()) return;
     if (depth == q_.num_vars) {
       // Filters whose variables were bound out of order (rare: only when a
       // filter's later variable precedes the earlier one in the GAO).
@@ -128,7 +127,7 @@ class LftjRun {
       if (depth == 0 && v > opts_.var0_max) break;
       t_[depth] = v;
       Search(depth + 1);
-      if (result_->timed_out) break;
+      if (!result_->status.ok()) break;
       join.Next();
     }
     for (auto* it : iters) it->Up();

@@ -128,10 +128,10 @@ class MsRun {
     Tuple advance(q_.num_vars);
 
     while (cds.ComputeFreeTuple()) {
+      if (arena->alloc_failed()) break;  // reported below
       if ((opts_.stop != nullptr && opts_.stop->stop_requested()) ||
-          arena->alloc_failed() ||
           (++iters % 256 == 0 && opts_.Aborted())) {
-        result_->timed_out = true;
+        result_->status.Update(opts_.AbortStatus());
         break;
       }
       // Copy: the Idea 8 drain below mutates the CDS frontier in place.
@@ -147,7 +147,6 @@ class MsRun {
         result_->status =
             Status(StatusCode::kInternal,
                    "minesweeper stalled: frontier made no progress");
-        result_->timed_out = true;
         break;
       }
       prev_free = t;
@@ -250,13 +249,12 @@ class MsRun {
         if (have_advance) cds.SetFrontier(advance);
       }
     }
-    if (cds.timed_out()) result_->timed_out = true;
     if (arena->alloc_failed()) {
-      result_->timed_out = true;
       result_->status.Update(
           Status(StatusCode::kResourceExhausted,
                  "CDS arena allocation refused (budget or injected fault)"));
     }
+    if (cds.timed_out()) result_->status.Update(opts_.AbortStatus());
     // Detach the budget and clear the latch so a pooled scratch arena is
     // reusable by the next (possibly differently-governed) run.
     budget_arena->ClearAllocFailed();

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/atom_index.h"
-#include "parallel/job_pool.h"
 #include "storage/trie.h"
 #include "util/failpoint.h"
 #include "util/thread_annotations.h"
@@ -89,7 +88,7 @@ void MergeMorselStatus(Status* agg, const Status& s) {
 
 }  // namespace
 
-EngineStats WarmQueryIndexesParallel(const BoundQuery& q, int num_threads,
+EngineStats WarmQueryIndexesParallel(const BoundQuery& q, WorkerPool& pool,
                                      MemoryBudget* budget, Status* status) {
   EngineStats stats;
   if (q.catalog == nullptr) return stats;
@@ -121,7 +120,7 @@ EngineStats WarmQueryIndexesParallel(const BoundQuery& q, int num_threads,
       built[k] = b ? 1 : 0;
     });
   }
-  JobPool(num_threads).Run(jobs);
+  pool.Run(jobs);
   if (status != nullptr) {
     for (const Status& st : build_status) status->Update(st);
   }
@@ -152,14 +151,12 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
   // not warm indexes or spawn morsels on its way out: fail closed
   // before touching the catalog.
   if (opts.Aborted()) {
-    total.timed_out = true;
+    MergeMorselStatus(&total.status, opts.AbortStatus());
     FinalizeExecStatus(&total, opts);
     return total;
   }
   // A caller-provided pool dictates the worker count (its deques and
-  // scratch slots are per-worker). A per-call pool is only constructed
-  // after the early-outs below, once the batch size is known, so
-  // degenerate runs never pay a thread spawn.
+  // scratch slots are per-worker).
   const int threads =
       worker_pool != nullptr ? worker_pool->num_threads()
                              : std::max(1, num_threads);
@@ -177,6 +174,15 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
     job_opts.scratch = scratch_pool->ForWorker(0);
     return engine.Execute(q, job_opts);
   }
+  // The per-call pool is only constructed past the early-outs above, so
+  // pre-cancelled and range-blind runs never pay a thread spawn; a
+  // 1-thread pool spawns nothing and runs every batch inline.
+  std::optional<WorkerPool> local_pool;
+  WorkerPool* pool = worker_pool;
+  if (pool == nullptr) {
+    local_pool.emplace(threads);
+    pool = &*local_pool;
+  }
   IndexCatalog* catalog = EffectiveCatalog(q, opts);
   // GAO indexes are only pre-built (and only read for domain metadata
   // below) for engines that actually consume them; for the others the
@@ -189,17 +195,16 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
     // then executes over the same resident indexes, so the whole run
     // performs one build per distinct (relation, permutation) pair no
     // matter how many morsels there are. Distinct indexes build
-    // concurrently across the job pool instead of serially.
+    // concurrently across the worker pool instead of serially.
     BoundQuery warm_q = q;
     warm_q.catalog = catalog;
     Status warm_status;
     total.stats.Add(
-        WarmQueryIndexesParallel(warm_q, threads, opts.budget, &warm_status));
+        WarmQueryIndexesParallel(warm_q, *pool, opts.budget, &warm_status));
     if (!warm_status.ok()) {
       // A refused/faulted shared build would fail every morsel the same
       // way; fail the run closed before spawning any.
       total.status = warm_status;
-      total.timed_out = true;
       FinalizeExecStatus(&total, opts);
       return total;
     }
@@ -303,12 +308,19 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
   static FailPoint& worker_job_fp = FailPoints::Register("worker.job");
   for (const auto& [a, b] : ranges) {
     jobs.push_back([&, a = a, b = b](int worker) {
-      if (stop->stop_requested() || opts.Aborted()) {
+      ExecOptions job_opts = opts;
+      job_opts.var0_min = a;
+      job_opts.var0_max = b;
+      job_opts.stop = stop;
+      job_opts.scratch = scratch_pool->ForWorker(worker);
+      job_opts.cds_run_token = run_token;
+      if (job_opts.Aborted()) {
         // Cancelled before this morsel ran: its share of the output is
-        // missing, so the merged result must read timed_out.
+        // missing, so the merged result must fail. A sibling's stop
+        // merges as a secondary kCancelled, displaced by its root cause.
         stop->RequestStop();
         MutexLock lock(mu);
-        total.timed_out = true;
+        MergeMorselStatus(&total.status, job_opts.AbortStatus());
         return;
       }
       // Fault-injection boundary: a morsel that dies at dispatch must
@@ -317,7 +329,6 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
       if (WCOJ_FAILPOINT(worker_job_fp)) {
         stop->RequestStop();
         MutexLock lock(mu);
-        total.timed_out = true;
         MergeMorselStatus(
             &total.status,
             Status(StatusCode::kInternal,
@@ -325,19 +336,12 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
                    "(failpoint worker.job)"));
         return;
       }
-      ExecOptions job_opts = opts;
-      job_opts.var0_min = a;
-      job_opts.var0_max = b;
-      job_opts.stop = stop;
-      job_opts.scratch = scratch_pool->ForWorker(worker);
-      job_opts.cds_run_token = run_token;
       ExecResult r = engine.Execute(q, job_opts);
       // A failed morsel cancels the whole run: queued siblings skip,
       // running siblings wind down at their next poll.
-      if (r.timed_out || !r.ok()) stop->RequestStop();
+      if (!r.ok()) stop->RequestStop();
       MutexLock lock(mu);
       total.count += r.count;
-      total.timed_out |= r.timed_out;
       MergeMorselStatus(&total.status, r.status);
       total.stats.Add(r.stats);
       if (opts.collect_tuples) {
@@ -345,15 +349,6 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
                             r.tuples.end());
       }
     });
-  }
-  // The per-call pool never holds more threads than there are morsels;
-  // a single-morsel batch runs inline either way.
-  std::optional<WorkerPool> local_pool;
-  WorkerPool* pool = worker_pool;
-  if (pool == nullptr) {
-    local_pool.emplace(
-        std::min(threads, static_cast<int>(jobs.size())));
-    pool = &*local_pool;
   }
   pool->Run(jobs);
   if (opts.collect_tuples) {

@@ -26,9 +26,11 @@
 // to the caller's ExecOptions::stop when set. A morsel that times out
 // — or an expired deadline observed at a morsel boundary — requests
 // the run's stop, queued morsels are skipped, and running engines wind
-// down at their next frontier check, so the whole run reports
-// timed_out promptly instead of grinding through the remaining ranges;
-// the caller's own token is observed but never written.
+// down at their next frontier check, so the whole run fails promptly
+// instead of grinding through the remaining ranges. Every morsel's
+// outcome merges into one Status: the first root cause wins over the
+// secondary kCancelled of the siblings it stopped. The caller's own
+// token is observed but never written.
 //
 // Engines that ignore ExecOptions::var0_{min,max} (see
 // Engine::honors_var0_range) execute as a single morsel — fanning them
@@ -53,14 +55,14 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
                               WorkerPool* worker_pool = nullptr);
 
 // Parallel flavor of WarmQueryIndexes (core/atom_index.h): builds the
-// GAO-consistent index of every atom of `q` in its catalog, one JobPool
+// GAO-consistent index of every atom of `q` in its catalog, one `pool`
 // job per *distinct* (relation, permutation) pair, so a cold partitioned
 // run constructs independent indexes concurrently instead of serially.
 // Per-atom build/hit accounting is identical to the serial warm pass.
 // No-op without a catalog. Builds are governed by `budget` when given;
 // the first build failure (budget refusal / injected fault) is folded
 // into *status.
-EngineStats WarmQueryIndexesParallel(const BoundQuery& q, int num_threads,
+EngineStats WarmQueryIndexesParallel(const BoundQuery& q, WorkerPool& pool,
                                      MemoryBudget* budget = nullptr,
                                      Status* status = nullptr);
 

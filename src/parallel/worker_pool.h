@@ -1,14 +1,14 @@
 #ifndef WCOJ_PARALLEL_WORKER_POOL_H_
 #define WCOJ_PARALLEL_WORKER_POOL_H_
 
-// Persistent work-stealing worker pool — the morsel scheduler's engine
-// room. Unlike JobPool (which spawns threads per Run and pulls jobs off
-// one shared cursor), a WorkerPool keeps its threads alive across Run
-// calls, parked on a condition variable between batches, so repeated
-// partitioned queries pay zero thread spawn/join cost; and each worker
-// owns a deque of job indices, so a batch's morsels start out dealt in
-// contiguous runs (adjacent var0 ranges stay on one worker — index
-// locality) and only migrate when a worker actually runs dry.
+// Persistent work-stealing worker pool — the one job pool (§4.10) every
+// fan-out runs on: partitioned-run morsels and the catalog pre-warm.
+// A WorkerPool keeps its threads alive across Run calls, parked on a
+// condition variable between batches, so repeated partitioned queries
+// pay zero thread spawn/join cost; and each worker owns a deque of job
+// indices, so a batch's morsels start out dealt in contiguous runs
+// (adjacent var0 ranges stay on one worker — index locality) and only
+// migrate when a worker actually runs dry.
 //
 // Stealing policy: an idle worker scans the other deques and takes the
 // *back half* of the first non-empty one it finds (steal-half). Taking
@@ -19,8 +19,8 @@
 //
 // Degenerate batches (num_threads == 1, or a single job) run inline on
 // the calling thread in submission order — bit-for-bit the schedule of
-// a serial loop, no wakeup. This mirrors JobPool's contract, so
-// single-threaded partitioned runs stay deterministic.
+// a serial loop, no wakeup — so single-threaded partitioned runs stay
+// deterministic. A 1-thread pool spawns no thread at all.
 //
 // Run() is not re-entrant and must not be called concurrently; the pool
 // is reusable, not shareable.

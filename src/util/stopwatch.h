@@ -60,8 +60,8 @@ class Deadline {
 
 // Shared cooperative cancellation. Whoever owns the token requests the
 // stop (a partitioned run when one morsel times out, a server dropping a
-// client); executions poll it alongside their Deadline and report
-// timed_out when it fires, since a cancelled run's result is incomplete
+// client); executions poll it alongside their Deadline and fail with
+// kCancelled when it fires, since a cancelled run's result is incomplete
 // by construction. Polling is one or two relaxed atomic loads — cheap
 // enough for per-iteration checks in engine loops.
 //

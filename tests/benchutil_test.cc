@@ -6,10 +6,13 @@ namespace wcoj {
 namespace {
 
 TEST(FormatTest, SecondsAdaptPrecision) {
-  EXPECT_EQ(FormatSeconds(0.00123, false), "0.0012");
-  EXPECT_EQ(FormatSeconds(0.123, false), "0.123");
-  EXPECT_EQ(FormatSeconds(12.3456, false), "12.35");
-  EXPECT_EQ(FormatSeconds(1.0, true), "-");  // timeout wins
+  EXPECT_EQ(FormatSeconds(0.00123, Status()), "0.0012");
+  EXPECT_EQ(FormatSeconds(0.123, Status()), "0.123");
+  EXPECT_EQ(FormatSeconds(12.3456, Status()), "12.35");
+  // A failed run wins over its seconds.
+  EXPECT_EQ(FormatSeconds(
+                1.0, Status(StatusCode::kDeadlineExceeded, "deadline expired")),
+            "-");
 }
 
 TEST(FormatTest, RatioHandlesInfinity) {

@@ -4,9 +4,9 @@
 // memory budget, or both — an execution must end in exactly one of two
 // states:
 //
-//   1. clean success: status OK, timed_out false, bit-identical count;
-//   2. clean failure: status non-OK, timed_out true, and the process,
-//      the scratch arenas, and any on-disk catalog all reusable.
+//   1. clean success: status OK, bit-identical count;
+//   2. clean failure: status non-OK, and the process, the scratch
+//      arenas, and any on-disk catalog all reusable.
 //
 // Sweeps use counting mode to measure n = the number of failpoint
 // evaluations on the fault-free path, then re-run injecting at every
@@ -96,12 +96,9 @@ class ChaosTest : public testing::Test {
     return CreateEngine(engine)->Execute(bq_, o);
   }
 
-  // The two-outcome invariant: timed_out and non-OK status travel
-  // together, and a run that claims success must be bit-identical.
+  // A run that claims success must be bit-identical.
   void CheckOutcome(const ExecResult& r, const std::string& what) {
-    EXPECT_EQ(r.timed_out, !r.status.ok())
-        << what << ": " << r.status.ToString();
-    if (!r.timed_out) {
+    if (r.ok()) {
       EXPECT_EQ(r.count, expected_) << what;
     }
     ++g_schedules;
@@ -140,14 +137,13 @@ TEST_F(ChaosTest, ArenaSlabFaultSweepMs) {
     SCOPED_TRACE("arena.slab k=" + std::to_string(k));
     FailPoints::Arm("arena.slab", k);
     const ExecResult r = Run("ms");
-    EXPECT_TRUE(r.timed_out);
     EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted)
         << r.status.ToString();
     ++g_schedules;
     FailPoints::Disarm("arena.slab");
     const ExecResult clean = Run("ms");
     CheckOutcome(clean, "clean rerun after arena fault");
-    EXPECT_FALSE(clean.timed_out);
+    EXPECT_EQ(clean.status.code(), StatusCode::kOk) << clean.status.ToString();
   }
 }
 
@@ -166,14 +162,14 @@ TEST_F(ChaosTest, ArenaFaultDoesNotPoisonPooledScratch) {
   const ExecResult faulted = Run("ms", opts);
   ++g_schedules;
   FailPoints::Disarm("arena.slab");
-  if (faulted.timed_out) {
+  if (!faulted.ok()) {
     EXPECT_EQ(faulted.status.code(), StatusCode::kResourceExhausted);
   } else {
     EXPECT_EQ(faulted.count, expected_);  // warm arena never grew: fine
   }
   const ExecResult clean = Run("ms", opts);
   CheckOutcome(clean, "pooled scratch after arena fault");
-  EXPECT_FALSE(clean.timed_out);
+  EXPECT_EQ(clean.status.code(), StatusCode::kOk) << clean.status.ToString();
 }
 
 // --- Trie build faults -----------------------------------------------------
@@ -197,14 +193,13 @@ TEST_F(ChaosTest, TrieBuildFaultSweepLftjCatalog) {
     IndexCatalog catalog;
     FailPoints::Arm("trie.build", k);
     const ExecResult r = Run("lftj", ExecOptions{}, &catalog);
-    EXPECT_TRUE(r.timed_out);
     EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted)
         << r.status.ToString();
     ++g_schedules;
     FailPoints::Disarm("trie.build");
     const ExecResult retry = Run("lftj", ExecOptions{}, &catalog);
     CheckOutcome(retry, "same-catalog retry after build fault");
-    EXPECT_FALSE(retry.timed_out);
+    EXPECT_EQ(retry.status.code(), StatusCode::kOk) << retry.status.ToString();
   }
 }
 
@@ -225,8 +220,7 @@ TEST_F(ChaosTest, BudgetLimitSweepAllProfiles) {
       opts.budget = &budget;
       IndexCatalog catalog;
       const ExecResult r = Run(engine, opts, &catalog);
-      EXPECT_EQ(r.timed_out, !r.status.ok()) << r.status.ToString();
-      if (r.timed_out) {
+      if (!r.ok()) {
         saw_refusal = true;
         EXPECT_EQ(r.status.code(), StatusCode::kBudgetExceeded)
             << r.status.ToString();
@@ -244,7 +238,7 @@ TEST_F(ChaosTest, BudgetLimitSweepAllProfiles) {
     IndexCatalog catalog;
     const ExecResult r = Run(engine, opts, &catalog);
     CheckOutcome(r, std::string(engine) + " unlimited budget");
-    EXPECT_FALSE(r.timed_out);
+    EXPECT_EQ(r.status.code(), StatusCode::kOk) << r.status.ToString();
   }
   EXPECT_TRUE(saw_refusal) << "no budget ever refused; sweep is vacuous";
 }
@@ -293,7 +287,7 @@ class PersistChaosTest : public ChaosTest {
     }
     BoundQuery bq = Bind(q_, fresh, {"a", "b", "c"});
     const ExecResult r = CreateEngine("lftj")->Execute(bq, ExecOptions{});
-    EXPECT_FALSE(r.timed_out);
+    EXPECT_EQ(r.status.code(), StatusCode::kOk) << r.status.ToString();
     EXPECT_EQ(r.count, expected_);
   }
 };
@@ -390,7 +384,7 @@ TEST_F(PersistChaosTest, OpenFaultSweepDegradesToCleanSkips) {
       }
       BoundQuery bq = Bind(q_, db, {"a", "b", "c"});
       const ExecResult r = CreateEngine("lftj")->Execute(bq, ExecOptions{});
-      EXPECT_FALSE(r.timed_out);
+      EXPECT_EQ(r.status.code(), StatusCode::kOk) << r.status.ToString();
       EXPECT_EQ(r.count, expected_);
       ++g_schedules;
     }
@@ -422,13 +416,12 @@ TEST_F(ChaosTest, WorkerJobFaultSweepPartitionedRun) {
     FailPoints::Arm("worker.job", k);
     const ExecResult r = run();
     FailPoints::Disarm("worker.job");
-    EXPECT_TRUE(r.timed_out);
     EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.status.ToString();
     EXPECT_NE(r.status.message().find("worker job"), std::string::npos);
     ++g_schedules;
     const ExecResult clean = run();
     CheckOutcome(clean, "clean rerun after worker fault");
-    EXPECT_FALSE(clean.timed_out);
+    EXPECT_EQ(clean.status.code(), StatusCode::kOk) << clean.status.ToString();
   }
 }
 
@@ -463,8 +456,7 @@ TEST_F(ChaosTest, RandomizedFaultSchedules) {
     IndexCatalog catalog;
     const ExecResult r = Run(engine, opts, &catalog);
     FailPoints::DisarmAll();
-    EXPECT_EQ(r.timed_out, !r.status.ok()) << r.status.ToString();
-    if (!r.timed_out) {
+    if (r.ok()) {
       EXPECT_EQ(r.count, expected_);
     }
     ++g_schedules;

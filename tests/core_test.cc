@@ -128,8 +128,30 @@ TEST(EngineTest, DeadlineProducesTimeout) {
   opts.deadline = Deadline::AfterSeconds(0.0);
   for (const char* name : {"lftj", "ms", "psql", "monetdb"}) {
     ExecResult r = CreateEngine(name)->Execute(bq, opts);
-    EXPECT_TRUE(r.timed_out) << name;
+    EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded) << name;
   }
+}
+
+// The one mapping from wind-down cause to outcome: a latched budget
+// outranks a requested stop, which outranks the deadline.
+TEST(EngineTest, AbortStatusPrecedence) {
+  StopToken stop;
+  stop.RequestStop();
+  MemoryBudget budget(/*limit_bytes=*/1);
+  ASSERT_FALSE(budget.TryCharge(2));  // a refusal latches exceeded()
+  ExecOptions opts;
+  opts.deadline = Deadline::AfterSeconds(0.0);
+  opts.stop = &stop;
+  opts.budget = &budget;
+  EXPECT_TRUE(opts.Aborted());
+  EXPECT_EQ(opts.AbortStatus().code(), StatusCode::kBudgetExceeded);
+  opts.budget = nullptr;
+  EXPECT_TRUE(opts.Aborted());
+  EXPECT_EQ(opts.AbortStatus().code(), StatusCode::kCancelled);
+  opts.stop = nullptr;
+  EXPECT_TRUE(opts.Aborted());
+  EXPECT_EQ(opts.AbortStatus().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(ExecOptions{}.Aborted());
 }
 
 // ---------------------------------------------------------------------------
@@ -202,12 +224,13 @@ TEST_P(EngineOracleTest, AllEnginesMatchBruteForce) {
     auto engine = CreateEngine(name);
     ASSERT_NE(engine, nullptr) << name;
     ExecResult r = engine->Execute(bq, ExecOptions{});
-    ASSERT_FALSE(r.timed_out) << name << " on " << c.query;
+    ASSERT_EQ(r.status.code(), StatusCode::kOk)
+        << name << " on " << c.query << ": " << r.status.ToString();
     EXPECT_EQ(r.count, expected) << name << " on " << c.query;
   }
   if (c.clique_supported) {
     ExecResult r = CreateEngine("clique")->Execute(bq, ExecOptions{});
-    ASSERT_FALSE(r.timed_out);
+    ASSERT_EQ(r.status.code(), StatusCode::kOk) << r.status.ToString();
     EXPECT_EQ(r.count, expected) << "clique on " << c.query;
   }
 }

@@ -13,7 +13,6 @@
 #include "core/engine.h"
 #include "graph/generators.h"
 #include "graph/sampling.h"
-#include "parallel/job_pool.h"
 #include "parallel/partitioned_run.h"
 #include "parallel/worker_pool.h"
 #include "query/parser.h"
@@ -25,72 +24,6 @@
 
 namespace wcoj {
 namespace {
-
-TEST(JobPoolTest, RunsEveryJobExactlyOnce) {
-  std::vector<std::atomic<int>> hits(50);
-  for (auto& h : hits) h = 0;
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 50; ++i) {
-    jobs.push_back([&hits, i]() { ++hits[i]; });
-  }
-  JobPool(4).Run(jobs);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(JobPoolTest, SingleThreadAndEmptyJobListWork) {
-  std::atomic<int> n{0};
-  JobPool(1).Run(std::vector<std::function<void()>>{[&]() { ++n; },
-                                                    [&]() { ++n; }});
-  EXPECT_EQ(n.load(), 2);
-  JobPool(3).Run(std::vector<std::function<void()>>{});
-}
-
-TEST(JobPoolTest, DegenerateBatchesRunInlineOnCallerThread) {
-  // num_threads == 1 or a single job: no thread spawn — every job runs
-  // on the calling thread, in submission order.
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::thread::id> seen;
-  std::vector<int> order;
-  std::vector<std::function<void()>> two_jobs = {
-      [&]() { seen.push_back(std::this_thread::get_id()); order.push_back(0); },
-      [&]() { seen.push_back(std::this_thread::get_id()); order.push_back(1); },
-  };
-  JobPool(1).Run(two_jobs);
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], caller);
-  EXPECT_EQ(seen[1], caller);
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-
-  seen.clear();
-  std::vector<std::function<void()>> one_job = {
-      [&]() { seen.push_back(std::this_thread::get_id()); }};
-  JobPool(8).Run(one_job);  // many threads, one job: still inline
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], caller);
-}
-
-TEST(JobPoolTest, WorkerIndexedJobsSeeValidWorkerIds) {
-  constexpr int kThreads = 4;
-  std::vector<std::atomic<int>> hits(64);
-  for (auto& h : hits) h = 0;
-  std::atomic<int> bad_worker{0};
-  std::vector<std::function<void(int)>> jobs;
-  for (int i = 0; i < 64; ++i) {
-    jobs.push_back([&, i](int worker) {
-      if (worker < 0 || worker >= kThreads) ++bad_worker;
-      ++hits[i];
-    });
-  }
-  JobPool(kThreads).Run(jobs);
-  EXPECT_EQ(bad_worker.load(), 0);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // Inline flavor reports worker 0.
-  std::atomic<int> worker_sum{-1};
-  std::vector<std::function<void(int)>> one = {
-      [&](int worker) { worker_sum = worker; }};
-  JobPool(kThreads).Run(one);
-  EXPECT_EQ(worker_sum.load(), 0);
-}
 
 // --- WorkerPool: persistent threads, per-worker deques, steal-half ---
 
@@ -198,7 +131,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// Hammer GetOrBuild from the job pool: every distinct (relation, perm)
+// Hammer GetOrBuild from the worker pool: every distinct (relation, perm)
 // key must be built exactly once, and every concurrent caller must
 // receive the pointer-identical resident index.
 TEST(IndexCatalogTest, ConcurrentGetOrBuildBuildsOncePerKey) {
@@ -221,7 +154,7 @@ TEST(IndexCatalogTest, ConcurrentGetOrBuildBuildsOncePerKey) {
       }
     });
   }
-  JobPool(8).Run(jobs);
+  WorkerPool(8).Run(jobs);
   EXPECT_EQ(catalog.builds(), keys.size());
   EXPECT_EQ(catalog.size(), keys.size());
   EXPECT_EQ(catalog.hits(), kJobs * keys.size() - keys.size());
@@ -286,22 +219,24 @@ TEST(PartitionedRunTest, ParallelPrewarmBuildsOncePerDistinctIndex) {
   Query q = MustParseQuery("v1(a), v2(d), edge(a,b), edge(b,c), edge(c,d)");
   BoundQuery bq = Bind(q, rels.Map(), {"a", "b", "c", "d"});
   for (int threads : {1, 4}) {
+    WorkerPool pool(threads);
     IndexCatalog catalog;
     bq.catalog = &catalog;
-    const EngineStats cold = WarmQueryIndexesParallel(bq, threads);
+    const EngineStats cold = WarmQueryIndexesParallel(bq, pool);
     EXPECT_EQ(cold.index_builds, 3u) << "threads=" << threads;
     EXPECT_EQ(cold.index_cache_hits, 2u) << "threads=" << threads;
     EXPECT_EQ(catalog.builds(), 3u) << "threads=" << threads;
     EXPECT_EQ(catalog.size(), 3u) << "threads=" << threads;
     // Re-warming a resident catalog builds nothing: 5 atom hits.
-    const EngineStats warm = WarmQueryIndexesParallel(bq, threads);
+    const EngineStats warm = WarmQueryIndexesParallel(bq, pool);
     EXPECT_EQ(warm.index_builds, 0u) << "threads=" << threads;
     EXPECT_EQ(warm.index_cache_hits, 5u) << "threads=" << threads;
     EXPECT_EQ(catalog.builds(), 3u) << "threads=" << threads;
   }
   // Without a catalog the pre-warm is a no-op.
   bq.catalog = nullptr;
-  const EngineStats none = WarmQueryIndexesParallel(bq, 4);
+  WorkerPool pool(4);
+  const EngineStats none = WarmQueryIndexesParallel(bq, pool);
   EXPECT_EQ(none.index_builds, 0u);
   EXPECT_EQ(none.index_cache_hits, 0u);
 }
@@ -447,7 +382,7 @@ TEST(PartitionedRunTest, ExtremeDomainsDoNotOverflowPartitionMath) {
 }
 
 // Regression: PartitionedExecute used to keep grinding through every
-// remaining partition after one reported timed_out. Now the first
+// remaining partition after one timed out. Now the first
 // timed-out morsel flips the shared stop token: queued morsels skip,
 // running engines wind down at their next frontier check, and the whole
 // deadline run finishes promptly.
@@ -471,7 +406,8 @@ TEST(PartitionedRunTest, TimeoutCancelsRemainingMorselsPromptly) {
       PartitionedExecute(*engine, bq, opts, /*num_threads=*/2,
                          /*granularity=*/8);
   const double elapsed = watch.ElapsedSeconds();
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
+      << r.status.ToString();
   // Generous bound for slow CI: the point is seconds-not-minutes — the
   // deadline is 20ms, and without propagation the run takes the query's
   // full multi-second cost.
@@ -479,7 +415,7 @@ TEST(PartitionedRunTest, TimeoutCancelsRemainingMorselsPromptly) {
 }
 
 // An externally pre-stopped token cancels before any morsel runs: no
-// partial counts leak and the result reads timed_out.
+// partial counts leak and the result reads kCancelled.
 TEST(PartitionedRunTest, ExternalStopTokenSkipsAllMorsels) {
   Graph g = Rmat(7, 420, 0.57, 0.19, 0.19, 31);
   GraphRelations rels = MakeGraphRelations(g);
@@ -493,7 +429,7 @@ TEST(PartitionedRunTest, ExternalStopTokenSkipsAllMorsels) {
   const ExecResult r =
       PartitionedExecute(*engine, bq, opts, /*num_threads=*/3,
                          /*granularity=*/4);
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.status.code(), StatusCode::kCancelled);
   EXPECT_EQ(r.count, 0u);
 }
 
@@ -533,12 +469,13 @@ TEST(PartitionedRunTest, InternalTimeoutDoesNotPoisonCallerToken) {
   const ExecResult r =
       PartitionedExecute(*engine, bq, opts, /*num_threads=*/2,
                          /*granularity=*/4);
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
+      << r.status.ToString();
   EXPECT_FALSE(caller_token.stop_requested());
 }
 
 // Every registered engine honors a pre-stopped token: it winds down at
-// its first frontier boundary and reports timed_out, the contract the
+// its first frontier boundary and reports kCancelled, the contract the
 // morsel scheduler's cross-partition cancellation relies on.
 TEST(StopTokenTest, EveryEngineHonorsARequestedStop) {
   Graph g = Rmat(8, 900, 0.57, 0.19, 0.19, 13);
@@ -552,7 +489,8 @@ TEST(StopTokenTest, EveryEngineHonorsARequestedStop) {
   for (const std::string& name : EngineNames()) {
     auto engine = CreateEngine(name);
     const ExecResult r = engine->Execute(bq, opts);
-    EXPECT_TRUE(r.timed_out) << name;
+    EXPECT_EQ(r.status.code(), StatusCode::kCancelled)
+        << name << ": " << r.status.ToString();
   }
 }
 
@@ -637,7 +575,6 @@ TEST(StopTokenTest, ParentCancelWindsDownConcurrentRunsPromptly) {
   // still proves the cancel reached every run through the chain.
   EXPECT_LT(watch.ElapsedSeconds(), 2.0);
   for (int i = 0; i < kRuns; ++i) {
-    EXPECT_TRUE(results[i].timed_out) << "run " << i;
     EXPECT_EQ(results[i].status.code(), StatusCode::kCancelled)
         << "run " << i;
   }
@@ -662,7 +599,6 @@ TEST(PartitionedRunTest, PreCancelledRunPerformsNoIndexBuilds) {
   const ExecResult r =
       PartitionedExecute(*engine, bq, opts, /*num_threads=*/3,
                          /*granularity=*/4);
-  EXPECT_TRUE(r.timed_out);
   EXPECT_EQ(r.status.code(), StatusCode::kCancelled);
   EXPECT_EQ(r.count, 0u);
   EXPECT_EQ(r.stats.index_builds, 0u);
@@ -677,7 +613,7 @@ TEST(PartitionedRunTest, PreCancelledRunPerformsNoIndexBuilds) {
 // Cancellation storm: a timer thread fires the StopToken at a random
 // point during execution, across every registered engine. Whatever the
 // cut lands on, the engine must return promptly in one of the two legal
-// end states (kCancelled+timed_out, or the exact count if it won the
+// end states (kCancelled, or the exact count if it won the
 // race), and the SAME warm scratch must serve an exact clean run right
 // after — no partial-run state may leak into the next query. This is
 // the TSan-leg companion to chaos_test's failpoint sweeps.
@@ -716,8 +652,7 @@ TEST(StopTokenTest, RandomCancellationPointsAcrossEveryEngine) {
       // Prompt return: the full query is milliseconds; seconds would
       // mean the stop was ignored.
       EXPECT_LT(watch.ElapsedSeconds(), 5.0);
-      EXPECT_EQ(r.timed_out, !r.status.ok()) << r.status.ToString();
-      if (r.timed_out) {
+      if (!r.ok()) {
         EXPECT_EQ(r.status.code(), StatusCode::kCancelled)
             << r.status.ToString();
       } else {
@@ -726,7 +661,8 @@ TEST(StopTokenTest, RandomCancellationPointsAcrossEveryEngine) {
       // Scratch reusability + stat integrity: the very next clean run
       // through the same scratch is exact and deterministic.
       const ExecResult clean = engine->Execute(bq, clean_opts);
-      EXPECT_FALSE(clean.timed_out) << clean.status.ToString();
+      EXPECT_EQ(clean.status.code(), StatusCode::kOk)
+          << clean.status.ToString();
       EXPECT_EQ(clean.count, expected);
       EXPECT_EQ(clean.stats.seeks, ref.stats.seeks);
       EXPECT_EQ(clean.stats.constraints_inserted,
@@ -799,7 +735,7 @@ TEST(PartitionedRunTest, ReusedWorkerPoolServesRepeatedQueries) {
         *engine, bq, ExecOptions{}, /*num_threads=*/3, /*granularity=*/4,
         &scratch, &pool);
     EXPECT_EQ(r.count, direct.count) << "run " << run;
-    EXPECT_FALSE(r.timed_out);
+    EXPECT_EQ(r.status.code(), StatusCode::kOk) << r.status.ToString();
     EXPECT_GT(r.stats.cds_nodes_recycled, 0u) << "run " << run;
   }
 }

@@ -17,8 +17,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Failure injection: a deadline may expire at any moment; an engine must
-// then either report timed_out or return the exact answer — never a wrong
-// count.
+// then either fail with kDeadlineExceeded or return the exact answer —
+// never a wrong count.
 
 class DeadlineInjectionTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -42,8 +42,11 @@ TEST_P(DeadlineInjectionTest, TimeoutOrExactAnswer) {
   // Budgets from "expires immediately" to "tight but maybe enough".
   opts.deadline = Deadline::AfterSeconds(budget_step * 0.002);
   ExecResult r = engine->Execute(bq, opts);
-  if (!r.timed_out) {
+  if (r.ok()) {
     EXPECT_EQ(r.count, expected) << kInjectionEngines[engine_idx];
+  } else {
+    EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
+        << kInjectionEngines[engine_idx] << ": " << r.status.ToString();
   }
 }
 
@@ -89,7 +92,7 @@ TEST(DegenerateInputTest, EmptyEdgeRelation) {
     if (name == "clique") continue;  // pattern unsupported by design
     ExecResult r = CreateEngine(name)->Execute(bq, ExecOptions{});
     EXPECT_EQ(r.count, 0u) << name;
-    EXPECT_FALSE(r.timed_out) << name;
+    EXPECT_EQ(r.status.code(), StatusCode::kOk) << name;
   }
 }
 

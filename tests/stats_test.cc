@@ -185,7 +185,8 @@ TEST(StatsTest, CatalogPathMatchesLegacyForEveryEngine) {
           CreateEngine(name)->Execute(catalog_q, ExecOptions{});
       const ExecResult warm =
           CreateEngine(name)->Execute(catalog_q, ExecOptions{});
-      EXPECT_EQ(cold.timed_out, legacy.timed_out) << name << " " << text;
+      EXPECT_EQ(cold.status.code(), legacy.status.code())
+          << name << " " << text;
       EXPECT_EQ(cold.count, legacy.count) << name << " " << text;
       EXPECT_EQ(warm.count, legacy.count) << name << " " << text;
     }
@@ -341,8 +342,9 @@ TEST(StatsTest, ParallelWarmAccountingMatchesSerialWarm) {
     const EngineStats serial_cold = WarmQueryIndexes(bq);
     const EngineStats serial_warm = WarmQueryIndexes(bq);
     bq.catalog = &parallel_catalog;
-    const EngineStats parallel_cold = WarmQueryIndexesParallel(bq, 4);
-    const EngineStats parallel_warm = WarmQueryIndexesParallel(bq, 4);
+    WorkerPool pool(4);
+    const EngineStats parallel_cold = WarmQueryIndexesParallel(bq, pool);
+    const EngineStats parallel_warm = WarmQueryIndexesParallel(bq, pool);
     EXPECT_EQ(parallel_cold.index_builds, serial_cold.index_builds) << text;
     EXPECT_EQ(parallel_cold.index_cache_hits, serial_cold.index_cache_hits)
         << text;

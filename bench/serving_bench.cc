@@ -13,21 +13,17 @@
 //             and the shed rate + OK-latency tail quantify the
 //             controller's behavior at saturation.
 //
+// Both socket sections run RunLoad (server/client.h), the storm behind
+// wcoj_client's load mode.
+//
 // Standalone main (no google-benchmark): the interesting numbers are
 // end-to-end request latencies, not nanosecond microbenchmarks.
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util/workloads.h"
@@ -35,9 +31,9 @@
 #include "graph/generators.h"
 #include "query/parser.h"
 #include "query/query.h"
+#include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
-#include "util/stopwatch.h"
 
 namespace wcoj {
 namespace {
@@ -47,59 +43,19 @@ constexpr int kServedReps = 200;
 constexpr int kOverloadClients = 8;
 constexpr int kOverloadPerClient = 40;
 
-double PercentileMs(std::vector<double> seconds, double p) {
-  if (seconds.empty()) return 0.0;
-  std::sort(seconds.begin(), seconds.end());
-  const size_t idx = static_cast<size_t>(p * (seconds.size() - 1) + 0.5);
-  return seconds[std::min(idx, seconds.size() - 1)] * 1e3;
+// Starts a server over `rels`, storms it through RunLoad, drains it.
+LoadResult Storm(DatasetRelations& rels, const ServerConfig& config,
+                 const std::string& line, int clients, int repeat) {
+  Server server(rels.Map(), rels.catalog(), config);
+  const Status s = server.Start();
+  if (!s.ok()) {
+    std::fprintf(stderr, "server start failed: %s\n", s.ToString().c_str());
+    std::exit(1);
+  }
+  LoadResult load = RunLoad(server.port(), line, clients, repeat);
+  server.Drain();
+  return load;
 }
-
-// Minimal blocking line client against 127.0.0.1:<port>.
-struct Client {
-  int fd = -1;
-  std::string buf;
-
-  bool Connect(int port) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    timeval tv{30, 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      ::close(fd);
-      fd = -1;
-      return false;
-    }
-    return true;
-  }
-  bool RoundTrip(const std::string& request, ServerReply* reply) {
-    const std::string out = request + "\n";
-    if (fd < 0 ||
-        ::send(fd, out.data(), out.size(), MSG_NOSIGNAL) !=
-            static_cast<ssize_t>(out.size())) {
-      return false;
-    }
-    for (;;) {
-      const size_t nl = buf.find('\n');
-      if (nl != std::string::npos) {
-        const std::string line = buf.substr(0, nl);
-        buf.erase(0, nl + 1);
-        return ParseReplyLine(line, reply);
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) return false;
-      buf.append(chunk, static_cast<size_t>(n));
-    }
-  }
-  ~Client() {
-    if (fd >= 0) ::close(fd);
-  }
-};
 
 int Run() {
   Graph graph = Rmat(/*scale=*/10, /*num_edges=*/20000, 0.45, 0.2, 0.2,
@@ -116,7 +72,7 @@ int Run() {
   ExecOptions opts;
   opts.scratch = &scratch;
   uint64_t direct_count = 0;
-  std::vector<double> direct_secs;
+  std::vector<double> direct_ms;
   (void)RunTimed(*engine, bq, opts);  // cold build outside the timings
   for (int i = 0; i < kServedReps; ++i) {
     const ExecResult r = RunTimed(*engine, bq, opts);
@@ -126,9 +82,9 @@ int Run() {
       return 1;
     }
     direct_count = r.count;
-    direct_secs.push_back(r.seconds);
+    direct_ms.push_back(r.seconds * 1e3);
   }
-  const double direct_p50_ms = PercentileMs(direct_secs, 0.5);
+  const double direct_p50_ms = Percentile(direct_ms, 0.5);
 
   // --- served: the same query through the daemon ----------------------
   ServerRequest req;
@@ -137,107 +93,32 @@ int Run() {
   req.text = kQueryText;
   const std::string query_line = FormatRequestLine(req);
 
-  double served_p50_ms = 0.0, served_p99_ms = 0.0, served_qps = 0.0;
-  bool served_counts_equal = false;
-  {
-    ServerConfig config;
-    config.max_concurrency = 2;
-    auto server = std::make_unique<Server>(rels.Map(), rels.catalog(),
-                                           config);
-    const Status s = server->Start();
-    if (!s.ok()) {
-      std::fprintf(stderr, "server start failed: %s\n",
-                   s.ToString().c_str());
-      return 1;
-    }
-    Client client;
-    if (!client.Connect(server->port())) {
-      std::fprintf(stderr, "connect failed\n");
-      return 1;
-    }
-    served_counts_equal = true;
-    std::vector<double> served_secs;
-    Stopwatch wall;
-    for (int i = 0; i < kServedReps; ++i) {
-      Stopwatch one;
-      ServerReply reply;
-      if (!client.RoundTrip(query_line, &reply) || !reply.ok) {
-        std::fprintf(stderr, "served request %d failed\n", i);
-        return 1;
-      }
-      served_secs.push_back(one.ElapsedSeconds());
-      served_counts_equal &= reply.count == direct_count;
-    }
-    served_qps = kServedReps / wall.ElapsedSeconds();
-    served_p50_ms = PercentileMs(served_secs, 0.5);
-    served_p99_ms = PercentileMs(served_secs, 0.99);
-    server->Drain();
-  }
+  ServerConfig served_config;
+  served_config.max_concurrency = 2;
+  const LoadResult served =
+      Storm(rels, served_config, query_line, /*clients=*/1, kServedReps);
+  // Every served request must come back OK with the direct count.
+  const bool served_counts_equal =
+      served.ok == static_cast<uint64_t>(kServedReps) &&
+      served.counts_agree && served.count == direct_count;
+  const double served_p50_ms = Percentile(served.ok_ms, 0.5);
+  const double served_p99_ms = Percentile(served.ok_ms, 0.99);
+  const double served_qps = kServedReps / served.wall_seconds;
 
   // --- overload: K clients vs one slot, bounded queue -----------------
-  uint64_t offered = 0, over_ok = 0, over_shed = 0, over_errors = 0;
-  bool over_counts_equal = true;
-  double over_p50_ms = 0.0, over_p99_ms = 0.0, over_qps = 0.0;
-  {
-    ServerConfig config;
-    config.max_concurrency = 1;
-    config.max_queue = 2;
-    config.retry_after_base_ms = 5;
-    auto server = std::make_unique<Server>(rels.Map(), rels.catalog(),
-                                           config);
-    const Status s = server->Start();
-    if (!s.ok()) {
-      std::fprintf(stderr, "overload server start failed: %s\n",
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::atomic<uint64_t> ok{0}, shed{0}, errors{0};
-    std::atomic<bool> counts_equal{true};
-    std::vector<std::vector<double>> per_thread_ok_secs(kOverloadClients);
-    std::vector<std::thread> clients;
-    Stopwatch wall;
-    for (int c = 0; c < kOverloadClients; ++c) {
-      clients.emplace_back([&, c] {
-        Client client;
-        if (!client.Connect(server->port())) {
-          errors.fetch_add(kOverloadPerClient);
-          return;
-        }
-        for (int i = 0; i < kOverloadPerClient; ++i) {
-          Stopwatch one;
-          ServerReply reply;
-          if (!client.RoundTrip(query_line, &reply)) {
-            errors.fetch_add(1);
-            return;
-          }
-          if (reply.ok) {
-            ok.fetch_add(1);
-            if (reply.count != direct_count) counts_equal.store(false);
-            per_thread_ok_secs[c].push_back(one.ElapsedSeconds());
-          } else if (reply.shed()) {
-            shed.fetch_add(1);
-          } else {
-            errors.fetch_add(1);
-          }
-        }
-      });
-    }
-    for (auto& t : clients) t.join();
-    const double wall_secs = wall.ElapsedSeconds();
-    server->Drain();
-    offered = static_cast<uint64_t>(kOverloadClients) * kOverloadPerClient;
-    over_ok = ok.load();
-    over_shed = shed.load();
-    over_errors = errors.load();
-    over_counts_equal = counts_equal.load();
-    std::vector<double> all_ok_secs;
-    for (const auto& v : per_thread_ok_secs) {
-      all_ok_secs.insert(all_ok_secs.end(), v.begin(), v.end());
-    }
-    over_p50_ms = PercentileMs(all_ok_secs, 0.5);
-    over_p99_ms = PercentileMs(all_ok_secs, 0.99);
-    over_qps = over_ok / wall_secs;
-  }
+  ServerConfig over_config;
+  over_config.max_concurrency = 1;
+  over_config.max_queue = 2;
+  over_config.retry_after_base_ms = 5;
+  const LoadResult over = Storm(rels, over_config, query_line,
+                                kOverloadClients, kOverloadPerClient);
+  const uint64_t offered =
+      static_cast<uint64_t>(kOverloadClients) * kOverloadPerClient;
+  const bool over_counts_equal =
+      over.counts_agree && (over.ok == 0 || over.count == direct_count);
+  const double over_p50_ms = Percentile(over.ok_ms, 0.5);
+  const double over_p99_ms = Percentile(over.ok_ms, 0.99);
+  const double over_qps = over.ok / over.wall_seconds;
 
   const char* path = "BENCH_serving.json";
   FILE* out = std::fopen(path, "w");
@@ -264,10 +145,10 @@ int Run() {
                "\"shed_rate\": %.3f, \"qps\": %.1f, \"p50_ms\": %.4f, "
                "\"p99_ms\": %.4f, \"counts_equal\": %s}\n",
                kOverloadClients, static_cast<unsigned long long>(offered),
-               static_cast<unsigned long long>(over_ok),
-               static_cast<unsigned long long>(over_shed),
-               static_cast<unsigned long long>(over_errors),
-               offered > 0 ? static_cast<double>(over_shed) / offered : 0.0,
+               static_cast<unsigned long long>(over.ok),
+               static_cast<unsigned long long>(over.shed),
+               static_cast<unsigned long long>(over.err),
+               offered > 0 ? static_cast<double>(over.shed) / offered : 0.0,
                over_qps, over_p50_ms, over_p99_ms,
                over_counts_equal ? "true" : "false");
   std::fprintf(out, "}\n");
@@ -282,13 +163,13 @@ int Run() {
       "overload: offered=%llu ok=%llu shed=%llu errors=%llu "
       "shed_rate=%.2f ok_p50=%.3fms ok_p99=%.3fms counts_equal=%d\n",
       static_cast<unsigned long long>(offered),
-      static_cast<unsigned long long>(over_ok),
-      static_cast<unsigned long long>(over_shed),
-      static_cast<unsigned long long>(over_errors),
-      offered > 0 ? static_cast<double>(over_shed) / offered : 0.0,
+      static_cast<unsigned long long>(over.ok),
+      static_cast<unsigned long long>(over.shed),
+      static_cast<unsigned long long>(over.err),
+      offered > 0 ? static_cast<double>(over.shed) / offered : 0.0,
       over_p50_ms, over_p99_ms, over_counts_equal);
   // The harness's own pass/fail: every request answered, counts exact.
-  if (over_errors != 0 || !served_counts_equal || !over_counts_equal) {
+  if (over.err != 0 || !served_counts_equal || !over_counts_equal) {
     std::fprintf(stderr, "serving_bench: FAILED invariants\n");
     return 1;
   }

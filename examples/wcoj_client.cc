@@ -1,11 +1,14 @@
 // wcoj_client: line-protocol client for wcoj_serverd.
 //
 // Single-query mode sends one request and maps the structured reply to
-// a distinct exit code, so shell drills can assert each failure class:
+// the shared CLI exit-code contract (CliExitCode, util/status.h — the
+// codes query_runner returns for the same failures), so shell drills
+// can assert each failure class:
 //
 //   0  OK
-//   1  other error (CANCELLED, INTERNAL, ...) or protocol garbage
-//   2  usage / connect failure
+//   1  other error (CANCELLED, INTERNAL, ...), dropped connection, garbage
+//   2  usage / connect failure, or ERR INVALID_ARGUMENT / NOT_FOUND /
+//      IO_ERROR / DATA_LOSS (bad input)
 //   3  ERR BUDGET_EXCEEDED
 //   4  ERR DEADLINE_EXCEEDED
 //   5  shed (ERR RETRY_AFTER) even after --retries attempts
@@ -15,107 +18,28 @@
 // doubling — the cooperative half of the server's load shedding.
 //
 // Load mode (--clients K --repeat M) opens K concurrent connections,
-// sends M requests each, and prints an aggregate line:
+// sends M requests each (RunLoad, server/client.h), and prints an
+// aggregate line whose latencies and qps cover OK replies only:
 //
 //   load: sent=N ok=N shed=N err=N p50_ms=X p99_ms=X qps=X
 //
-// exiting 0 iff every request got a structured reply (sheds count as
+// exiting 0 iff every request got an OK or shed reply (sheds count as
 // answered — that is the contract under overload).
 //
 //   $ ./wcoj_client --port 43211 "edge(a,b), edge(b,c)"
 //   $ ./wcoj_client --port 43211 --deadline-ms 1 "..."   ; echo $?  # 4
 //   $ ./wcoj_client --port 43211 --clients 16 --repeat 50 "..."
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
-#include <vector>
 
+#include "server/client.h"
 #include "server/protocol.h"
-#include "util/stopwatch.h"
-#include "util/thread_annotations.h"
-
-namespace {
-
-using wcoj::ServerReply;
-using wcoj::ServerRequest;
-
-int ConnectTo(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool SendLine(int fd, const std::string& line) {
-  std::string out = line + "\n";
-  const char* p = out.data();
-  size_t left = out.size();
-  while (left > 0) {
-    const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool ReadLine(int fd, std::string* buf, std::string* line) {
-  for (;;) {
-    const size_t nl = buf->find('\n');
-    if (nl != std::string::npos) {
-      *line = buf->substr(0, nl);
-      buf->erase(0, nl + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return false;
-    buf->append(chunk, static_cast<size_t>(n));
-  }
-}
-
-struct RequestOutcome {
-  bool answered = false;  // got a parseable reply line
-  ServerReply reply;
-  double millis = 0.0;
-};
-
-// One request over an established connection; `buf` carries any
-// pipelined leftover bytes between calls.
-RequestOutcome RunOnce(int fd, const std::string& request_line,
-                       std::string* buf) {
-  RequestOutcome out;
-  const wcoj::Stopwatch watch;
-  if (!SendLine(fd, request_line)) return out;
-  std::string line;
-  if (!ReadLine(fd, buf, &line)) return out;
-  out.millis = watch.ElapsedSeconds() * 1000.0;
-  out.answered = wcoj::ParseReplyLine(line, &out.reply);
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace wcoj;
@@ -173,20 +97,16 @@ int main(int argc, char** argv) {
   if (clients == 1 && repeat == 1) {
     long backoff = backoff_ms;
     for (long attempt = 0;; ++attempt) {
-      const int fd = ConnectTo(port);
-      if (fd < 0) {
-        std::fprintf(stderr, "wcoj_client: connect to 127.0.0.1:%d failed\n",
-                     port);
-        return 2;
+      ServerClient conn;
+      const Status connected = conn.Connect(port);
+      const StatusOr<ServerReply> got =
+          connected.ok() ? conn.Call(request_line) : connected;
+      if (!got.ok()) {  // connect failure 2, dropped or garbage reply 1
+        std::fprintf(stderr, "wcoj_client: %s\n",
+                     got.status().ToString().c_str());
+        return connected.ok() ? 1 : 2;
       }
-      std::string buf;
-      const RequestOutcome out = RunOnce(fd, request_line, &buf);
-      ::close(fd);
-      if (!out.answered) {
-        std::fprintf(stderr, "wcoj_client: connection dropped mid-request\n");
-        return 1;
-      }
-      const ServerReply& r = out.reply;
+      const ServerReply& r = got.value();
       if (r.ok) {
         std::printf("OK count=%llu seconds=%.4f class=%s cached=%d "
                     "seeks=%llu\n",
@@ -207,65 +127,19 @@ int main(int argc, char** argv) {
         continue;
       }
       std::printf("ERR %s msg=%s\n", r.code.c_str(), r.message.c_str());
-      if (r.shed()) return 5;
-      if (r.code == "BUDGET_EXCEEDED") return 3;
-      if (r.code == "DEADLINE_EXCEEDED") return 4;
-      return 1;
+      return r.shed() ? 5 : CliExitCode(r.status());
     }
   }
 
-  // Load mode: K connections x M requests, aggregate tail latency.
-  std::atomic<uint64_t> ok{0}, shed{0}, err{0};
-  wcoj::Mutex lat_mu;
-  std::vector<double> latencies;
-  const Stopwatch wall;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(clients));
-  for (long c = 0; c < clients; ++c) {
-    workers.emplace_back([&] {
-      const int fd = ConnectTo(port);
-      if (fd < 0) {
-        err.fetch_add(static_cast<uint64_t>(repeat));
-        return;
-      }
-      std::string buf;
-      std::vector<double> local;
-      for (long m = 0; m < repeat; ++m) {
-        const RequestOutcome out = RunOnce(fd, request_line, &buf);
-        if (!out.answered) {
-          err.fetch_add(static_cast<uint64_t>(repeat - m));
-          break;
-        }
-        local.push_back(out.millis);
-        if (out.reply.ok) {
-          ok.fetch_add(1);
-        } else if (out.reply.shed()) {
-          shed.fetch_add(1);
-        } else {
-          err.fetch_add(1);
-        }
-      }
-      ::close(fd);
-      wcoj::MutexLock lock(lat_mu);
-      latencies.insert(latencies.end(), local.begin(), local.end());
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  const double wall_s = wall.ElapsedSeconds();
-  std::sort(latencies.begin(), latencies.end());
-  auto pct = [&](double p) {
-    if (latencies.empty()) return 0.0;
-    const size_t i = std::min(latencies.size() - 1,
-                              static_cast<size_t>(p * latencies.size()));
-    return latencies[i];
-  };
-  const uint64_t sent = static_cast<uint64_t>(clients * repeat);
+  const LoadResult load = RunLoad(port, request_line, static_cast<int>(clients),
+                                  static_cast<int>(repeat));
   std::printf("load: sent=%llu ok=%llu shed=%llu err=%llu p50_ms=%.2f "
               "p99_ms=%.2f qps=%.1f\n",
-              static_cast<unsigned long long>(sent),
-              static_cast<unsigned long long>(ok.load()),
-              static_cast<unsigned long long>(shed.load()),
-              static_cast<unsigned long long>(err.load()), pct(0.50),
-              pct(0.99), wall_s > 0 ? latencies.size() / wall_s : 0.0);
-  return err.load() == 0 ? 0 : 1;
+              static_cast<unsigned long long>(clients * repeat),
+              static_cast<unsigned long long>(load.ok),
+              static_cast<unsigned long long>(load.shed),
+              static_cast<unsigned long long>(load.err),
+              Percentile(load.ok_ms, 0.50), Percentile(load.ok_ms, 0.99),
+              load.wall_seconds > 0 ? load.ok / load.wall_seconds : 0.0);
+  return load.err == 0 ? 0 : 1;
 }

@@ -103,6 +103,17 @@ std::string FormatShedReply(int64_t retry_after_ms, uint64_t queued,
   return out.str();
 }
 
+Status ServerReply::status() const {
+  if (ok) return OkStatus();
+  if (shed()) return Status(StatusCode::kResourceExhausted, message);
+  for (int c = 1; c <= static_cast<int>(StatusCode::kInternal); ++c) {
+    const auto named = static_cast<StatusCode>(c);
+    if (code == StatusCodeName(named)) return Status(named, message);
+  }
+  return Status(StatusCode::kInternal,
+                "unknown reply code " + code + ": " + message);
+}
+
 bool ParseReplyLine(const std::string& line, ServerReply* reply) {
   *reply = ServerReply();
   std::istringstream in(line);

@@ -2,9 +2,10 @@
 #define WCOJ_SERVER_PROTOCOL_H_
 
 // Wire protocol of wcoj_serverd: one '\n'-terminated ASCII line per
-// request, exactly one line per reply, written with a single send so a
-// client never observes a torn reply (an injected "server.write" fault
-// fires before any byte leaves the process).
+// request, exactly one line per reply, in request order (clients may
+// pipeline). A reply may take several partial sends, but a client never
+// parses a torn one: it reads up to the '\n', and an injected
+// "server.write" fault fires before the first byte of a reply.
 //
 // Requests:
 //
@@ -71,6 +72,10 @@ struct ServerReply {
   std::string message;
 
   bool shed() const { return !ok && code == "RETRY_AFTER"; }
+  // The reply as a Status: OK, the StatusCode that `code` names
+  // (StatusCodeName inverted), kResourceExhausted for a shed, or
+  // kInternal for a code this client does not know.
+  Status status() const;
 };
 
 std::string FormatOkReply(uint64_t count, double seconds, bool cached,

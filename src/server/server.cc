@@ -7,10 +7,10 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "parallel/partitioned_run.h"
+#include "server/client.h"
 #include "util/failpoint.h"
 
 namespace wcoj {
@@ -25,11 +25,6 @@ FailPoint& AcceptFp() { return FailPoints::Register("server.accept"); }
 FailPoint& ReadFp() { return FailPoints::Register("server.read"); }
 FailPoint& WriteFp() { return FailPoints::Register("server.write"); }
 FailPoint& EnqueueFp() { return FailPoints::Register("server.enqueue"); }
-
-std::string ErrnoDetail(const char* what) {
-  return std::string(what) + " failed (errno " + std::to_string(errno) +
-         ": " + std::strerror(errno) + ")";
-}
 
 }  // namespace
 
@@ -47,9 +42,7 @@ Server::~Server() { Drain(); }
 
 Status Server::Start() {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status(StatusCode::kIoError, ErrnoDetail("socket"));
-  }
+  if (listen_fd_ < 0) return ErrnoStatus("socket");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
@@ -58,13 +51,13 @@ Status Server::Start() {
   addr.sin_port = htons(static_cast<uint16_t>(config_.port));
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    const Status s(StatusCode::kIoError, ErrnoDetail("bind"));
+    const Status s = ErrnoStatus("bind");
     ::close(listen_fd_);
     listen_fd_ = -1;
     return s;
   }
   if (::listen(listen_fd_, 128) != 0) {
-    const Status s(StatusCode::kIoError, ErrnoDetail("listen"));
+    const Status s = ErrnoStatus("listen");
     ::close(listen_fd_);
     listen_fd_ = -1;
     return s;
@@ -149,24 +142,12 @@ void Server::WatchdogLoop() {
   }
 }
 
-bool Server::WriteReply(Connection* conn, std::string line) {
+bool Server::WriteReply(Connection* conn, const std::string& line) {
   // Injected write fault: fires *before* the first byte, so the peer
   // observes a cleanly closed connection, never a torn reply line.
-  if (WCOJ_FAILPOINT(WriteFp())) {
+  if (WCOJ_FAILPOINT(WriteFp()) || !SendAll(conn->fd, line).ok()) {
     write_faults_.fetch_add(1, std::memory_order_relaxed);
     return false;
-  }
-  const char* p = line.data();
-  size_t left = line.size();
-  while (left > 0) {
-    const ssize_t n = ::send(conn->fd, p, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      write_faults_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
   }
   return true;
 }

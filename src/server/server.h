@@ -152,10 +152,9 @@ class Server {
   // Executes one parsed query request; returns the reply line.
   std::string HandleQuery(Connection* conn, const ServerRequest& req);
   std::string HandleStats();
-  // Single-send reply write; false = connection must close (peer gone
-  // or injected server.write fault — in both cases zero bytes of this
-  // reply were sent, so the client never sees a torn line).
-  bool WriteReply(Connection* conn, std::string line);
+  // Writes a reply line through SendAll; false = close the connection
+  // (peer gone, or a server.write fault injected before the first byte).
+  bool WriteReply(Connection* conn, const std::string& line);
   void ReapFinishedConnections();
 
   const std::map<std::string, const Relation*> relations_;

@@ -9,11 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -28,6 +23,7 @@
 #include "query/parser.h"
 #include "query/query.h"
 #include "server/admission.h"
+#include "server/client.h"
 #include "server/prepared_cache.h"
 #include "server/protocol.h"
 #include "storage/persist.h"
@@ -258,9 +254,25 @@ TEST(ProtocolTest, RepliesRoundTripIncludingShedShape) {
   EXPECT_FALSE(ParseReplyLine("WAT 42", &r));
 }
 
+// ServerReply::status() inverts StatusCodeName: every code survives the
+// wire, which is what lets wcoj_client exit with CliExitCode.
+TEST(ProtocolTest, ErrorRepliesMapBackToTheirStatusCode) {
+  ServerReply r;
+  for (int c = 1; c <= static_cast<int>(StatusCode::kInternal); ++c) {
+    const auto code = static_cast<StatusCode>(c);
+    ASSERT_TRUE(ParseReplyLine(FormatErrorReply(Status(code, "why")), &r));
+    EXPECT_EQ(r.status().code(), code) << StatusCodeName(code);
+    EXPECT_EQ(r.status().message(), "why");
+  }
+  ASSERT_TRUE(ParseReplyLine(FormatOkReply(1, 0.5, false, "cheap", 1), &r));
+  EXPECT_TRUE(r.status().ok());
+  ASSERT_TRUE(ParseReplyLine(FormatShedReply(5, 1, "queue full"), &r));
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+}
+
 // ---------------------------------------------------------------------
 // Shared serving fixture: one dataset (same shape as wcoj_serverd's,
-// smaller), serial oracle counts, and a minimal blocking test client.
+// smaller), serial oracle counts, and the shared ServerClient.
 
 constexpr char kCheapQuery[] = "edge(a,b)";
 constexpr char kTriangleQuery[] = "edge_lt(a,b), edge_lt(b,c), edge_lt(a,c)";
@@ -269,58 +281,18 @@ constexpr char kTriangleQuery[] = "edge_lt(a,b), edge_lt(b,c), edge_lt(a,c)";
 // engines' prompt cancellation to wind down.
 constexpr char kBlockerQuery[] = "edge(a,b), edge(c,d), edge(e,f)";
 
-struct TestConn {
-  int fd = -1;
-  std::string buf;
-
-  bool Connect(int port) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    timeval tv{10, 0};  // a stuck read fails the test, never hangs it
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      Close();
-      return false;
-    }
-    return true;
+// ServerClient::Call as a gtest assertion: ASSERT_TRUE(Call(...)) fails
+// the test on a transport error, with the cause in the message.
+testing::AssertionResult Call(ServerClient& conn, const std::string& line,
+                              ServerReply* reply) {
+  StatusOr<ServerReply> r = conn.Call(line);
+  if (!r.ok()) {
+    return testing::AssertionFailure() << line << ": "
+                                       << r.status().ToString();
   }
-  bool Send(const std::string& line) {
-    const std::string out = line + "\n";
-    return fd >= 0 &&
-           ::send(fd, out.data(), out.size(), MSG_NOSIGNAL) ==
-               static_cast<ssize_t>(out.size());
-  }
-  bool Recv(std::string* line) {
-    for (;;) {
-      const size_t nl = buf.find('\n');
-      if (nl != std::string::npos) {
-        *line = buf.substr(0, nl);
-        buf.erase(0, nl + 1);
-        return true;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) return false;
-      buf.append(chunk, static_cast<size_t>(n));
-    }
-  }
-  // Send one request line and parse the one-line reply.
-  bool RoundTrip(const std::string& request, ServerReply* reply) {
-    std::string line;
-    if (!Send(request) || !Recv(&line)) return false;
-    return ParseReplyLine(line, reply);
-  }
-  void Close() {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
-  ~TestConn() { Close(); }
-};
+  *reply = r.take();
+  return testing::AssertionSuccess();
+}
 
 std::string QueryLine(const std::string& text, const std::string& engine,
                       int64_t deadline_ms = 0, int64_t budget_mb = 0) {
@@ -499,34 +471,34 @@ TEST_F(ServerTest, ServesExactCountsAndCachesPreparedQueries) {
   config.max_concurrency = 2;
   config.max_queue = 4;
   auto server = StartServer(config);
-  TestConn conn;
-  ASSERT_TRUE(conn.Connect(server->port()));
+  ServerClient conn;
+  ASSERT_TRUE(conn.Connect(server->port()).ok());
 
   ServerReply r;
-  ASSERT_TRUE(conn.RoundTrip("PING", &r));
+  ASSERT_TRUE(Call(conn, "PING", &r));
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.message, "pong");
 
-  ASSERT_TRUE(conn.RoundTrip(QueryLine(kCheapQuery, "lftj"), &r));
+  ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "lftj"), &r));
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.count, cheap_count_);
   EXPECT_EQ(r.query_class, "cheap");
   EXPECT_FALSE(r.cached);
 
-  ASSERT_TRUE(conn.RoundTrip(QueryLine(kCheapQuery, "lftj"), &r));
+  ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "lftj"), &r));
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.count, cheap_count_);
   EXPECT_TRUE(r.cached);  // parse/bind/classify amortized away
 
-  ASSERT_TRUE(conn.RoundTrip(QueryLine(kTriangleQuery, "lftj"), &r));
+  ASSERT_TRUE(Call(conn, QueryLine(kTriangleQuery, "lftj"), &r));
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.count, triangle_count_);
   EXPECT_EQ(r.query_class, "heavy");
 
-  ASSERT_TRUE(conn.RoundTrip("STATS", &r));
+  ASSERT_TRUE(Call(conn, "STATS", &r));
   EXPECT_TRUE(r.ok);
 
-  ASSERT_TRUE(conn.RoundTrip("QUIT", &r));
+  ASSERT_TRUE(Call(conn, "QUIT", &r));
   EXPECT_TRUE(r.ok);
   const ServerStats stats = server->stats();
   EXPECT_EQ(stats.ok, 3u);  // the three queries; pings are not queries
@@ -534,10 +506,31 @@ TEST_F(ServerTest, ServesExactCountsAndCachesPreparedQueries) {
   EXPECT_EQ(stats.cache_misses, 2u);
 }
 
+// Two requests in one write: the server splits them at '\n' and answers
+// in order. Reading only after both are answered puts both replies in
+// one recv, so the second comes out of the client's leftover buffer.
+TEST_F(ServerTest, PipelinedRequestsAreAnsweredInOrder) {
+  auto server = StartServer(SmallConfig());
+  ServerClient conn;
+  ASSERT_TRUE(conn.Connect(server->port()).ok());
+  ASSERT_TRUE(conn.SendLine("PING\n" + QueryLine(kCheapQuery, "lftj")).ok());
+  ASSERT_TRUE(WaitFor([&] { return server->stats().ok == 1; }));
+  ServerReply r;
+  StatusOr<std::string> line = conn.ReadLine();
+  ASSERT_TRUE(line.ok()) << line.status().ToString();
+  ASSERT_TRUE(ParseReplyLine(line.value(), &r)) << line.value();
+  EXPECT_EQ(r.message, "pong");
+  line = conn.ReadLine();
+  ASSERT_TRUE(line.ok()) << line.status().ToString();
+  ASSERT_TRUE(ParseReplyLine(line.value(), &r)) << line.value();
+  ASSERT_TRUE(r.ok) << r.message;
+  EXPECT_EQ(r.count, cheap_count_);
+}
+
 TEST_F(ServerTest, InvalidQueriesGetStructuredErrorsOnALiveConnection) {
   auto server = StartServer(SmallConfig());
-  TestConn conn;
-  ASSERT_TRUE(conn.Connect(server->port()));
+  ServerClient conn;
+  ASSERT_TRUE(conn.Connect(server->port()).ok());
   ServerReply r;
   // Garbage line, unknown engine, unknown relation, arity mismatch,
   // unbound filter variable: every one a structured INVALID_ARGUMENT.
@@ -546,13 +539,13 @@ TEST_F(ServerTest, InvalidQueriesGetStructuredErrorsOnALiveConnection) {
         QueryLine(kCheapQuery, "nosuch_engine"),
         QueryLine("nosuch(a,b)", "lftj"), QueryLine("edge(a,b,c)", "lftj"),
         QueryLine("edge(a,b), a<z", "lftj")}) {
-    ASSERT_TRUE(conn.RoundTrip(bad, &r)) << bad;
+    ASSERT_TRUE(Call(conn, bad, &r)) << bad;
     EXPECT_FALSE(r.ok) << bad;
     EXPECT_EQ(r.code, "INVALID_ARGUMENT") << bad;
     EXPECT_FALSE(r.message.empty()) << bad;
   }
   // The connection survives all of it.
-  ASSERT_TRUE(conn.RoundTrip(QueryLine(kCheapQuery, "lftj"), &r));
+  ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "lftj"), &r));
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.count, cheap_count_);
   EXPECT_EQ(server->stats().invalid, 5u);
@@ -560,16 +553,16 @@ TEST_F(ServerTest, InvalidQueriesGetStructuredErrorsOnALiveConnection) {
 
 TEST_F(ServerTest, DeadlineExpiryIsAStructuredReplyAndConnectionSurvives) {
   auto server = StartServer(SmallConfig());
-  TestConn conn;
-  ASSERT_TRUE(conn.Connect(server->port()));
+  ServerClient conn;
+  ASSERT_TRUE(conn.Connect(server->port()).ok());
   ServerReply r;
-  ASSERT_TRUE(conn.RoundTrip(
+  ASSERT_TRUE(Call(conn, 
       QueryLine(kBlockerQuery, "lftj", /*deadline_ms=*/100), &r));
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.code, "DEADLINE_EXCEEDED");
   // Same connection keeps serving: the failure was the query's, not the
   // transport's.
-  ASSERT_TRUE(conn.RoundTrip(QueryLine(kCheapQuery, "lftj"), &r));
+  ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "lftj"), &r));
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.count, cheap_count_);
   EXPECT_EQ(server->stats().deadline_exceeded, 1u);
@@ -577,12 +570,12 @@ TEST_F(ServerTest, DeadlineExpiryIsAStructuredReplyAndConnectionSurvives) {
 
 TEST_F(ServerTest, BudgetRefusalIsAStructuredReplyAndConnectionSurvives) {
   auto server = StartServer(SmallConfig());
-  TestConn conn;
-  ASSERT_TRUE(conn.Connect(server->port()));
+  ServerClient conn;
+  ASSERT_TRUE(conn.Connect(server->port()).ok());
   ServerReply r;
   // Minesweeper's CDS on an endless cross product grows without bound;
   // a 1 MiB budget latches long before the 60s default deadline.
-  ASSERT_TRUE(conn.RoundTrip(
+  ASSERT_TRUE(Call(conn, 
       QueryLine(kBlockerQuery, "ms", /*deadline_ms=*/30000,
                 /*budget_mb=*/1),
       &r));
@@ -590,7 +583,7 @@ TEST_F(ServerTest, BudgetRefusalIsAStructuredReplyAndConnectionSurvives) {
   EXPECT_EQ(r.code, "BUDGET_EXCEEDED") << r.message;
   // Sticky per request, not per connection: an ungoverned request on
   // the same socket still answers exactly.
-  ASSERT_TRUE(conn.RoundTrip(QueryLine(kCheapQuery, "lftj"), &r));
+  ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "lftj"), &r));
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.count, cheap_count_);
   EXPECT_EQ(server->stats().budget_exceeded, 1u);
@@ -603,24 +596,24 @@ TEST_F(ServerTest, OverloadShedsDeterministicallyWithRetryAfter) {
   auto server = StartServer(SmallConfig());
   const std::string blocker = QueryLine(kBlockerQuery, "lftj");
 
-  TestConn running;
-  ASSERT_TRUE(running.Connect(server->port()));
-  ASSERT_TRUE(running.Send(blocker));
+  ServerClient running;
+  ASSERT_TRUE(running.Connect(server->port()).ok());
+  ASSERT_TRUE(running.SendLine(blocker).ok());
   ASSERT_TRUE(WaitFor([&] { return server->stats().inflight == 1; }));
 
-  TestConn queued;
-  ASSERT_TRUE(queued.Connect(server->port()));
-  ASSERT_TRUE(queued.Send(blocker));
+  ServerClient queued;
+  ASSERT_TRUE(queued.Connect(server->port()).ok());
+  ASSERT_TRUE(queued.SendLine(blocker).ok());
   ASSERT_TRUE(WaitFor([&] { return server->stats().queued == 1; }));
 
   // Queue full: the next K requests shed, deterministically, each with
   // a backlog-scaled hint — and the shed connections stay usable.
   constexpr int kShedders = 4;
   for (int i = 0; i < kShedders; ++i) {
-    TestConn shedder;
-    ASSERT_TRUE(shedder.Connect(server->port()));
+    ServerClient shedder;
+    ASSERT_TRUE(shedder.Connect(server->port()).ok());
     ServerReply r;
-    ASSERT_TRUE(shedder.RoundTrip(blocker, &r)) << i;
+    ASSERT_TRUE(Call(shedder, blocker, &r)) << i;
     ASSERT_TRUE(r.shed()) << r.code << " " << r.message;
     EXPECT_GT(r.retry_after_ms, 0) << i;
     EXPECT_EQ(r.queued, 1u) << i;
@@ -641,9 +634,9 @@ TEST_F(ServerTest, OverloadShedsDeterministicallyWithRetryAfter) {
 
 TEST_F(ServerTest, ClientDisconnectCancelsExecutingQueryPromptly) {
   auto server = StartServer(SmallConfig());
-  TestConn conn;
-  ASSERT_TRUE(conn.Connect(server->port()));
-  ASSERT_TRUE(conn.Send(QueryLine(kBlockerQuery, "lftj")));
+  ServerClient conn;
+  ASSERT_TRUE(conn.Connect(server->port()).ok());
+  ASSERT_TRUE(conn.SendLine(QueryLine(kBlockerQuery, "lftj")).ok());
   ASSERT_TRUE(WaitFor([&] { return server->stats().inflight == 1; }));
   Stopwatch watch;
   conn.Close();
@@ -659,19 +652,19 @@ TEST_F(ServerTest, DrainCancelsStragglersWithinDeadline) {
   ServerConfig config = SmallConfig();
   config.drain_deadline_ms = 300;
   auto server = StartServer(config);
-  TestConn conn;
-  ASSERT_TRUE(conn.Connect(server->port()));
-  ASSERT_TRUE(conn.Send(QueryLine(kBlockerQuery, "lftj")));
+  ServerClient conn;
+  ASSERT_TRUE(conn.Connect(server->port()).ok());
+  ASSERT_TRUE(conn.SendLine(QueryLine(kBlockerQuery, "lftj")).ok());
   ASSERT_TRUE(WaitFor([&] { return server->stats().inflight == 1; }));
 
   Stopwatch watch;
   std::thread drainer([&] { server->Drain(); });
   // The in-flight blocker is cancelled by the drain deadline and the
   // client still receives a structured reply before the close.
-  std::string line;
-  ASSERT_TRUE(conn.Recv(&line));
+  const StatusOr<std::string> line = conn.ReadLine();
+  ASSERT_TRUE(line.ok()) << line.status().ToString();
   ServerReply r;
-  ASSERT_TRUE(ParseReplyLine(line, &r));
+  ASSERT_TRUE(ParseReplyLine(line.value(), &r));
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.code, "CANCELLED");
   drainer.join();
@@ -681,8 +674,8 @@ TEST_F(ServerTest, DrainCancelsStragglersWithinDeadline) {
   EXPECT_EQ(stats.connections_open, 0u);
   EXPECT_GE(stats.drain_cancelled, 1u);
   // The listener is gone: new connections are refused.
-  TestConn late;
-  EXPECT_FALSE(late.Connect(server->port()));
+  ServerClient late;
+  EXPECT_FALSE(late.Connect(server->port()).ok());
 }
 
 // Concurrent mixed storm with generous limits: every request is
@@ -699,8 +692,8 @@ TEST_F(ServerTest, ConcurrentStormAnswersEveryRequestExactly) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      TestConn conn;
-      if (!conn.Connect(server->port())) {
+      ServerClient conn;
+      if (!conn.Connect(server->port()).ok()) {
         dropped.fetch_add(kPerClient);
         return;
       }
@@ -709,7 +702,7 @@ TEST_F(ServerTest, ConcurrentStormAnswersEveryRequestExactly) {
         const std::string query =
             QueryLine(heavy ? kTriangleQuery : kCheapQuery, "lftj");
         ServerReply r;
-        if (!conn.RoundTrip(query, &r)) {
+        if (!Call(conn, query, &r)) {
           dropped.fetch_add(1);
           return;
         }
@@ -749,17 +742,17 @@ TEST_F(ServerTest, ConcurrentStormAnswersEveryRequestExactly) {
 // Tolerant of failures by design — under an armed failpoint any of
 // these operations may legitimately die mid-flight.
 void RunScript(int port) {
-  TestConn a, b;
+  ServerClient a, b;
   ServerReply r;
-  if (a.Connect(port)) {
-    a.RoundTrip("PING", &r);
-    a.RoundTrip(QueryLine(kCheapQuery, "lftj"), &r);
-    a.RoundTrip("definitely not a request", &r);
-    a.RoundTrip(QueryLine(kTriangleQuery, "lftj"), &r);
+  if (a.Connect(port).ok()) {
+    Call(a, "PING", &r);
+    Call(a, QueryLine(kCheapQuery, "lftj"), &r);
+    Call(a, "definitely not a request", &r);
+    Call(a, QueryLine(kTriangleQuery, "lftj"), &r);
   }
-  if (b.Connect(port)) {
-    b.RoundTrip(QueryLine(kCheapQuery, "lftj"), &r);
-    b.RoundTrip("QUIT", &r);
+  if (b.Connect(port).ok()) {
+    Call(b, QueryLine(kCheapQuery, "lftj"), &r);
+    Call(b, "QUIT", &r);
   }
 }
 
@@ -788,12 +781,12 @@ TEST_F(ServerTest, ServerFailpointSweepsNeverWedgeTheDaemon) {
       FailPoints::Arm(point, k);
       RunScript(server->port());
       FailPoints::DisarmAll();
-      TestConn probe;
-      ASSERT_TRUE(probe.Connect(server->port()));
+      ServerClient probe;
+      ASSERT_TRUE(probe.Connect(server->port()).ok());
       ServerReply r;
-      ASSERT_TRUE(probe.RoundTrip("PING", &r));
+      ASSERT_TRUE(Call(probe, "PING", &r));
       EXPECT_TRUE(r.ok);
-      ASSERT_TRUE(probe.RoundTrip(QueryLine(kCheapQuery, "lftj"), &r));
+      ASSERT_TRUE(Call(probe, QueryLine(kCheapQuery, "lftj"), &r));
       ASSERT_TRUE(r.ok);
       EXPECT_EQ(r.count, cheap_count_);
       probe.Close();
@@ -810,16 +803,16 @@ TEST_F(ServerTest, ServerFailpointSweepsNeverWedgeTheDaemon) {
 // dropped connection: the one failure mode overload and faults share.
 TEST_F(ServerTest, EnqueueFaultIsAStructuredShedReply) {
   auto server = StartServer(SmallConfig());
-  TestConn conn;
-  ASSERT_TRUE(conn.Connect(server->port()));
+  ServerClient conn;
+  ASSERT_TRUE(conn.Connect(server->port()).ok());
   FailPoints::Arm("server.enqueue", 1);
   ServerReply r;
-  ASSERT_TRUE(conn.RoundTrip(QueryLine(kCheapQuery, "lftj"), &r));
+  ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "lftj"), &r));
   FailPoints::DisarmAll();
   ASSERT_TRUE(r.shed()) << r.code;
   EXPECT_GT(r.retry_after_ms, 0);
   // And the connection still serves.
-  ASSERT_TRUE(conn.RoundTrip(QueryLine(kCheapQuery, "lftj"), &r));
+  ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "lftj"), &r));
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.count, cheap_count_);
 }
@@ -839,10 +832,10 @@ TEST_F(ServerTest, DrainSurfacesCatalogFlushFailure) {
   config.save_catalog_dir = dir;
   auto server = StartServer(config);
   // Serve one query so the flush has a built index to write.
-  TestConn conn;
-  ASSERT_TRUE(conn.Connect(server->port()));
+  ServerClient conn;
+  ASSERT_TRUE(conn.Connect(server->port()).ok());
   ServerReply r;
-  ASSERT_TRUE(conn.RoundTrip(QueryLine(kCheapQuery, "lftj"), &r));
+  ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "lftj"), &r));
   ASSERT_TRUE(r.ok);
   conn.Close();
 
@@ -861,9 +854,9 @@ TEST_F(ServerTest, DrainSurfacesCatalogFlushFailure) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   auto server2 = StartServer(config);
-  TestConn conn2;
-  ASSERT_TRUE(conn2.Connect(server2->port()));
-  ASSERT_TRUE(conn2.RoundTrip(QueryLine(kCheapQuery, "lftj"), &r));
+  ServerClient conn2;
+  ASSERT_TRUE(conn2.Connect(server2->port()).ok());
+  ASSERT_TRUE(Call(conn2, QueryLine(kCheapQuery, "lftj"), &r));
   conn2.Close();
   server2->Drain();
   EXPECT_TRUE(server2->flush_status().ok())

@@ -26,6 +26,11 @@ Rules:
                    suppression naming a reason; silent swallows of the
                    error channel are exactly what [[nodiscard]] exists
                    to surface.
+  raw-socket       No ::socket( / ::connect( / ::send( / ::recv( outside
+                   src/server/server.cc and src/server/client.cc. Every
+                   test, bench and CLI talks to the server through
+                   ServerClient (server/client.h), so the protocol client
+                   and its send loop exist once.
   nolint-format    Every clang-tidy NOLINT must name its check
                    (NOLINT(check-name)) and carry a `-- reason`
                    trailer; bare NOLINTs are unauditable. A tree-wide
@@ -45,6 +50,7 @@ NOLINT_BUDGET = 10  # tree-wide cap: clang-tidy NOLINTs + wcoj allows
 
 ARENA_FILES = {"src/core/cds_arena.h", "src/core/cds_arena.cc"}
 ANNOTATION_HEADER = "src/util/thread_annotations.h"
+SOCKET_FILES = {"src/server/server.cc", "src/server/client.cc"}
 
 ALLOC_RE = re.compile(
     r"(?<![\w.])new\s+[A-Za-z_(]|(?<![\w.:])(?:malloc|calloc|realloc|free)\s*\("
@@ -52,6 +58,7 @@ ALLOC_RE = re.compile(
 RAW_MUTEX_RE = re.compile(
     r"std::(?:mutex|condition_variable|lock_guard|unique_lock|scoped_lock)\b"
 )
+RAW_SOCKET_RE = re.compile(r"::(?:socket|connect|send|recv)\(")
 REGISTER_RE = re.compile(r'FailPoints::Register\("([^"]+)"\)')
 VOID_DISCARD_RE = re.compile(
     r"\(void\)\s*\w*(?:status|Status|TryCharge|TryRebase)"
@@ -147,6 +154,12 @@ def lint(root):
                                          "raw std lock primitive (use "
                                          "wcoj::Mutex/MutexLock/CondVar): "
                                          + line.strip()))
+                if rel not in SOCKET_FILES and RAW_SOCKET_RE.search(code) \
+                        and not allowed(line, "raw-socket"):
+                    findings.append((rel, lineno, "raw-socket",
+                                     "raw socket call outside the server "
+                                     "and its client (use ServerClient): "
+                                     + line.strip()))
                 if in_src:
                     for m in REGISTER_RE.finditer(line):
                         if m.group(1) not in documented:

@@ -152,9 +152,6 @@ struct ExecOptions {
   // paying a full Reconfigure each (see AcquireCds). Stamped by
   // PartitionedExecute; single executions leave it 0.
   uint64_t cds_run_token = 0;
-  // Lets PartitionedExecute stamp cds_run_token at all. Off restores
-  // the reconfigure-per-morsel behavior (bench ablation knob).
-  bool morsel_cds_reuse = true;
   // Per-query memory governor, shared by every morsel of a partitioned
   // run. Charged by CDS arenas, trie builds, materialized intermediates
   // and persist mappings; engines poll Aborted() and wind down with

@@ -299,8 +299,7 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
   // data, valid for any var0 range; a different run (different token)
   // still reconfigures from scratch.
   static std::atomic<uint64_t> run_token_counter{0};
-  const uint64_t run_token =
-      opts.morsel_cds_reuse ? run_token_counter.fetch_add(1) + 1 : 0;
+  const uint64_t run_token = run_token_counter.fetch_add(1) + 1;
 
   Mutex mu;
   std::vector<std::function<void(int)>> jobs;

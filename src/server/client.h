@@ -2,8 +2,8 @@
 #define WCOJ_SERVER_CLIENT_H_
 
 // The one client of wcoj_serverd's line protocol (protocol.h):
-// wcoj_client, serving_bench and server_test all judge the server
-// through it, and its SendAll is the server's reply writer too.
+// wcoj_client and server_test judge the server through it, and its
+// SendAll is the server's reply writer too.
 //
 //   ServerClient c;
 //   Status s = c.Connect(port);

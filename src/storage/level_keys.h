@@ -138,9 +138,9 @@ class LevelKeys {
   size_t LowerBound(size_t lo, size_t hi, Value v) const;
   size_t UpperBound(size_t lo, size_t hi, Value v) const;
 
-  // Heap bytes held by the encoded key array (the packed-vs-raw axis in
-  // BENCH_trie_layout.json). View-backed levels own nothing and report
-  // 0; PayloadBytes() sizes the encoded array regardless of ownership.
+  // Heap bytes held by the encoded key array. View-backed levels own
+  // nothing and report 0; PayloadBytes() sizes the encoded array
+  // regardless of ownership.
   size_t MemoryBytes() const;
 
  private:

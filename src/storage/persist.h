@@ -13,8 +13,7 @@
 // and bind every LevelKeys to the mapped bytes through its view mode.
 // Nothing is decoded at open: the kernel pages bytes in on first touch,
 // which is what makes a warm start orders of magnitude cheaper than a
-// rebuild (and what BENCH_persist.json's first-query-after-open row
-// measures).
+// rebuild.
 //
 // File layout (all little-endian, version 1):
 //

@@ -2,13 +2,10 @@
 #define WCOJ_TESTS_CDS_REFERENCE_H_
 
 // The pre-arena, pointer-based CDS implementation, kept verbatim (modulo
-// header-only inlining) as a reference oracle:
-//
-//  - tests/cds_differential_test.cc replays identical constraint /
-//    free-tuple workloads through this implementation and the arena one
-//    and requires bit-identical frontier sequences and counters;
-//  - bench/micro_storage.cc times it against the arena implementation
-//    and emits the comparison as BENCH_cds_arena.json.
+// header-only inlining) as a reference oracle: tests/cds_differential_test.cc
+// replays identical constraint / free-tuple workloads through this
+// implementation and the arena one and requires bit-identical frontier
+// sequences and counters.
 //
 // Every node is a separate std::make_unique heap object owning a
 // std::vector pointList; interval merges free subtrees through recursive
@@ -17,8 +14,8 @@
 // this copy: its value is being the faithful baseline.
 //
 // Also defined here: DriveCdsWorkload, the deterministic engine-shaped
-// workload both the differential test and the benchmark run against
-// either implementation.
+// workload the differential test runs against either implementation;
+// bench/micro_storage.cc runs it against the arena one only.
 
 #include <algorithm>
 #include <bit>

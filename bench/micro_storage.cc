@@ -1,11 +1,13 @@
 // Microbenchmarks (google-benchmark) for the storage and intersection
 // primitives both join algorithms are built from: trie seeks, gap probes,
-// unary leapfrog intersection, CDS interval inserts, and the shared
-// IndexCatalog. These are the constants behind every table in the paper.
+// unary leapfrog intersection, span intersection counting, CDS interval
+// inserts, and the shared IndexCatalog. These are the constants behind
+// every table in the paper.
 //
-// The deep-trie SeekGap and the leapfrog benchmarks also run under each
-// search kernel (forced scalar vs auto-dispatched SIMD) and key tier
-// (raw-only vs force-packed); the label names the pair that ran.
+// The deep-trie SeekGap, the leapfrog and the intersection-count
+// benchmarks also run under each search kernel (forced scalar vs
+// auto-dispatched SIMD) and key tier (raw-only vs force-packed); the
+// label names the pair that ran.
 //
 // After the registered benchmarks run, main() writes one
 // machine-readable report, BENCH_governor.json: the memory-budget and
@@ -27,6 +29,7 @@
 #include "graph/generators.h"
 #include "query/parser.h"
 #include "storage/catalog.h"
+#include "storage/intersect.h"
 #include "storage/level_keys.h"
 #include "storage/search_kernels.h"
 #include "storage/trie.h"
@@ -148,6 +151,43 @@ void BM_LeapfrogIntersect(benchmark::State& state) {
 }
 BENCHMARK(BM_LeapfrogIntersect)
     ->ArgsProduct({{1 << 10, 1 << 14}, kKernelArgs, kTierArgs});
+
+// LFTJ's count-only last variable: one SpanIntersector call over two
+// sibling groups of one trie level (the self-join shape, so packed
+// tiers merge in native lanes). The short group draws 1024 keys and the
+// long one range(0) times as many; after duplicates collapse, ratios 1
+// and 4 merge and 64 gallops.
+// Items are span keys, so rows compare across ratios as throughput.
+void BM_IntersectCount(benchmark::State& state) {
+  const KernelTierScope scope(state, static_cast<int>(state.range(1)),
+                              static_cast<int>(state.range(2)));
+  const int64_t short_len = 1 << 10;
+  const int64_t long_len = short_len * state.range(0);
+  Rng rng(9);
+  Relation rel(2);
+  for (int64_t i = 0; i < long_len; ++i) {
+    rel.Add({0, static_cast<Value>(rng.NextBounded(long_len * 4))});
+  }
+  for (int64_t i = 0; i < short_len; ++i) {
+    rel.Add({1, static_cast<Value>(rng.NextBounded(long_len * 4))});
+  }
+  rel.Build();
+  const TrieIndex index(rel, {}, scope.tier());
+  const KeySpan groups[] = {
+      {&index.Keys(1), index.ChildBegin(0, 0), index.ChildEnd(0, 0)},
+      {&index.Keys(1), index.ChildBegin(0, 1), index.ChildEnd(0, 1)}};
+  SpanIntersector intersector;
+  IntersectWork work;
+  for (auto _ : state) {
+    KeySpan spans[] = {groups[0], groups[1]};
+    benchmark::DoNotOptimize(
+        intersector.Count(spans, kNegInf, kPosInf, &work));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(
+      state.iterations() * (groups[0].size() + groups[1].size())));
+}
+BENCHMARK(BM_IntersectCount)
+    ->ArgsProduct({{1, 4, 64}, kKernelArgs, kTierArgs});
 
 void BM_CdsInsertAndNext(benchmark::State& state) {
   Rng rng(8);

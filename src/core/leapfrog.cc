@@ -5,12 +5,15 @@
 
 namespace wcoj {
 
-// The leapfrog intersection loop below is the hottest control flow in
-// LFTJ: every Seek lands in TrieIndex::LowerBound and from there in the
-// dispatched SIMD block-search kernels (storage/search_kernels.h), over
-// whatever key tier the level was built with. The loop itself stays
-// scalar bookkeeping — index wrap-around is a compare instead of a
-// modulo so the per-advance cost is a handful of predictable ops.
+// LFTJ runs the leapfrog loop below at every GAO depth but the last,
+// and at the last depth only when it collects tuples: a count-only run
+// counts its last variable with one storage/intersect.h span
+// intersection per binding of the others instead. Every Seek lands in
+// TrieIndex::LowerBound and from there in the dispatched SIMD
+// block-search kernels (storage/search_kernels.h), over whatever key
+// tier the level was built with. The loop itself stays scalar
+// bookkeeping — index wrap-around is a compare instead of a modulo so
+// the per-advance cost is a handful of predictable ops.
 
 LeapfrogJoin::LeapfrogJoin(std::vector<TrieIterator*> iters)
     : iters_(std::move(iters)) {

@@ -8,6 +8,7 @@
 
 #include "core/atom_index.h"
 #include "core/leapfrog.h"
+#include "storage/intersect.h"
 #include "storage/trie.h"
 
 namespace wcoj {
@@ -74,20 +75,31 @@ class LftjRun {
       }
     }
     t_.assign(q.num_vars, 0);
+    last_ = q.num_vars - 1;
+    if (last_ >= 0) spans_.resize(depth_iters_[last_].size());
   }
 
   void Run() {
     if (!result_->status.ok()) return;  // refused in the constructor
     if (q_.num_vars == 0) return;
     Search(0);
-    // Collect seek stats.
+    // Seeks: iterator moves plus the count path's bound searches.
+    result_->stats.seeks += count_probes_;
     for (const auto& it : iters_) result_->stats.seeks += it->seeks();
   }
 
  private:
-  bool Expired() {
+  // Reads the stop token on every call and the full abort predicate
+  // each time the step count crosses a multiple of kPollInterval. A
+  // binding is one step; a batched last-variable count is as many steps
+  // as it did work (keys merged plus probes), so polls stay spaced by
+  // work, not by calls, however wide the counted spans get.
+  bool Expired(uint64_t work = 1) {
+    const uint64_t before = steps_;
+    steps_ += work;
     if ((opts_.stop != nullptr && opts_.stop->stop_requested()) ||
-        (++steps_ % 4096 == 0 && opts_.Aborted())) {
+        (steps_ / kPollInterval != before / kPollInterval &&
+         opts_.Aborted())) {
       result_->status.Update(opts_.AbortStatus());  // result is incomplete
     }
     return !result_->status.ok();
@@ -98,9 +110,44 @@ class LftjRun {
     if (opts_.collect_tuples) result_->tuples.push_back(t_);
   }
 
+  // Count-only runs never bind the last variable: it contributes the
+  // size of its atoms' key-span intersection within the window its
+  // filters allow, in one SpanIntersector call.
+  void CountLast() {
+    const int d = last_;
+    Value lo = d == 0 ? opts_.var0_min : kNegInf;
+    Value hi = d == 0 ? opts_.var0_max : kPosInf;
+    for (int v : lower_bounds_[d]) {
+      if (t_[v] == kPosInf) return;  // no value exceeds it
+      lo = std::max(lo, t_[v] + 1);
+    }
+    for (const auto& [a, b] : upper_checks_) {
+      if (a == d && b != d) {
+        if (t_[b] == kNegInf) return;  // no value is below it
+        hi = std::min(hi, t_[b] - 1);
+      } else if (!(t_[a] < t_[b])) {
+        return;  // both bound already (or a degenerate a<a)
+      }
+    }
+    const std::vector<TrieIterator*>& iters = depth_iters_[d];
+    for (size_t i = 0; i < iters.size(); ++i) {
+      iters[i]->Open();
+      spans_[i] = iters[i]->Span();
+      iters[i]->Up();
+    }
+    IntersectWork work;
+    result_->count += intersector_.Count(spans_, lo, hi, &work);
+    count_probes_ += work.probes;
+    Expired(1 + work.probes + work.merged);
+  }
+
   void Search(int depth) {
     if (!result_->status.ok()) return;
-    if (depth == q_.num_vars) {
+    if (depth == last_ && !opts_.collect_tuples) {
+      CountLast();
+      return;
+    }
+    if (depth == q_.num_vars) {  // collecting runs only
       // Filters whose variables were bound out of order (rare: only when a
       // filter's later variable precedes the earlier one in the GAO).
       for (const auto& [lo, hi] : upper_checks_) {
@@ -144,7 +191,12 @@ class LftjRun {
   std::vector<std::vector<int>> lower_bounds_;
   std::vector<std::pair<int, int>> upper_checks_;
   Tuple t_;
+  int last_ = -1;                // deepest GAO depth
+  std::vector<KeySpan> spans_;   // the last depth's spans, refilled per count
+  SpanIntersector intersector_;  // its buffers live as long as the run
+  uint64_t count_probes_ = 0;
   uint64_t steps_ = 0;
+  static constexpr uint64_t kPollInterval = 4096;
 };
 
 }  // namespace

@@ -11,6 +11,15 @@
 // variable of a filter is being bound, the intersection is seeked directly
 // past the earlier variable's value, which is what makes the `a<b<c`
 // clique encodings effective.
+//
+// Count-only runs (collect_tuples unset: every paper table and served
+// query) never bind the last GAO variable. Each binding of the others
+// adds the size of the last variable's key-span intersection
+// (storage/intersect.h) within a window its filters allow — earlier
+// lower bounds and var0_min raise the low end; a filter `last < x` and
+// var0_max (when the first variable is the last) lower the high end;
+// any other out-of-order filter is checked before counting. Bound
+// searches inside the intersection count as seeks; merged keys do not.
 
 #include <vector>
 

@@ -306,6 +306,34 @@ size_t LevelKeys::Search(size_t lo, size_t hi, Value v) const {
   return lo;  // unreachable
 }
 
+void LevelKeys::Decode(size_t lo, size_t hi, Value* out) const {
+  auto packed = [&](const auto* lanes) {
+    for (size_t i = lo; i < hi; ++i) {
+      *out++ = base_ + static_cast<Value>(lanes[i]);
+    }
+  };
+  switch (tier_) {
+    case KeyTier::kRaw:
+      std::copy(raw_ + lo, raw_ + hi, out);
+      return;
+    case KeyTier::kPacked8:
+      packed(p8_);
+      return;
+    case KeyTier::kPacked16:
+      packed(p16_);
+      return;
+    case KeyTier::kPacked32:
+      packed(p32_);
+      return;
+    case KeyTier::kDelta:
+      for (size_t i = lo; i < hi; ++i) {
+        *out++ = block_first_[i >> kBlockShift] +
+                 static_cast<Value>(delta32_[i]);
+      }
+      return;
+  }
+}
+
 size_t LevelKeys::LowerBound(size_t lo, size_t hi, Value v) const {
   return Search<false>(lo, hi, v);
 }

@@ -132,6 +132,10 @@ class LevelKeys {
     return 0;  // unreachable
   }
 
+  // Decodes keys [lo, hi) into out[0, hi - lo), switching on the tier
+  // once per call rather than once per key.
+  void Decode(size_t lo, size_t hi, Value* out) const;
+
   // Least index in [lo, hi) whose key is >= v resp. > v; [lo, hi) must
   // lie within one sorted parent group. Gallops from lo through the
   // active search kernel in the tier's native lane width.

@@ -40,6 +40,7 @@
 #include <mutex>
 #include <vector>
 
+#include "storage/intersect.h"
 #include "storage/level_keys.h"
 #include "storage/relation.h"
 #include "util/mem_budget.h"
@@ -210,6 +211,14 @@ class TrieIterator {
   void Up();            // requires depth >= 0
   void Next();          // requires !AtEnd()
   void Seek(Value v);   // least key >= v at current depth; may land AtEnd
+
+  // The keys from the current position to the end of the current group
+  // (right after Open(): the whole group), for counting intersections
+  // over them without moving the iterator (storage/intersect.h).
+  KeySpan Span() const {
+    const Level& lv = levels_[depth_];
+    return {&index_->Keys(depth_), lv.pos, lv.group_hi};
+  }
 
   uint64_t seeks() const { return seeks_; }
 

@@ -21,13 +21,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "graph/generators.h"
+#include "parallel/partitioned_run.h"
 #include "query/parser.h"
 #include "storage/catalog.h"
+#include "storage/intersect.h"
 #include "storage/level_keys.h"
 #include "storage/search_kernels.h"
 #include "storage/trie.h"
@@ -353,43 +356,231 @@ TEST(KernelTierDifferentialTest, TrieMatchesRawScalarOracle) {
   EXPECT_TRUE(saw_delta);
 }
 
+// --- Layer 2b: span intersection counting vs a std::set_intersection oracle ---
+
+// The keys of one span, decoded one At() at a time — independent of the
+// intersector's lane and bulk-decode paths.
+std::vector<Value> SpanKeys(const KeySpan& s) {
+  std::vector<Value> keys;
+  for (size_t i = s.begin; i < s.end; ++i) keys.push_back(s.keys->At(i));
+  return keys;
+}
+
+uint64_t OracleIntersectCount(const std::vector<KeySpan>& spans, Value lo,
+                              Value hi) {
+  std::vector<Value> acc;
+  for (const Value v : SpanKeys(spans[0])) {
+    if (lo <= v && v <= hi) acc.push_back(v);
+  }
+  for (size_t i = 1; i < spans.size(); ++i) {
+    const std::vector<Value> keys = SpanKeys(spans[i]);
+    std::vector<Value> next;
+    std::set_intersection(acc.begin(), acc.end(), keys.begin(), keys.end(),
+                          std::back_inserter(next));
+    acc = std::move(next);
+  }
+  return acc.size();
+}
+
+// Two relations whose level-1 groups (the children of one first-column
+// key) draw from one shared value pool, so spans from either index
+// intersect. Group sizes are skewed — a few hub groups hold most rows —
+// so both the merge and the gallop strategy fire. `stride` spaces the
+// pool: 1 packs into 8/16 bits, 37 into 16/32, 2^30 never packs.
+Relation GroupedRelation(Value stride, uint64_t seed) {
+  Rng rng(seed);
+  Relation r(2);
+  for (int i = 0; i < 3000; ++i) {
+    const Value parent =
+        static_cast<Value>(rng.NextBounded(1 + rng.NextBounded(24)));
+    const Value child = static_cast<Value>(rng.NextBounded(400)) * stride;
+    r.Add({parent, child});
+  }
+  r.Build();
+  return r;
+}
+
+// Spans come from two tries built under the swept policy (one
+// LevelKeys shared by many spans: the native-lane path) and from a
+// standalone delta-tier level (whose lanes are block-relative: the
+// decode path).
+TEST(SpanIntersectTest, CountMatchesOracleOnEveryKernelAndTier) {
+  DispatchGuard guard;
+  struct Call {
+    // (source, parent key); source 2 is the whole delta level.
+    std::vector<std::pair<int, Value>> spans;
+    Value lo, hi;
+  };
+  for (const Value stride : {Value{1}, Value{37}, Value{1} << 30}) {
+    const Relation rels[2] = {GroupedRelation(stride, 5 + stride),
+                              GroupedRelation(stride, 6 + stride)};
+    Rng rng(static_cast<uint64_t>(stride));
+    std::vector<Value> pool_subset;
+    for (Value v = 0; v < 400; ++v) {
+      if (rng.NextBounded(3) == 0) pool_subset.push_back(v * stride);
+    }
+    std::vector<Call> calls;
+    for (int i = 0; i < 400; ++i) {
+      Call c;
+      const int k = 1 + static_cast<int>(rng.NextBounded(4));
+      for (int j = 0; j < k; ++j) {
+        c.spans.push_back({static_cast<int>(rng.NextBounded(3)),
+                           static_cast<Value>(rng.NextBounded(24))});
+      }
+      switch (i % 4) {
+        case 0:  // no window
+          c.lo = kNegInf;
+          c.hi = kPosInf;
+          break;
+        case 1:  // window inside the pool, possibly empty (lo > hi)
+          c.lo = static_cast<Value>(rng.NextBounded(400)) * stride;
+          c.hi = static_cast<Value>(rng.NextBounded(400)) * stride;
+          break;
+        case 2:  // one-sided, off the pool's grid
+          c.lo = static_cast<Value>(rng.NextBounded(400)) * stride + 1;
+          c.hi = kPosInf;
+          break;
+        default:
+          c.lo = kNegInf;
+          c.hi = static_cast<Value>(rng.NextBounded(400)) * stride - 1;
+          break;
+      }
+      calls.push_back(std::move(c));
+    }
+
+    // Runs every call against indexes built under `policy`, checking
+    // each count against the oracle; returns (count, probes) per call.
+    auto run = [&](TierPolicy policy, const std::string& config) {
+      const TrieIndex indexes[2] = {TrieIndex(rels[0], {}, policy),
+                                    TrieIndex(rels[1], {}, policy)};
+      LevelKeys delta;
+      delta.Build(pool_subset, TierPolicy::kForceDelta,
+                  /*compressible=*/true);
+      SpanIntersector intersector;
+      std::vector<std::pair<uint64_t, uint64_t>> out;
+      for (const Call& c : calls) {
+        std::vector<KeySpan> spans;
+        for (const auto& [which, parent] : c.spans) {
+          if (which == 2) {
+            spans.push_back({&delta, 0, delta.size()});
+            continue;
+          }
+          const TrieIndex& index = indexes[which];
+          const size_t p = index.LowerBound(0, 0, index.LevelSize(0), parent);
+          if (p == index.LevelSize(0) || index.KeyAt(0, p) != parent) {
+            spans.push_back({&index.Keys(1), 0, 0});  // absent: empty span
+          } else {
+            spans.push_back({&index.Keys(1), index.ChildBegin(0, p),
+                             index.ChildEnd(0, p)});
+          }
+        }
+        const uint64_t expected = OracleIntersectCount(spans, c.lo, c.hi);
+        IntersectWork work;
+        const uint64_t got = intersector.Count(spans, c.lo, c.hi, &work);
+        EXPECT_EQ(got, expected) << config << " stride " << stride;
+        out.push_back({got, work.probes});
+      }
+      return out;
+    };
+
+    ForceSearchKernel(KernelKind::kScalar);
+    const auto oracle = run(TierPolicy::kRawOnly, "raw-only/scalar");
+    for (const TierPolicy policy :
+         {TierPolicy::kAuto, TierPolicy::kRawOnly, TierPolicy::kForcePacked,
+          TierPolicy::kForceDelta}) {
+      for (const KernelKind kernel : SupportedKernels()) {
+        ForceSearchKernel(kernel);
+        const std::string config =
+            std::string(TierPolicyName(policy)) + "/" + KernelName(kernel);
+        // Counts and probe counts alike are configuration-blind.
+        EXPECT_EQ(run(policy, config), oracle) << config << " stride "
+                                               << stride;
+      }
+    }
+  }
+}
+
 // --- Layer 3: full-engine sweep, bit-identical results across configs ---
 
+// Every engine answers each query per (tier policy, kernel) collecting
+// tuples, which must match the raw/scalar oracle bit for bit. The
+// engines built on LFTJ (lftj, and hybrid's suffix joins) answer again
+// count-only — the run shape every paper table and served query takes,
+// where LFTJ counts its last GAO variable with one span intersection
+// instead of binding it: that count must match the oracle too, and its
+// seek counter must not move with the configuration.
 TEST(KernelTierDifferentialTest, EngineResultsIdenticalAcrossKernelsAndTiers) {
   DispatchGuard guard;
   Graph g = ErdosRenyi(/*num_nodes=*/220, /*num_edges=*/1100, /*seed=*/21);
   const Relation edge = g.EdgeRelationSymmetric();
   const Relation edge_lt = g.EdgeRelationOriented();
+  const Relation node = g.NodeRelation();
+  Relation third(1);  // every third node: a second unary atom
+  for (Value v = 0; v < 220; v += 3) third.Add({v});
+  third.Build();
+  auto put_relations = [&](Database* db) {
+    db->Put("edge", edge);
+    db->Put("edge_lt", edge_lt);
+    db->Put("node", node);
+    db->Put("third", third);
+  };
   const struct {
     const char* text;
     std::vector<std::string> gao;
   } queries[] = {
+      // The last depth joins 1, 2 and 3 atoms.
+      {"edge(a,b), edge(b,c)", {"a", "b", "c"}},
       {"edge_lt(a,b), edge_lt(b,c), edge_lt(a,c)", {"a", "b", "c"}},
+      {"edge_lt(a,b), edge_lt(a,c), edge_lt(a,d), edge_lt(b,c), "
+       "edge_lt(b,d), edge_lt(c,d)",
+       {"a", "b", "c", "d"}},
       {"edge(a,b), edge(b,c), edge(c,d)", {"a", "b", "c", "d"}},
+      // Filters in GAO order (the last variable's lower window end),
+      // reversed onto the last variable (its upper end), reversed
+      // between earlier variables (checked before counting), and one
+      // the data already implies. On the 2-paths c may equal a, so an
+      // off-by-one window end changes the count.
+      {"edge(a,b), edge(b,c), edge(a,c), a<b, b<c", {"a", "b", "c"}},
+      {"edge(a,b), edge(b,c), a<c", {"a", "b", "c"}},
+      {"edge(a,b), edge(b,c), c<a", {"a", "b", "c"}},
+      {"edge(a,b), edge(b,c), edge(a,c), b<a", {"a", "b", "c"}},
+      {"edge_lt(a,b), edge_lt(b,c), edge_lt(a,c), a<c", {"a", "b", "c"}},
+      // One variable: the first depth is the last one.
+      {"node(a), third(a)", {"a"}},
   };
   for (const auto& spec : queries) {
     const Query q = MustParseQuery(spec.text);
     for (const char* engine_name : {"lftj", "ms", "hybrid"}) {
       const auto engine = CreateEngine(engine_name);
       ASSERT_NE(engine, nullptr);
-      ExecOptions opts;
-      opts.collect_tuples = true;
+      const bool runs_lftj = std::string(engine_name) != "ms";
+      ExecOptions collect;
+      collect.collect_tuples = true;
+      const ExecOptions count_only;
 
       // Oracle: raw tier, scalar kernel.
       SetDefaultTierPolicy(TierPolicy::kRawOnly);
       ForceSearchKernel(KernelKind::kScalar);
       uint64_t oracle_count;
       std::vector<Tuple> oracle_tuples;
+      uint64_t oracle_seeks = 0;
       {
         Database db;
-        db.Put("edge", edge);
-        db.Put("edge_lt", edge_lt);
-        ExecResult r = engine->Execute(Bind(q, db, spec.gao), opts);
+        put_relations(&db);
+        ExecResult r = engine->Execute(Bind(q, db, spec.gao), collect);
         oracle_count = r.count;
         oracle_tuples = std::move(r.tuples);
         std::sort(oracle_tuples.begin(), oracle_tuples.end());
+        if (runs_lftj) {
+          const ExecResult c =
+              engine->Execute(Bind(q, db, spec.gao), count_only);
+          EXPECT_EQ(c.count, oracle_count)
+              << engine_name << " " << spec.text;
+          oracle_seeks = c.stats.seeks;
+        }
       }
       ASSERT_GT(oracle_count, 0u) << spec.text;
+      EXPECT_EQ(oracle_tuples.size(), oracle_count) << spec.text;
 
       for (const TierPolicy policy :
            {TierPolicy::kAuto, TierPolicy::kRawOnly,
@@ -397,17 +588,32 @@ TEST(KernelTierDifferentialTest, EngineResultsIdenticalAcrossKernelsAndTiers) {
         SetDefaultTierPolicy(policy);
         for (const KernelKind kernel : SupportedKernels()) {
           ForceSearchKernel(kernel);
+          const std::string config = std::string(engine_name) + " " +
+                                     spec.text + " " +
+                                     TierPolicyName(policy) + "/" +
+                                     KernelName(kernel);
           Database db;  // fresh catalog: indexes rebuilt under `policy`
-          db.Put("edge", edge);
-          db.Put("edge_lt", edge_lt);
-          ExecResult r = engine->Execute(Bind(q, db, spec.gao), opts);
+          put_relations(&db);
+          const BoundQuery bq = Bind(q, db, spec.gao);
+          ExecResult r = engine->Execute(bq, collect);
           std::sort(r.tuples.begin(), r.tuples.end());
-          EXPECT_EQ(r.count, oracle_count)
-              << engine_name << " " << spec.text << " "
-              << TierPolicyName(policy) << "/" << KernelName(kernel);
-          EXPECT_EQ(r.tuples, oracle_tuples)
-              << engine_name << " " << spec.text << " "
-              << TierPolicyName(policy) << "/" << KernelName(kernel);
+          EXPECT_EQ(r.count, oracle_count) << config;
+          EXPECT_EQ(r.tuples, oracle_tuples) << config;
+
+          if (!runs_lftj) continue;
+          const ExecResult c = engine->Execute(bq, count_only);
+          EXPECT_EQ(c.count, oracle_count) << config;
+          EXPECT_EQ(c.stats.seeks, oracle_seeks) << config;
+
+          if (std::string(engine_name) == "lftj") {
+            // Morsels restrict the first variable to [var0_min,
+            // var0_max]; on the one-variable query that range is the
+            // counted window itself.
+            const ExecResult p = PartitionedExecute(
+                *engine, bq, count_only, /*num_threads=*/2,
+                /*granularity=*/4);
+            EXPECT_EQ(p.count, oracle_count) << config << " partitioned";
+          }
         }
       }
     }

@@ -7,6 +7,7 @@
 #include "parallel/partitioned_run.h"
 #include "query/parser.h"
 #include "storage/catalog.h"
+#include "storage/intersect.h"
 #include "tests/test_util.h"
 
 namespace wcoj {
@@ -101,6 +102,66 @@ TEST(StatsTest, LftjSeeksScaleWithWork) {
   ExecResult l = CreateEngine("lftj")->Execute(
       Bind(q, rl.Map(), {"a", "b", "c"}), ExecOptions{});
   EXPECT_GT(l.stats.seeks, s.stats.seeks);
+}
+
+// Count-only LFTJ counts the last variable with one span intersection
+// per binding of the others instead of leapfrogging it: the answer is
+// the same and the seek counter — iterator seeks plus the intersection's
+// bound searches — drops.
+TEST(StatsTest, LftjCountOnlyRunSeeksLessThanCollecting) {
+  Graph g = ErdosRenyi(1000, 6000, 31);
+  Query q = MustParseQuery("edge_lt(a,b), edge_lt(b,c), edge_lt(a,c)");
+  GraphRelations rels = MakeGraphRelations(g);
+  const BoundQuery bq = Bind(q, rels.Map(), {"a", "b", "c"});
+  ExecOptions collect;
+  collect.collect_tuples = true;
+  const ExecResult full = CreateEngine("lftj")->Execute(bq, collect);
+  const ExecResult counted = CreateEngine("lftj")->Execute(bq, ExecOptions{});
+  ASSERT_GT(full.count, 0u);
+  EXPECT_EQ(counted.count, full.count);
+  EXPECT_EQ(full.tuples.size(), full.count);
+  EXPECT_LT(counted.stats.seeks, full.stats.seeks);
+}
+
+// The intersection's seek accounting: a window clamp or a gallop step
+// is a bound search and counts as a probe (reported as a seek); keys a
+// linear merge steps over are work, not probes.
+TEST(StatsTest, IntersectCountsGallopProbesNotMergedKeys) {
+  auto level = [](Value n, Value step) {
+    std::vector<Value> keys;
+    for (Value v = 0; v < n; ++v) keys.push_back(v * step);
+    LevelKeys k;
+    k.Build(std::move(keys), TierPolicy::kRawOnly, /*compressible=*/true);
+    return k;
+  };
+  const LevelKeys short_keys = level(10, 3);  // 0, 3, ..., 27
+  const LevelKeys long_keys = level(100, 1);  // 0..99: 10x longer
+  const LevelKeys mid_keys = level(20, 1);    // 0..19: 2x longer
+  SpanIntersector intersector;
+  {
+    // Skewed pair: each of the short span's 10 keys gallops once.
+    KeySpan spans[] = {{&short_keys, 0, 10}, {&long_keys, 0, 100}};
+    IntersectWork work;
+    EXPECT_EQ(intersector.Count(spans, kNegInf, kPosInf, &work), 10u);
+    EXPECT_EQ(work.probes, 10u);
+    EXPECT_EQ(work.merged, 0u);
+  }
+  {
+    // Comparable pair: one merge, no probes.
+    KeySpan spans[] = {{&short_keys, 0, 10}, {&mid_keys, 0, 20}};
+    IntersectWork work;
+    EXPECT_EQ(intersector.Count(spans, kNegInf, kPosInf, &work), 7u);
+    EXPECT_EQ(work.probes, 0u);
+    EXPECT_GT(work.merged, 0u);
+  }
+  {
+    // Window [4, 15]: one clamp search per span end that lies outside
+    // (short's both ends, mid's both ends), then a merge of 4 vs 12.
+    KeySpan spans[] = {{&short_keys, 0, 10}, {&mid_keys, 0, 20}};
+    IntersectWork work;
+    EXPECT_EQ(intersector.Count(spans, 4, 15, &work), 4u);  // 6 9 12 15
+    EXPECT_EQ(work.probes, 4u);
+  }
 }
 
 TEST(StatsTest, PairwiseIntermediatesExplodeOnCliques) {

@@ -113,11 +113,10 @@ uint64_t SpanIntersector::Count(std::span<KeySpan> spans, Value lo, Value hi,
               return a.size() < b.size();
             });
 
-  // Native lanes need one tier and one frame of reference; the delta
-  // tier's lanes are block-relative, so it never qualifies.
+  // Native lanes need one tier and one frame of reference.
   const LevelKeys& first = *spans[0].keys;
   const KeyTier tier = first.tier();
-  bool native = tier != KeyTier::kDelta;
+  bool native = true;
   for (const KeySpan& s : spans) {
     native = native && s.keys->tier() == tier &&
              (tier == KeyTier::kRaw ||

@@ -22,8 +22,7 @@
 //    reference (raw, or packed with one base — always the case when all
 //    spans come from one LevelKeys, the self-join shape), merges compare
 //    the tier's native lanes with no decoding. Otherwise non-raw spans
-//    are decoded into a reused buffer first. The delta tier's lanes are
-//    relative to per-block bases, so it always decodes.
+//    are decoded into a reused buffer first.
 //
 // Buffers are owned by the SpanIntersector and grow only to the
 // longest span they have held, so a run reuses them across calls.

@@ -29,8 +29,6 @@ const char* TierName(KeyTier tier) {
       return "packed16";
     case KeyTier::kPacked32:
       return "packed32";
-    case KeyTier::kDelta:
-      return "delta";
   }
   return "raw";
 }
@@ -43,16 +41,13 @@ const char* TierPolicyName(TierPolicy policy) {
       return "raw-only";
     case TierPolicy::kForcePacked:
       return "force-packed";
-    case TierPolicy::kForceDelta:
-      return "force-delta";
   }
   return "auto";
 }
 
 bool ParseTierPolicyName(const char* name, TierPolicy* out) {
   for (const TierPolicy p : {TierPolicy::kAuto, TierPolicy::kRawOnly,
-                             TierPolicy::kForcePacked,
-                             TierPolicy::kForceDelta}) {
+                             TierPolicy::kForcePacked}) {
     if (std::strcmp(name, TierPolicyName(p)) == 0) {
       *out = p;
       return true;
@@ -61,25 +56,10 @@ bool ParseTierPolicyName(const char* name, TierPolicy* out) {
   return false;
 }
 
-void LevelKeys::ReleaseOwned() {
-  raw_store_.clear();
-  raw_store_.shrink_to_fit();
-  p8_store_.clear();
-  p8_store_.shrink_to_fit();
-  p16_store_.clear();
-  p16_store_.shrink_to_fit();
-  p32_store_.clear();
-  p32_store_.shrink_to_fit();
-  block_first_store_.clear();
-  block_first_store_.shrink_to_fit();
-  delta32_store_.clear();
-  delta32_store_.shrink_to_fit();
-}
-
-bool LevelKeys::TryPack(const std::vector<Value>& keys) {
+void LevelKeys::TryPack(const std::vector<Value>& keys) {
   const auto [min_it, max_it] = std::minmax_element(keys.begin(), keys.end());
   const uint64_t span = Span(*min_it, *max_it);
-  if (span > UINT32_MAX) return false;  // includes int64-extreme domains
+  if (span > UINT32_MAX) return;  // includes int64-extreme domains
   base_ = *min_it;
   if (span <= UINT8_MAX) {
     tier_ = KeyTier::kPacked8;
@@ -103,32 +83,6 @@ bool LevelKeys::TryPack(const std::vector<Value>& keys) {
     }
     p32_ = p32_store_.data();
   }
-  return true;
-}
-
-bool LevelKeys::TryDelta(const std::vector<Value>& keys) {
-  const size_t n = keys.size();
-  const size_t blocks = (n + kBlockSize - 1) >> kBlockShift;
-  std::vector<Value> first;
-  std::vector<uint32_t> delta;
-  first.reserve(blocks);
-  delta.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if ((i & (kBlockSize - 1)) == 0) first.push_back(keys[i]);
-    const Value bf = first.back();
-    // A group restart inside the block can dip below the block base, and
-    // wide domains can overflow the 32-bit offset: either disqualifies
-    // the whole level (the caller falls back to raw).
-    if (keys[i] < bf || Span(bf, keys[i]) > UINT32_MAX) return false;
-    delta.push_back(static_cast<uint32_t>(Span(bf, keys[i])));
-  }
-  tier_ = KeyTier::kDelta;
-  block_first_store_ = std::move(first);
-  delta32_store_ = std::move(delta);
-  block_first_ = block_first_store_.data();
-  delta32_ = delta32_store_.data();
-  num_blocks_ = block_first_store_.size();
-  return true;
 }
 
 void LevelKeys::Build(std::vector<Value> keys, TierPolicy policy,
@@ -136,20 +90,10 @@ void LevelKeys::Build(std::vector<Value> keys, TierPolicy policy,
   *this = LevelKeys();  // drop any previous backing or view
   size_ = keys.size();
   tier_ = KeyTier::kRaw;
-  if (compressible && size_ >= 2) {
-    switch (policy) {
-      case TierPolicy::kRawOnly:
-        break;
-      case TierPolicy::kAuto:
-        if (size_ >= kAutoMinKeys && !TryPack(keys)) TryDelta(keys);
-        break;
-      case TierPolicy::kForcePacked:
-        TryPack(keys);
-        break;
-      case TierPolicy::kForceDelta:
-        TryDelta(keys);
-        break;
-    }
+  if (compressible && size_ >= 2 &&
+      (policy == TierPolicy::kForcePacked ||
+       (policy == TierPolicy::kAuto && size_ >= kAutoMinKeys))) {
+    TryPack(keys);
   }
   if (tier_ == KeyTier::kRaw) {
     raw_store_ = std::move(keys);
@@ -187,18 +131,6 @@ void LevelKeys::BindPackedView(KeyTier tier, Value base, const void* payload,
   }
 }
 
-void LevelKeys::BindDeltaView(const Value* block_first, size_t num_blocks,
-                              const uint32_t* deltas, size_t n) {
-  assert(num_blocks == (n + kBlockSize - 1) >> kBlockShift);
-  *this = LevelKeys();
-  view_ = true;
-  tier_ = KeyTier::kDelta;
-  size_ = n;
-  block_first_ = block_first;
-  delta32_ = deltas;
-  num_blocks_ = num_blocks;
-}
-
 const void* LevelKeys::PayloadData() const {
   switch (tier_) {
     case KeyTier::kRaw:
@@ -209,8 +141,6 @@ const void* LevelKeys::PayloadData() const {
       return p16_;
     case KeyTier::kPacked32:
       return p32_;
-    case KeyTier::kDelta:
-      return delta32_;
   }
   return nullptr;
 }
@@ -225,47 +155,8 @@ size_t LevelKeys::PayloadBytes() const {
       return size_ * sizeof(uint16_t);
     case KeyTier::kPacked32:
       return size_ * sizeof(uint32_t);
-    case KeyTier::kDelta:
-      return size_ * sizeof(uint32_t);
   }
   return 0;
-}
-
-template <bool Upper>
-size_t LevelKeys::DeltaSearch(size_t lo, size_t hi, Value v) const {
-  // Gallop with single-key decodes (each O(1)), then bisect the bracket
-  // until it sits inside one block, whose 32-bit offsets the kernel
-  // scans against the translated target.
-  auto before = [&](size_t i) {
-    const Value k = At(i);
-    return Upper ? k <= v : k < v;
-  };
-  size_t step = 1;
-  size_t a = lo, b = lo;
-  while (b < hi && before(b)) {
-    a = b + 1;
-    b = lo + step;
-    step <<= 1;
-  }
-  b = std::min(b, hi);
-  while (a < b) {
-    if ((a >> kBlockShift) == ((b - 1) >> kBlockShift)) {
-      const Value bf = block_first_[a >> kBlockShift];
-      if (Upper ? v < bf : v <= bf) return a;  // every key >= bf
-      const uint64_t target = Span(bf, v);
-      if (target > UINT32_MAX) return b;  // every key <= bf + 2^32-1 < v
-      const uint32_t t32 = static_cast<uint32_t>(target);
-      return Upper ? KernelUpperBound(delta32_, a, b, t32)
-                   : KernelLowerBound(delta32_, a, b, t32);
-    }
-    const size_t mid = a + (b - a) / 2;
-    if (before(mid)) {
-      a = mid + 1;
-    } else {
-      b = mid;
-    }
-  }
-  return a;
 }
 
 template <bool Upper>
@@ -300,8 +191,6 @@ size_t LevelKeys::Search(size_t lo, size_t hi, Value v) const {
       return Upper ? KernelUpperBound(p32_, lo, hi, t)
                    : KernelLowerBound(p32_, lo, hi, t);
     }
-    case KeyTier::kDelta:
-      return DeltaSearch<Upper>(lo, hi, v);
   }
   return lo;  // unreachable
 }
@@ -325,12 +214,6 @@ void LevelKeys::Decode(size_t lo, size_t hi, Value* out) const {
     case KeyTier::kPacked32:
       packed(p32_);
       return;
-    case KeyTier::kDelta:
-      for (size_t i = lo; i < hi; ++i) {
-        *out++ = block_first_[i >> kBlockShift] +
-                 static_cast<Value>(delta32_[i]);
-      }
-      return;
   }
 }
 
@@ -353,9 +236,6 @@ size_t LevelKeys::MemoryBytes() const {
       return p16_store_.size() * sizeof(uint16_t);
     case KeyTier::kPacked32:
       return p32_store_.size() * sizeof(uint32_t);
-    case KeyTier::kDelta:
-      return block_first_store_.size() * sizeof(Value) +
-             delta32_store_.size() * sizeof(uint32_t);
   }
   return 0;
 }

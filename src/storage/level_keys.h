@@ -7,19 +7,13 @@
 // For dense levels that is 8 bytes per key even when the whole level
 // spans a few hundred distinct values — most of every cache line a seek
 // touches is sign extension. LevelKeys keeps the raw layout as the
-// default *tier* and adds two compressed tiers, chosen per level at
-// build time:
-//
-//  * kPacked8/16/32 — fixed-width offsets from the level's minimum key
-//    (frame of reference). Eligible when max-min fits the width; a seek
-//    translates its target once and gallops over the narrow lanes, so
-//    the working set shrinks 8x/4x/2x and the SIMD block scans compare
-//    2-8x more keys per vector.
-//  * kDelta — 64-key blocks, each storing its first key raw plus 32-bit
-//    offsets from that block base. Eligible when every key is >= its
-//    block's base and within 2^32 of it (levels that are monotone-ish at
-//    block granularity — level 0 always qualifies structurally, deeper
-//    levels only when group restarts don't dip below a block base).
+// default *tier* and adds one compressed family, chosen per level at
+// build time: kPacked8/16/32, fixed-width offsets from the level's
+// minimum key (frame of reference). A level is eligible when max-min
+// fits the width; a seek translates its target once and gallops over
+// the narrow lanes, so the working set shrinks 8x/4x/2x and the SIMD
+// block scans compare 2-8x more keys per vector. A level whose keys
+// span more than 2^32 stays raw.
 //
 // Every read goes through At / LowerBound / UpperBound, so iterators,
 // SeekGap, SplitPoints, and the engines above them are layout-blind.
@@ -29,17 +23,17 @@
 //
 // Encoding never changes results: an ineligible or degenerate level
 // (empty, single-key, or any level of an arity-1 trie) silently stays
-// raw, including under the force policies the tests sweep. The
+// raw, including under the force policy the tests sweep. The
 // differential harness (tests/kernel_differential_test.cc) pins every
 // (kernel, tier) pair against the scalar/raw oracle.
 //
 // Storage is a pointer + backing pair: every tier reads through const
 // pointers, which normally aim at vectors the LevelKeys owns (Build),
 // but can instead be bound to externally owned bytes (BindRawView /
-// BindPackedView / BindDeltaView) — the zero-copy path the persistent
-// catalog (storage/persist.h) uses to serve a level straight out of an
-// mmap'd file. View-backed levels hold no heap memory and decode
-// exactly like owned ones; the mapping must outlive the LevelKeys.
+// BindPackedView) — the zero-copy path the persistent catalog
+// (storage/persist.h) uses to serve a level straight out of an mmap'd
+// file. View-backed levels hold no heap memory and decode exactly like
+// owned ones; the mapping must outlive the LevelKeys.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,14 +43,14 @@
 
 namespace wcoj {
 
-enum class KeyTier : uint8_t { kRaw, kPacked8, kPacked16, kPacked32, kDelta };
+enum class KeyTier : uint8_t { kRaw, kPacked8, kPacked16, kPacked32 };
 
-// How a build chooses tiers. kAuto compresses only levels where the
-// smaller working set is worth the decode (>= kAutoMinKeys keys);
-// kRawOnly pins the PR 3 layout (the oracle configuration); the force
-// policies engage a specific compressed tier whenever it is encodable,
-// regardless of size — the knob differential tests sweep.
-enum class TierPolicy : uint8_t { kAuto, kRawOnly, kForcePacked, kForceDelta };
+// How a build chooses tiers. kAuto packs only levels where the smaller
+// working set is worth the decode (>= kAutoMinKeys keys); kRawOnly pins
+// the PR 3 layout (the oracle configuration); kForcePacked packs every
+// encodable level regardless of size — the knob differential tests
+// sweep.
+enum class TierPolicy : uint8_t { kAuto, kRawOnly, kForcePacked };
 
 const char* TierName(KeyTier tier);
 const char* TierPolicyName(TierPolicy policy);
@@ -76,9 +70,6 @@ class LevelKeys {
 
   // Under kAuto, levels below this key count always stay raw.
   static constexpr size_t kAutoMinKeys = 64;
-  // Delta tier block geometry (64 keys per block).
-  static constexpr size_t kBlockShift = 6;
-  static constexpr size_t kBlockSize = size_t{1} << kBlockShift;
 
   // Takes ownership of a level's keys (sorted within each parent group)
   // and encodes them per `policy`. `compressible` is the degenerate-level
@@ -95,19 +86,14 @@ class LevelKeys {
   void BindRawView(const Value* keys, size_t n);
   void BindPackedView(KeyTier tier, Value base, const void* payload,
                       size_t n);
-  void BindDeltaView(const Value* block_first, size_t num_blocks,
-                     const uint32_t* deltas, size_t n);
 
   // --- Encoded-payload introspection (serialization support) ---
   //
-  // The tier's main array (raw keys, packed offsets, or delta offsets)
-  // exactly as decoded reads see it; PayloadBytes is its size. The
-  // delta tier additionally exposes its per-block base array.
+  // The tier's key array (raw keys or packed offsets) exactly as decoded
+  // reads see it; PayloadBytes is its size.
   const void* PayloadData() const;
   size_t PayloadBytes() const;
   Value packed_base() const { return base_; }
-  const Value* delta_block_first() const { return block_first_; }
-  size_t delta_num_blocks() const { return num_blocks_; }
 
   size_t size() const { return size_; }
   KeyTier tier() const { return tier_; }
@@ -125,9 +111,6 @@ class LevelKeys {
         return base_ + static_cast<Value>(p16_[i]);
       case KeyTier::kPacked32:
         return base_ + static_cast<Value>(p32_[i]);
-      case KeyTier::kDelta:
-        return block_first_[i >> kBlockShift] +
-               static_cast<Value>(delta32_[i]);
     }
     return 0;  // unreachable
   }
@@ -150,12 +133,10 @@ class LevelKeys {
  private:
   template <bool Upper>
   size_t Search(size_t lo, size_t hi, Value v) const;
-  template <bool Upper>
-  size_t DeltaSearch(size_t lo, size_t hi, Value v) const;
 
-  bool TryPack(const std::vector<Value>& keys);
-  bool TryDelta(const std::vector<Value>& keys);
-  void ReleaseOwned();
+  // Packs `keys` into the narrowest width their span fits; a span
+  // beyond 32 bits leaves the level raw.
+  void TryPack(const std::vector<Value>& keys);
 
   KeyTier tier_ = KeyTier::kRaw;
   size_t size_ = 0;
@@ -168,17 +149,11 @@ class LevelKeys {
   const uint8_t* p8_ = nullptr;
   const uint16_t* p16_ = nullptr;
   const uint32_t* p32_ = nullptr;
-  // kDelta: key = block_first_[i >> kBlockShift] + delta32_[i]
-  const Value* block_first_ = nullptr;
-  const uint32_t* delta32_ = nullptr;
-  size_t num_blocks_ = 0;
   // Owned backing (empty in view mode).
   std::vector<Value> raw_store_;
   std::vector<uint8_t> p8_store_;
   std::vector<uint16_t> p16_store_;
   std::vector<uint32_t> p32_store_;
-  std::vector<Value> block_first_store_;
-  std::vector<uint32_t> delta32_store_;
 };
 
 }  // namespace wcoj

@@ -25,7 +25,7 @@ namespace wcoj {
 namespace {
 
 constexpr char kMagic[8] = {'W', 'C', 'O', 'J', 'T', 'R', 'I', '1'};
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 constexpr uint32_t kEndianTag = 0x01020304;  // reads back 0x04030201 if swapped
 constexpr uint32_t kMaxArity = 64;
 constexpr size_t kSectionAlign = 64;
@@ -53,14 +53,12 @@ struct LevelSection {
   uint32_t reserved;
   uint64_t key_count;
   int64_t packed_base;   // kPacked* frame-of-reference base
-  uint64_t keys_off;     // main payload: raw keys / packed lanes / delta32
+  uint64_t keys_off;     // key payload: raw keys / packed lanes
   uint64_t keys_bytes;
-  uint64_t aux_off;      // kDelta only: block_first array
-  uint64_t aux_bytes;
   uint64_t child_off;    // CSR child offsets; 0/0 at the deepest level
   uint64_t child_bytes;
 };
-static_assert(sizeof(LevelSection) == 72, "on-disk layout is versioned");
+static_assert(sizeof(LevelSection) == 56, "on-disk layout is versioned");
 
 uint64_t Fnv1a(const void* data, size_t n,
                uint64_t h = 14695981039346656037ULL) {
@@ -90,7 +88,6 @@ size_t TierElemBytes(KeyTier tier) {
     case KeyTier::kPacked16:
       return 2;
     case KeyTier::kPacked32:
-    case KeyTier::kDelta:
       return 4;
   }
   return 0;
@@ -260,13 +257,6 @@ class TrieIndexMapper {
           keys.BindPackedView(static_cast<KeyTier>(s.tier), s.packed_base,
                               base + s.keys_off, s.key_count);
           break;
-        case KeyTier::kDelta:
-          keys.BindDeltaView(
-              reinterpret_cast<const Value*>(base + s.aux_off),
-              s.aux_bytes / sizeof(Value),
-              reinterpret_cast<const uint32_t*>(base + s.keys_off),
-              s.key_count);
-          break;
       }
       if (d + 1 < h.arity) {
         index->levels_[d].child =
@@ -319,11 +309,6 @@ Status SaveIndex(const TrieIndex& index, uint64_t fingerprint,
     s.keys_off = Align64(off);
     s.keys_bytes = keys.PayloadBytes();
     off = s.keys_off + s.keys_bytes;
-    if (keys.tier() == KeyTier::kDelta) {
-      s.aux_off = Align64(off);
-      s.aux_bytes = keys.delta_num_blocks() * sizeof(Value);
-      off = s.aux_off + s.aux_bytes;
-    }
     if (d + 1 < arity) {
       s.child_off = Align64(off);
       s.child_bytes = (keys.size() + 1) * sizeof(TrieIndex::Offset);
@@ -346,10 +331,6 @@ Status SaveIndex(const TrieIndex& index, uint64_t fingerprint,
     const LevelSection& s = secs[d];
     if (s.keys_bytes > 0) {
       std::memcpy(buf.data() + s.keys_off, keys.PayloadData(), s.keys_bytes);
-    }
-    if (s.aux_bytes > 0) {
-      std::memcpy(buf.data() + s.aux_off, keys.delta_block_first(),
-                  s.aux_bytes);
     }
     if (s.child_bytes > 0) {
       std::memcpy(buf.data() + s.child_off, TrieIndexMapper::Child(index, d),
@@ -439,7 +420,7 @@ std::unique_ptr<TrieIndex> OpenImpl(const std::string& path,
     return reject("header size mismatch");
   }
   if (h.file_bytes != file->size()) return reject("truncated or padded file");
-  if (h.tier_policy > static_cast<uint32_t>(TierPolicy::kForceDelta)) {
+  if (h.tier_policy > static_cast<uint32_t>(TierPolicy::kForcePacked)) {
     return reject("unknown tier policy");
   }
 
@@ -473,7 +454,7 @@ std::unique_ptr<TrieIndex> OpenImpl(const std::string& path,
               h.arity * sizeof(LevelSection));
   for (uint32_t d = 0; d < h.arity; ++d) {
     const LevelSection& s = secs[d];
-    if (s.tier > static_cast<uint32_t>(KeyTier::kDelta)) {
+    if (s.tier > static_cast<uint32_t>(KeyTier::kPacked32)) {
       return reject("unknown key tier");
     }
     const KeyTier tier = static_cast<KeyTier>(s.tier);
@@ -482,17 +463,6 @@ std::unique_ptr<TrieIndex> OpenImpl(const std::string& path,
         !SectionInBounds(s.keys_off, s.keys_bytes, h.header_bytes,
                          h.file_bytes)) {
       return reject("malformed key section");
-    }
-    if (tier == KeyTier::kDelta) {
-      const uint64_t blocks = (s.key_count + LevelKeys::kBlockSize - 1) >>
-                              LevelKeys::kBlockShift;
-      if (s.aux_bytes != blocks * sizeof(Value) ||
-          !SectionInBounds(s.aux_off, s.aux_bytes, h.header_bytes,
-                           h.file_bytes)) {
-        return reject("malformed delta section");
-      }
-    } else if (s.aux_off != 0 || s.aux_bytes != 0) {
-      return reject("unexpected aux section");
     }
     if (d + 1 < h.arity) {
       if (s.child_bytes != (s.key_count + 1) * sizeof(TrieIndex::Offset) ||

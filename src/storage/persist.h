@@ -6,8 +6,8 @@
 // deserialization.
 //
 // The CSR trie (storage/trie.h) is already flat-array data: per level,
-// one encoded key payload (raw int64 / FoR-packed u8/u16/u32 / delta
-// blocks, see storage/level_keys.h) plus a u32 child-offset array. The
+// one encoded key payload (raw int64 or FoR-packed u8/u16/u32, see
+// storage/level_keys.h) plus a u32 child-offset array. The
 // file format writes those arrays verbatim behind a self-describing
 // header, each section 64-byte aligned, so OpenIndex can mmap the file
 // and bind every LevelKeys to the mapped bytes through its view mode.
@@ -15,7 +15,7 @@
 // which is what makes a warm start orders of magnitude cheaper than a
 // rebuild.
 //
-// File layout (all little-endian, version 1):
+// File layout (all little-endian, version 2):
 //
 //   +--------------------------------------------------------------+
 //   | FileHeader   magic "WCOJTRI1", version, endian tag,          |
@@ -24,14 +24,14 @@
 //   |              arity, tier policy, rows                        |
 //   | int32_t      perm[arity]                                     |
 //   | LevelSection sections[arity]  (tier, key count, packed base, |
-//   |              keys/aux/child offset+bytes)                    |
+//   |              keys/child offset+bytes)                        |
 //   +---- 64-byte aligned sections, in level order ----------------+
-//   | level 0: key payload | [delta block_first] | child offsets   |
+//   | level 0: key payload | child offsets                         |
 //   | level 1: ...                                                 |
 //   +--------------------------------------------------------------+
 //
 // Integrity model: OpenIndex validates everything reachable without
-// paging in the payload — magic, version (future versions rejected),
+// paging in the payload — magic, version (any other version rejected),
 // endianness, exact file size (catches truncation), a checksum over the
 // header region, fingerprint match, and per-section bounds/alignment/
 // size arithmetic — plus one sentinel offset per level. The payload

@@ -14,7 +14,7 @@
 // the binary search one element at a time.
 //
 // Kernels exist for the element types the key tiers store: raw int64
-// keys and the unsigned 8/16/32-bit lanes of the packed/delta tiers
+// keys and the unsigned 8/16/32-bit lanes of the packed tiers
 // (storage/level_keys.h). Unsigned comparisons are done in SIMD via the
 // usual sign-flip trick.
 //

@@ -14,11 +14,11 @@
 // touches full cache lines of keys and hardware prefetch engages.
 //
 // Each level's key array lives behind a LevelKeys tier
-// (storage/level_keys.h): raw int64, fixed-width packed offsets, or
-// delta-encoded blocks, chosen per level at build time. Seeks run
-// through the runtime-dispatched SIMD block-search kernels
-// (storage/search_kernels.h) in the tier's native lane width; iterators
-// and engines stay layout-blind.
+// (storage/level_keys.h): raw int64 or fixed-width packed offsets,
+// chosen per level at build time. Seeks run through the
+// runtime-dispatched SIMD block-search kernels (storage/search_kernels.h)
+// in the tier's native lane width; iterators and engines stay
+// layout-blind.
 //
 // The layout is built in a single pass over the (permutation-sorted)
 // rows of the source relation — no intermediate permuted Relation copy

@@ -3,8 +3,8 @@
 //
 // Layer 1 pins every dispatched kernel against a std::lower_bound /
 // std::upper_bound oracle on thousands of seeded arrays per element
-// type (int64 keys and the unsigned 8/16/32-bit lanes the packed/delta
-// tiers store), over the adversarial shape classes the trie produces:
+// type (int64 keys and the unsigned 8/16/32-bit lanes the packed tiers
+// store), over the adversarial shape classes the trie produces:
 // empty, single, all-duplicate, dense runs, clustered gaps, and
 // int64-extreme domains (the PR 5 overflow class).
 //
@@ -50,8 +50,8 @@ struct DispatchGuard {
   }
 };
 
-constexpr TierPolicy kSweepPolicies[] = {
-    TierPolicy::kRawOnly, TierPolicy::kForcePacked, TierPolicy::kForceDelta};
+constexpr TierPolicy kSweepPolicies[] = {TierPolicy::kRawOnly,
+                                         TierPolicy::kForcePacked};
 
 // --- Layer 1: kernel primitives vs the standard-library oracle ---
 
@@ -267,7 +267,7 @@ Relation RandomRelation(int arity, int rows, int klass, Rng* rng) {
         case 1:  // medium domain
           t[c] = static_cast<Value>(rng->NextBounded(2000));
           break;
-        case 2:  // wide domain: beyond packed, delta-block territory
+        case 2:  // wide domain: beyond every packed width, stays raw
           t[c] = static_cast<Value>(rng->NextBounded(1ull << 40));
           break;
         default:  // int64-extreme: must never compress, must stay exact
@@ -287,7 +287,7 @@ Relation RandomRelation(int arity, int rows, int klass, Rng* rng) {
 
 TEST(KernelTierDifferentialTest, TrieMatchesRawScalarOracle) {
   DispatchGuard guard;
-  bool saw_packed = false, saw_delta = false;
+  bool saw_packed = false;
   for (int trial = 0; trial < 48; ++trial) {
     Rng rng(4000 + trial);
     const int arity = 1 + trial % 4;
@@ -333,7 +333,6 @@ TEST(KernelTierDifferentialTest, TrieMatchesRawScalarOracle) {
         saw_packed |= index.LevelTier(d) == KeyTier::kPacked8 ||
                       index.LevelTier(d) == KeyTier::kPacked16 ||
                       index.LevelTier(d) == KeyTier::kPacked32;
-        saw_delta |= index.LevelTier(d) == KeyTier::kDelta;
         if (arity == 1 || rel.size() == 0) {
           // Degenerate guard: unary and empty tries never compress.
           EXPECT_EQ(index.LevelTier(d), KeyTier::kRaw)
@@ -353,7 +352,6 @@ TEST(KernelTierDifferentialTest, TrieMatchesRawScalarOracle) {
   }
   // The sweep must actually have exercised compressed layouts.
   EXPECT_TRUE(saw_packed);
-  EXPECT_TRUE(saw_delta);
 }
 
 // --- Layer 2b: span intersection counting vs a std::set_intersection oracle ---
@@ -402,12 +400,11 @@ Relation GroupedRelation(Value stride, uint64_t seed) {
 
 // Spans come from two tries built under the swept policy (one
 // LevelKeys shared by many spans: the native-lane path) and from a
-// standalone delta-tier level (whose lanes are block-relative: the
-// decode path).
+// standalone raw level (mixed with packed spans: the decode path).
 TEST(SpanIntersectTest, CountMatchesOracleOnEveryKernelAndTier) {
   DispatchGuard guard;
   struct Call {
-    // (source, parent key); source 2 is the whole delta level.
+    // (source, parent key); source 2 is the whole standalone level.
     std::vector<std::pair<int, Value>> spans;
     Value lo, hi;
   };
@@ -453,16 +450,16 @@ TEST(SpanIntersectTest, CountMatchesOracleOnEveryKernelAndTier) {
     auto run = [&](TierPolicy policy, const std::string& config) {
       const TrieIndex indexes[2] = {TrieIndex(rels[0], {}, policy),
                                     TrieIndex(rels[1], {}, policy)};
-      LevelKeys delta;
-      delta.Build(pool_subset, TierPolicy::kForceDelta,
-                  /*compressible=*/true);
+      LevelKeys standalone;
+      standalone.Build(pool_subset, TierPolicy::kRawOnly,
+                       /*compressible=*/true);
       SpanIntersector intersector;
       std::vector<std::pair<uint64_t, uint64_t>> out;
       for (const Call& c : calls) {
         std::vector<KeySpan> spans;
         for (const auto& [which, parent] : c.spans) {
           if (which == 2) {
-            spans.push_back({&delta, 0, delta.size()});
+            spans.push_back({&standalone, 0, standalone.size()});
             continue;
           }
           const TrieIndex& index = indexes[which];
@@ -486,8 +483,8 @@ TEST(SpanIntersectTest, CountMatchesOracleOnEveryKernelAndTier) {
     ForceSearchKernel(KernelKind::kScalar);
     const auto oracle = run(TierPolicy::kRawOnly, "raw-only/scalar");
     for (const TierPolicy policy :
-         {TierPolicy::kAuto, TierPolicy::kRawOnly, TierPolicy::kForcePacked,
-          TierPolicy::kForceDelta}) {
+         {TierPolicy::kAuto, TierPolicy::kRawOnly,
+          TierPolicy::kForcePacked}) {
       for (const KernelKind kernel : SupportedKernels()) {
         ForceSearchKernel(kernel);
         const std::string config =
@@ -584,7 +581,7 @@ TEST(KernelTierDifferentialTest, EngineResultsIdenticalAcrossKernelsAndTiers) {
 
       for (const TierPolicy policy :
            {TierPolicy::kAuto, TierPolicy::kRawOnly,
-            TierPolicy::kForcePacked, TierPolicy::kForceDelta}) {
+            TierPolicy::kForcePacked}) {
         SetDefaultTierPolicy(policy);
         for (const KernelKind kernel : SupportedKernels()) {
           ForceSearchKernel(kernel);

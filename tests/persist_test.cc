@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -101,8 +102,7 @@ std::vector<Shape> Shapes() {
 }
 
 const std::vector<TierPolicy> kAllPolicies = {
-    TierPolicy::kAuto, TierPolicy::kRawOnly, TierPolicy::kForcePacked,
-    TierPolicy::kForceDelta};
+    TierPolicy::kAuto, TierPolicy::kRawOnly, TierPolicy::kForcePacked};
 
 TEST(PersistRoundTripTest, BitIdenticalAcrossPoliciesAndShapes) {
   const std::string dir = TestDir("roundtrip");
@@ -196,6 +196,38 @@ TEST(PersistRoundTripTest, NonIdentityPermutationSurvives) {
 
 // --- Corruption / compatibility rejection ---
 
+// FileHeader field offsets (storage/persist.cc); the header is followed
+// by int32_t perm[arity] and then the LevelSection table, each section
+// starting with its uint32 tier tag.
+constexpr size_t kVersionOff = 8;
+constexpr size_t kHeaderBytesOff = 16;
+constexpr size_t kHeaderChecksumOff = 32;
+constexpr size_t kArityOff = 56;
+constexpr size_t kTierPolicyOff = 60;
+constexpr size_t kFileHeaderBytes = 72;
+
+// The format's checksum: 64-bit FNV-1a.
+uint64_t Fnv1a(const std::string& bytes, size_t n) {
+  uint64_t h = 14695981039346656037ULL;
+  for (size_t i = 0; i < n; ++i) {
+    h ^= static_cast<uint8_t>(bytes[i]);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+template <typename T>
+T Load(const std::string& bytes, size_t off) {
+  T v;
+  std::memcpy(&v, bytes.data() + off, sizeof(v));
+  return v;
+}
+
+template <typename T>
+void Store(std::string* bytes, size_t off, T v) {
+  std::memcpy(bytes->data() + off, &v, sizeof(v));
+}
+
 class PersistCorruptionTest : public testing::Test {
  protected:
   void SetUp() override {
@@ -218,6 +250,27 @@ class PersistCorruptionTest : public testing::Test {
     EXPECT_FALSE(status.message().empty()) << why;
   }
 
+  // Writes the saved file with the uint32 at `off` set to `value` and
+  // the header checksum recomputed over the edited header, so the open
+  // gets past the checksum to the check that field feeds.
+  void WriteResealed(size_t off, uint32_t value) {
+    std::string hostile = bytes_;
+    Store(&hostile, off, value);
+    Store<uint64_t>(&hostile, kHeaderChecksumOff, 0);
+    Store(&hostile, kHeaderChecksumOff,
+          Fnv1a(hostile, Load<uint64_t>(hostile, kHeaderBytesOff)));
+    WriteFile(path_, hostile);
+  }
+
+  // Expect a kDataLoss rejection whose message names `reason`.
+  void ExpectRejectedWith(const std::string& reason) {
+    Status status;
+    EXPECT_EQ(OpenIndex(path_, fp_, &status), nullptr) << reason;
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+    EXPECT_NE(status.message().find(reason), std::string::npos)
+        << status.ToString();
+  }
+
   std::string dir_, path_, bytes_;
   uint64_t fp_ = 0;
 };
@@ -232,16 +285,15 @@ TEST_F(PersistCorruptionTest, TruncatedFileRejected) {
 }
 
 TEST_F(PersistCorruptionTest, FlippedChecksumByteRejected) {
-  // header_checksum lives at byte offset 40 in the header.
   std::string corrupt = bytes_;
-  corrupt[40] ^= 0x5a;
+  corrupt[kHeaderChecksumOff] ^= 0x5a;
   WriteFile(path_, corrupt);
   ExpectRejected("flipped checksum byte");
 }
 
 TEST_F(PersistCorruptionTest, FlippedHeaderByteRejected) {
   std::string corrupt = bytes_;
-  corrupt[60] ^= 0x01;  // inside the fingerprint/arity region
+  corrupt[kTierPolicyOff] ^= 0x01;  // still a valid policy: checksum's job
   WriteFile(path_, corrupt);
   ExpectRejected("flipped header byte");
 }
@@ -281,6 +333,32 @@ TEST_F(PersistCorruptionTest, PayloadFlipCaughtByVerifyOnly) {
   const Status verify_status = VerifyIndexFile(path_);
   EXPECT_FALSE(verify_status.ok());
   EXPECT_NE(verify_status.message().find("payload"), std::string::npos);
+}
+
+TEST_F(PersistCorruptionTest, RetiredKeyTierTagRejected) {
+  const size_t tier_off =
+      kFileHeaderBytes + Load<uint32_t>(bytes_, kArityOff) * sizeof(int32_t);
+  // Resealing the unchanged tag must still open: the helper's checksum
+  // is the format's.
+  WriteResealed(tier_off, Load<uint32_t>(bytes_, tier_off));
+  Status status;
+  ASSERT_NE(OpenIndex(path_, fp_, &status), nullptr) << status.ToString();
+  // Tag 4 named the retired delta tier.
+  WriteResealed(tier_off, 4);
+  ExpectRejectedWith("unknown key tier");
+}
+
+TEST_F(PersistCorruptionTest, RetiredTierPolicyRejected) {
+  // Policy 3 named the retired policy that forced the delta tier.
+  WriteResealed(kTierPolicyOff, 3);
+  ExpectRejectedWith("unknown tier policy");
+}
+
+TEST_F(PersistCorruptionTest, VersionOneFileRejected) {
+  // Version 1 files carried a per-level aux section that version 2
+  // dropped; the catalog rebuilds such indexes in memory.
+  WriteResealed(kVersionOff, 1);
+  ExpectRejectedWith("unsupported format version 1");
 }
 
 // --- Catalog-level save / open ---

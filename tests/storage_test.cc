@@ -317,8 +317,7 @@ TEST(TrieCsrPropertyTest, MatchesNaiveReferenceOnRandomRelations) {
     // Every key tier must reproduce the naive reference identically —
     // the layout is an invisible storage detail.
     for (const TierPolicy policy :
-         {TierPolicy::kRawOnly, TierPolicy::kForcePacked,
-          TierPolicy::kForceDelta}) {
+         {TierPolicy::kRawOnly, TierPolicy::kForcePacked}) {
       const char* tier_tag = TierPolicyName(policy);
       TrieIndex index(base, perm, policy);
       ASSERT_EQ(index.size(), sorted.size())
@@ -424,7 +423,7 @@ TEST(KeyTierTest, AutoCompressesDenseLevelsAndKeepsSmallOnesRaw) {
 
 TEST(KeyTierTest, DegenerateShapesNeverCompress) {
   // Empty, arity-1, and single-key-per-level relations must stay raw
-  // under every policy, including the force policies.
+  // under every policy, including the force policy.
   Relation empty(2);
   empty.Build();
   Relation unary(1);
@@ -432,8 +431,7 @@ TEST(KeyTierTest, DegenerateShapesNeverCompress) {
   unary.Build();
   Relation single = Relation::FromTuples(2, {{7, 7}});
   for (const TierPolicy policy :
-       {TierPolicy::kAuto, TierPolicy::kForcePacked,
-        TierPolicy::kForceDelta}) {
+       {TierPolicy::kAuto, TierPolicy::kForcePacked}) {
     TrieIndex e(empty, {}, policy);
     EXPECT_EQ(e.LevelTier(0), KeyTier::kRaw) << TierPolicyName(policy);
     EXPECT_EQ(e.LevelTier(1), KeyTier::kRaw) << TierPolicyName(policy);
@@ -447,7 +445,7 @@ TEST(KeyTierTest, DegenerateShapesNeverCompress) {
 
 TEST(KeyTierTest, Int64ExtremeDomainsStayRawUnderAuto) {
   // Spans beyond 32 bits — including the full-int64 spans that overflow
-  // naive subtraction — are ineligible for both packed and delta tiers.
+  // naive subtraction — are ineligible for every packed width.
   Relation r(2);
   Rng rng(77);
   for (int i = 0; i < 200; ++i) {
@@ -457,11 +455,22 @@ TEST(KeyTierTest, Int64ExtremeDomainsStayRawUnderAuto) {
                : kPosInf - 1 - static_cast<Value>(rng.NextBounded(500))});
   }
   r.Build();
+  // Two dense 64-key clusters 2^40 apart: every 64-key block is narrow,
+  // but the level as a whole spans more than 32 bits.
+  Relation clusters(2);
+  for (Value b = 0; b < 64; ++b) {
+    clusters.Add({0, b});
+    clusters.Add({0, (Value{1} << 40) + b});
+  }
+  clusters.Build();
   for (const TierPolicy policy :
-       {TierPolicy::kAuto, TierPolicy::kForcePacked,
-        TierPolicy::kForceDelta}) {
+       {TierPolicy::kAuto, TierPolicy::kForcePacked}) {
     TrieIndex index(r, {}, policy);
     EXPECT_EQ(index.LevelTier(1), KeyTier::kRaw) << TierPolicyName(policy);
+    TrieIndex clustered(clusters, {}, policy);
+    ASSERT_GE(clustered.Keys(1).size(), LevelKeys::kAutoMinKeys);
+    EXPECT_EQ(clustered.LevelTier(1), KeyTier::kRaw)
+        << TierPolicyName(policy);
   }
 }
 
@@ -477,10 +486,8 @@ TEST(KeyTierTest, SplitPointsIdenticalAcrossTiers) {
   r.Build();
   const TrieIndex raw(r, {}, TierPolicy::kRawOnly);
   const TrieIndex packed(r, {}, TierPolicy::kForcePacked);
-  const TrieIndex delta(r, {}, TierPolicy::kForceDelta);
   for (int k : {2, 3, 7, 16}) {
     EXPECT_EQ(raw.SplitPoints(k), packed.SplitPoints(k)) << "k=" << k;
-    EXPECT_EQ(raw.SplitPoints(k), delta.SplitPoints(k)) << "k=" << k;
   }
 }
 

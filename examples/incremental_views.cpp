@@ -27,6 +27,11 @@ int main() {
 
   Stopwatch init;
   IncrementalCountView view = IncrementalCountView::ForRelation(bq, &edge);
+  if (!view.status().ok()) {
+    std::printf("materialization failed: %s\n",
+                view.status().ToString().c_str());
+    return 1;
+  }
   std::printf("initial: %llu triangles over %zu edges (%.3fs to build)\n",
               static_cast<unsigned long long>(view.count()), edge.size(),
               init.ElapsedSeconds());
@@ -60,5 +65,11 @@ int main() {
   }
   std::printf("\nmaintenance %.4fs total vs recomputation %.4fs total\n",
               maintain_total, recompute_total);
-  return 0;
+  // The snapshot's trie is built once; each apply then builds only the
+  // next version's trie and the delta's.
+  std::printf("index builds %llu, catalog hits %llu, status %s\n",
+              static_cast<unsigned long long>(view.stats().index_builds),
+              static_cast<unsigned long long>(view.stats().index_cache_hits),
+              view.status().ToString().c_str());
+  return view.status().ok() ? 0 : 1;
 }

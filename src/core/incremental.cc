@@ -1,39 +1,41 @@
 #include "core/incremental.h"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace wcoj {
 
 namespace {
 
-// rel minus / plus a tuple set, as fresh Relations.
-Relation Union(const Relation& rel, const std::vector<Tuple>& tuples) {
-  Relation out(rel.arity());
-  for (size_t r = 0; r < rel.size(); ++r) out.Add(rel.RowTuple(r));
-  for (const Tuple& t : tuples) out.Add(t);
-  out.Build();
-  return out;
+// Fills the empty `out` with `base` with the rows of `delta` merged in
+// (insert: delta is disjoint from base) or taken out (delete: delta is a
+// subset of base). The runs of base between delta rows are copied
+// whole, so the rows arrive strictly increasing and Build does not sort.
+void MergeInto(const Relation& base, const Relation& delta, bool insert,
+               Relation* out) {
+  out->Reserve(insert ? base.size() + delta.size()
+                      : base.size() - delta.size());
+  size_t from = 0;
+  for (size_t d = 0; d < delta.size(); ++d) {
+    const size_t at = base.LowerBound(delta.Row(d));
+    out->AddRows(base.Row(from), at - from);
+    if (insert) {
+      out->AddRows(delta.Row(d), 1);
+      from = at;
+    } else {
+      from = at + 1;
+    }
+  }
+  out->AddRows(base.Row(from), base.size() - from);
+  out->Build();
 }
 
-Relation Difference(const Relation& rel, const Relation& remove) {
-  Relation out(rel.arity());
-  for (size_t r = 0; r < rel.size(); ++r) {
-    if (!remove.Contains(rel.RowTuple(r))) out.Add(rel.RowTuple(r));
-  }
-  out.Build();
-  return out;
-}
-
-// Tuples of `candidates` genuinely present in / absent from `rel`.
-Relation Genuine(const Relation& rel, const std::vector<Tuple>& tuples,
-                 bool present) {
-  Relation out(rel.arity());
-  for (const Tuple& t : tuples) {
-    if (rel.Contains(t) == present) out.Add(t);
-  }
-  out.Build();
-  return out;
+// Empties `slot` and drops its cached tries. Every change to a slot's
+// contents goes through here, so a reused address never serves a stale
+// trie.
+void ClearSlot(IndexCatalog* catalog, Relation* slot) {
+  catalog->Invalidate(slot);
+  *slot = Relation(slot->arity());
 }
 
 }  // namespace
@@ -45,18 +47,24 @@ IncrementalCountView::IncrementalCountView(const BoundQuery& q,
       mutable_atoms_(std::move(mutable_atoms)),
       options_(std::move(options)),
       engine_(CreateEngine(options_.engine)),
-      current_(1) {
+      catalog_(std::make_unique<IndexCatalog>()) {
   assert(!mutable_atoms_.empty());
-  assert(engine_ != nullptr && "unknown engine name in Options::engine");
   const Relation* rel = q.atoms[mutable_atoms_[0]].relation;
   for (int a : mutable_atoms_) {
     assert(q.atoms[a].relation == rel && "mutable atoms must share a relation");
     (void)a;
   }
-  current_ = *rel;  // snapshot
+  current_ = std::make_unique<Relation>(*rel);  // snapshot
+  next_ = std::make_unique<Relation>(rel->arity());
+  delta_ = std::make_unique<Relation>(rel->arity());
   // Rebind the mutable atoms to the snapshot and materialize the count.
-  for (int a : mutable_atoms_) q_.atoms[a].relation = &current_;
-  count_ = engine_->Execute(q_, MakeExecOptions()).count;
+  for (int a : mutable_atoms_) q_.atoms[a].relation = current_.get();
+  if (engine_ == nullptr) {
+    status_ = Status(StatusCode::kInvalidArgument,
+                     "unknown engine '" + options_.engine + "'");
+    return;
+  }
+  Run(q_, &count_);
 }
 
 IncrementalCountView::IncrementalCountView(const BoundQuery& q,
@@ -78,53 +86,72 @@ IncrementalCountView IncrementalCountView::ForRelation(const BoundQuery& q,
   return IncrementalCountView(q, std::move(atoms), std::move(options));
 }
 
-ExecOptions IncrementalCountView::MakeExecOptions() const {
+bool IncrementalCountView::Run(const BoundQuery& q, uint64_t* count) {
   ExecOptions opts;
+  opts.catalog = catalog_.get();
   opts.scratch = options_.scratch;
-  return opts;
+  const ExecResult result = engine_->Execute(q, opts);
+  stats_.Add(result.stats);
+  if (!result.ok()) {
+    status_.Update(result.status);
+    return false;
+  }
+  *count = result.count;
+  return true;
 }
 
-uint64_t IncrementalCountView::CountWith(const Relation& before,
-                                         const Relation& delta,
-                                         const Relation& after) const {
-  // Telescoping sum: the i-th term binds mutable atoms < i to `before`,
-  // atom i to `delta`, and atoms > i to `after`. Every term runs on the
-  // view's engine and (if configured) warm scratch, back to back.
-  uint64_t sum = 0;
+int64_t IncrementalCountView::ApplyInserts(const std::vector<Tuple>& tuples) {
+  return Apply(tuples, /*insert=*/true);
+}
+
+int64_t IncrementalCountView::ApplyDeletes(const std::vector<Tuple>& tuples) {
+  return Apply(tuples, /*insert=*/false);
+}
+
+int64_t IncrementalCountView::Apply(const std::vector<Tuple>& tuples,
+                                    bool insert) {
+  if (!status_.ok()) return 0;
+  // The genuine delta: tuples absent from (inserts) or present in
+  // (deletes) the current version.
+  ClearSlot(catalog_.get(), delta_.get());
+  for (const Tuple& t : tuples) {
+    if (current_->Contains(t) != insert) delta_->Add(t);
+  }
+  delta_->Build();
+  if (delta_->size() == 0) return 0;
+
+  MergeInto(*current_, *delta_, insert, next_.get());
+
+  // Telescoping sum: the i-th term binds mutable atoms < i to the next
+  // version, atom i to the delta, and atoms > i to the current one. It
+  // is Q(next) - Q(current) for inserts and Q(current) - Q(next) for
+  // deletes. Every term runs on the view's engine, catalog and (if
+  // configured) warm scratch, back to back.
+  uint64_t change = 0;
   for (size_t i = 0; i < mutable_atoms_.size(); ++i) {
     BoundQuery term = q_;
     for (size_t j = 0; j < mutable_atoms_.size(); ++j) {
       term.atoms[mutable_atoms_[j]].relation =
-          j < i ? &before : (j == i ? &delta : &after);
+          j < i ? next_.get() : (j == i ? delta_.get() : current_.get());
     }
-    sum += engine_->Execute(term, MakeExecOptions()).count;
+    uint64_t term_count = 0;
+    if (!Run(term, &term_count)) return 0;
+    change += term_count;
   }
-  return sum;
-}
 
-int64_t IncrementalCountView::ApplyInserts(const std::vector<Tuple>& tuples) {
-  const Relation delta = Genuine(current_, tuples, /*present=*/false);
-  if (delta.size() == 0) return 0;
-  Relation next = Union(current_, tuples);
-  // Q(new) - Q(old): atoms before the delta position see `new`.
-  const uint64_t gained = CountWith(next, delta, current_);
-  current_ = std::move(next);
-  for (int a : mutable_atoms_) q_.atoms[a].relation = &current_;
-  count_ += gained;
-  return static_cast<int64_t>(gained);
-}
-
-int64_t IncrementalCountView::ApplyDeletes(const std::vector<Tuple>& tuples) {
-  const Relation delta = Genuine(current_, tuples, /*present=*/true);
-  if (delta.size() == 0) return 0;
-  Relation next = Difference(current_, delta);
-  // Q(old) - Q(new): atoms before the delta position see `new`.
-  const uint64_t lost = CountWith(next, delta, current_);
-  current_ = std::move(next);
-  for (int a : mutable_atoms_) q_.atoms[a].relation = &current_;
-  assert(count_ >= lost);
-  count_ -= lost;
-  return -static_cast<int64_t>(lost);
+  // Every term answered: commit. The next version's tries stay resident
+  // as the new current version's; the retired version's rows and tries
+  // go at once, so only one full version is resident between applies.
+  std::swap(current_, next_);
+  ClearSlot(catalog_.get(), next_.get());
+  for (int a : mutable_atoms_) q_.atoms[a].relation = current_.get();
+  if (insert) {
+    count_ += change;
+    return static_cast<int64_t>(change);
+  }
+  assert(count_ >= change);
+  count_ -= change;
+  return -static_cast<int64_t>(change);
 }
 
 }  // namespace wcoj

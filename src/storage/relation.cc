@@ -31,6 +31,21 @@ void SortRows(int arity, std::vector<Value>* data) {
   *data = std::move(sorted);
 }
 
+// True iff every staged row is strictly greater than the one before it:
+// already sorted and duplicate-free. Stops at the first row that is not.
+bool StrictlyIncreasing(int arity, const std::vector<Value>& data) {
+  const Value* d = data.data();
+  const size_t n = data.size() / arity;
+  for (size_t i = 1; i < n; ++i) {
+    const Value* prev = d + (i - 1) * arity;
+    if (!std::lexicographical_compare(prev, prev + arity, prev + arity,
+                                      prev + 2 * arity)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Relation Relation::FromTuples(int arity, const std::vector<Tuple>& tuples) {
@@ -58,9 +73,14 @@ void Relation::Add(std::initializer_list<Value> t) {
   data_.insert(data_.end(), t.begin(), t.end());
 }
 
+void Relation::AddRows(const Value* rows, size_t num_rows) {
+  assert(!built_);
+  data_.insert(data_.end(), rows, rows + num_rows * arity_);
+}
+
 void Relation::Build() {
   if (built_) return;
-  SortRows(arity_, &data_);
+  if (!StrictlyIncreasing(arity_, data_)) SortRows(arity_, &data_);
   built_ = true;
 }
 
@@ -69,24 +89,25 @@ Tuple Relation::RowTuple(size_t row) const {
   return Tuple(r, r + arity_);
 }
 
-bool Relation::Contains(const Tuple& t) const {
-  assert(built_ && static_cast<int>(t.size()) == arity_);
+size_t Relation::LowerBound(const Value* row) const {
+  assert(built_);
   size_t lo = 0, hi = size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    const Value* row = Row(mid);
-    const int cmp = std::lexicographical_compare_three_way(
-                        row, row + arity_, t.data(), t.data() + arity_) < 0
-                        ? -1
-                        : (std::equal(row, row + arity_, t.data()) ? 0 : 1);
-    if (cmp == 0) return true;
-    if (cmp < 0) {
+    const Value* r = Row(mid);
+    if (std::lexicographical_compare(r, r + arity_, row, row + arity_)) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return false;
+  return lo;
+}
+
+bool Relation::Contains(const Tuple& t) const {
+  assert(built_ && static_cast<int>(t.size()) == arity_);
+  const size_t at = LowerBound(t.data());
+  return at < size() && std::equal(t.begin(), t.end(), Row(at));
 }
 
 Relation Relation::Permuted(const std::vector<int>& perm) const {

@@ -29,8 +29,13 @@ class Relation {
   // Appends a tuple; only valid before Build().
   void Add(const Tuple& t);
   void Add(std::initializer_list<Value> t);
+  // Appends `num_rows` rows stored row-major at `rows`; only valid
+  // before Build().
+  void AddRows(const Value* rows, size_t num_rows);
 
-  // Sorts lexicographically and removes duplicates. Idempotent.
+  // Sorts lexicographically and removes duplicates. Idempotent. Rows
+  // staged strictly increasing (the output of a sorted merge) are kept
+  // as they are: one pass that stops at the first row out of order.
   void Build();
 
   int arity() const { return arity_; }
@@ -44,6 +49,9 @@ class Relation {
   const Value* Row(size_t row) const { return data_.data() + row * arity_; }
   Tuple RowTuple(size_t row) const;
 
+  // Index of the first row not lexicographically less than `row`
+  // (an `arity()`-value array), or size() when there is none.
+  size_t LowerBound(const Value* row) const;
   // True iff the exact tuple is present (binary search).
   bool Contains(const Tuple& t) const;
 

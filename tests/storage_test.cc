@@ -25,6 +25,45 @@ TEST(RelationTest, BuildSortsAndDedups) {
   EXPECT_EQ(r.RowTuple(2), (Tuple{3, 1}));
 }
 
+// Build keeps rows staged strictly increasing as they are and sorts
+// anything else; these pin both sides of that check.
+std::vector<Tuple> BuiltRows(const std::vector<Tuple>& staged) {
+  Relation r(static_cast<int>(staged[0].size()));
+  for (const Tuple& t : staged) r.Add(t);
+  r.Build();
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < r.size(); ++i) rows.push_back(r.RowTuple(i));
+  return rows;
+}
+
+TEST(RelationTest, BuildKeepsSortedDistinctRows) {
+  const std::vector<Tuple> sorted = {{0, 5}, {1, 2}, {1, 3}, {4, 0}, {4, 9}};
+  EXPECT_EQ(BuiltRows(sorted), sorted);
+}
+
+TEST(RelationTest, BuildDedupsSortedRowsWithAnAdjacentDuplicate) {
+  EXPECT_EQ(BuiltRows({{0, 5}, {1, 2}, {1, 2}, {4, 0}}),
+            (std::vector<Tuple>{{0, 5}, {1, 2}, {4, 0}}));
+}
+
+TEST(RelationTest, BuildSortsAnInversionInTheLastRow) {
+  EXPECT_EQ(BuiltRows({{0, 5}, {1, 2}, {4, 0}, {1, 1}}),
+            (std::vector<Tuple>{{0, 5}, {1, 1}, {1, 2}, {4, 0}}));
+}
+
+TEST(RelationTest, AddRowsAndLowerBound) {
+  const Value rows[] = {1, 2, 1, 5, 4, 0};
+  Relation r(2);
+  r.AddRows(rows, 3);
+  r.Build();
+  ASSERT_EQ(r.size(), 3u);
+  const Value probes[][2] = {{0, 0}, {1, 2}, {1, 3}, {4, 0}, {9, 9}};
+  const size_t want[] = {0, 0, 1, 2, 3};
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(r.LowerBound(probes[i]), want[i]) << "probe " << i;
+  }
+}
+
 TEST(RelationTest, ContainsFindsExactTuples) {
   Relation r = Relation::FromTuples(2, {{1, 2}, {1, 5}, {4, 0}});
   EXPECT_TRUE(r.Contains({1, 2}));

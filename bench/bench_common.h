@@ -42,8 +42,7 @@ struct Cell {
 // indexes made resident cheaply via WarmQueryIndexes; the pairwise
 // baselines probe plan-dependent permutations instead, which only a
 // real execution touches, so they warm up with one untimed run (their
-// timeout cells therefore cost up to 2x the timeout). Use RunCellCold
-// for a timing that includes the builds.
+// timeout cells therefore cost up to 2x the timeout).
 inline Cell RunCell(const std::string& engine_name, const BoundQuery& bq) {
   std::unique_ptr<Engine> engine = CreateEngine(engine_name);
   ExecOptions opts;
@@ -62,19 +61,6 @@ inline Cell RunCell(const std::string& engine_name, const BoundQuery& bq) {
     }
   }
   const ExecResult r = RunTimed(*engine, bq, opts);
-  return {r.seconds, r.status, r.count};
-}
-
-// Cold variant: every index is rebuilt inside the timed region (the
-// repo's pre-catalog behaviour), via a run that bypasses the catalog.
-inline Cell RunCellCold(const std::string& engine_name,
-                        const BoundQuery& bq) {
-  BoundQuery cold = bq;
-  cold.catalog = nullptr;
-  std::unique_ptr<Engine> engine = CreateEngine(engine_name);
-  ExecOptions opts;
-  opts.deadline = Deadline::AfterSeconds(CellTimeoutSeconds());
-  const ExecResult r = RunTimed(*engine, cold, opts);
   return {r.seconds, r.status, r.count};
 }
 

@@ -33,7 +33,7 @@ class BinaryJoinRun {
         opts_(opts),
         strategy_(strategy),
         result_(result),
-        catalog_(EffectiveCatalog(q, opts)),
+        catalog_(q.catalog),
         inter_charge_(opts.budget) {}
 
   void Run() {
@@ -289,7 +289,9 @@ class BinaryJoinRun {
   const ExecOptions& opts_;
   PlanStrategy strategy_;
   ExecResult* result_;
-  IndexCatalog* catalog_;  // null = legacy per-step hash builds
+  // Null: per-step hash builds. That trie-free path is kept on purpose
+  // as the reference the storage layer is checked against.
+  IndexCatalog* catalog_;
   ScopedCharge inter_charge_;  // live materialized-intermediate bytes
   uint64_t steps_ = 0;
 };

@@ -95,14 +95,12 @@ ExecResult YannakakisEngine::Execute(const BoundQuery& q,
 
   // Join the reduced relations with the DP pairwise engine. The reduced
   // relations are transient locals, so the shared catalog must not index
-  // them: strip it from both the query copy and the options.
+  // them: strip it from the query copy.
   BoundQuery rq = q;
   rq.catalog = nullptr;
   for (size_t i = 0; i < m; ++i) rq.atoms[i].relation = &reduced[i];
-  ExecOptions join_opts = opts;
-  join_opts.catalog = nullptr;
   BinaryJoinEngine join(BinaryJoinFlavor::kRowStore);
-  ExecResult joined = join.Execute(rq, join_opts);
+  ExecResult joined = join.Execute(rq, opts);
   joined.stats.intermediate_tuples += result.stats.intermediate_tuples;
   FinalizeExecStatus(&joined, opts);
   return joined;

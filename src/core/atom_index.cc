@@ -2,54 +2,33 @@
 
 namespace wcoj {
 
-AtomIndexSet::AtomIndexSet(const BoundQuery& q, IndexCatalog* catalog,
-                           EngineStats* stats,
-                           const std::vector<const TrieIndex*>* prebuilt,
+AtomIndexSet::AtomIndexSet(const BoundQuery& q, EngineStats* stats,
                            MemoryBudget* budget) {
+  IndexCatalog* catalog = q.catalog;
+  if (catalog == nullptr) {
+    private_catalog_ = std::make_unique<IndexCatalog>();
+    catalog = private_catalog_.get();
+  }
   ptrs_.reserve(q.atoms.size());
-  for (size_t a = 0; a < q.atoms.size(); ++a) {
-    if (prebuilt != nullptr && (*prebuilt)[a] != nullptr) {
-      ptrs_.push_back((*prebuilt)[a]);
-      continue;
-    }
-    const BoundAtom& atom = q.atoms[a];
-    std::vector<int> perm = GaoConsistentPerm(atom.vars);
-    if (catalog != nullptr) {
-      Status build_status;
-      const TrieIndex* index = catalog->GetOrBuildCounted(
-          *atom.relation, std::move(perm), &stats->index_builds,
-          &stats->index_cache_hits, budget, &build_status);
-      if (index == nullptr) {
-        if (build_status.ok()) {
-          build_status = Status(StatusCode::kInternal, "index build failed");
-        }
-        status_.Update(build_status);
-        ptrs_.push_back(nullptr);
-        continue;
+  for (const BoundAtom& atom : q.atoms) {
+    Status build_status;
+    const TrieIndex* index = catalog->GetOrBuildCounted(
+        *atom.relation, GaoConsistentPerm(atom.vars), &stats->index_builds,
+        &stats->index_cache_hits, budget, &build_status);
+    if (index == nullptr) {
+      if (build_status.ok()) {
+        build_status = Status(StatusCode::kInternal, "index build failed");
       }
-      ptrs_.push_back(index);
-    } else {
-      auto owned = std::make_unique<TrieIndex>(
-          *atom.relation, std::move(perm), DefaultTierPolicy(), budget);
-      if (!owned->build_ok()) {
-        status_.Update(owned->build_status());
-        ptrs_.push_back(nullptr);
-        continue;
-      }
-      owned_.push_back(std::move(owned));
-      ptrs_.push_back(owned_.back().get());
-      ++stats->index_builds;
+      status_.Update(build_status);
     }
+    ptrs_.push_back(index);
   }
 }
 
 EngineStats WarmQueryIndexes(const BoundQuery& q) {
   EngineStats stats;
-  if (q.catalog == nullptr) return stats;
-  for (const BoundAtom& atom : q.atoms) {
-    q.catalog->GetOrBuildCounted(*atom.relation, GaoConsistentPerm(atom.vars),
-                                 &stats.index_builds,
-                                 &stats.index_cache_hits);
+  if (q.catalog != nullptr) {
+    const AtomIndexSet resident(q, &stats);
   }
   return stats;
 }

@@ -3,9 +3,11 @@
 
 // Per-execution resolution of the GAO-consistent trie index of every
 // atom in a BoundQuery — the one place the LFTJ / Minesweeper / hybrid
-// engines get their indexes from. With a catalog the indexes are shared
-// and memoized (LogicBlox's resident-index regime); without one each
-// execution builds private copies, the repo's original behaviour.
+// engines get their indexes from. Every index comes from an
+// IndexCatalog: the query's own (LogicBlox's resident-index regime,
+// shared and memoized across executions), or, when the query carries
+// none, a catalog private to this execution. Either way repeated
+// (relation, permutation) pairs share one trie.
 
 #include <memory>
 #include <vector>
@@ -19,15 +21,12 @@ namespace wcoj {
 
 class AtomIndexSet {
  public:
-  // Resolves one index per atom of `q`, recording build / cache-hit
-  // counts into *stats. `prebuilt` (when non-null) supplies per-atom
-  // overrides; its null entries fall through to the catalog-or-build
-  // path. Indexes resolved without a catalog are owned by this object.
-  // `budget` governs any builds this resolution performs; a refused
-  // build leaves a null slot and a non-OK status() — engines must check
-  // ok() before probing.
-  AtomIndexSet(const BoundQuery& q, IndexCatalog* catalog, EngineStats* stats,
-               const std::vector<const TrieIndex*>* prebuilt = nullptr,
+  // Resolves one index per atom of `q` through q.catalog (or a private
+  // catalog when it is null), recording build / cache-hit counts into
+  // *stats. `budget` governs any builds this resolution performs; a
+  // refused build leaves a null slot and a non-OK status() — engines
+  // must check ok() before probing.
+  AtomIndexSet(const BoundQuery& q, EngineStats* stats,
                MemoryBudget* budget = nullptr);
 
   const TrieIndex* at(size_t atom) const { return ptrs_[atom]; }
@@ -39,8 +38,8 @@ class AtomIndexSet {
   const Status& status() const { return status_; }
 
  private:
+  std::unique_ptr<IndexCatalog> private_catalog_;  // iff q.catalog is null
   std::vector<const TrieIndex*> ptrs_;
-  std::vector<std::unique_ptr<TrieIndex>> owned_;
   Status status_;
 };
 

@@ -134,8 +134,6 @@ struct ExecOptions {
   // parallel output-space partitioner (§4.10).
   Value var0_min = kNegInf;
   Value var0_max = kPosInf;
-  // Overrides BoundQuery::catalog when set (same lifetime contract).
-  IndexCatalog* catalog = nullptr;
   // Warm per-worker scratch; null means per-run private arenas. Must
   // outlive the execution and see at most one execution at a time.
   ExecScratch* scratch = nullptr;
@@ -181,12 +179,6 @@ struct ExecOptions {
     return Status(StatusCode::kDeadlineExceeded, "deadline expired");
   }
 };
-
-// The catalog an execution should fetch indexes from, if any.
-inline IndexCatalog* EffectiveCatalog(const BoundQuery& q,
-                                      const ExecOptions& opts) {
-  return opts.catalog != nullptr ? opts.catalog : q.catalog;
-}
 
 struct ExecResult {
   uint64_t count = 0;

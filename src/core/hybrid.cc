@@ -5,10 +5,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/atom_index.h"
 #include "core/lftj.h"
 #include "core/minesweeper.h"
-#include "storage/trie.h"
+#include "storage/catalog.h"
 
 namespace wcoj {
 
@@ -24,15 +23,18 @@ bool SuffixCompatible(const std::vector<int>& vars, int s) {
                      [&](int v) { return v >= s - 1; });
 }
 
+// The suffix run binds the junction s-1 as its first variable, so some
+// suffix atom must contain it (LFTJ refuses an uncovered variable).
 bool ValidSplit(const BoundQuery& q, int s) {
-  bool any_prefix = false, any_suffix = false;
+  bool any_prefix = false, junction_in_suffix = false;
   std::vector<bool> prefix_covered(s, false);
   for (const auto& atom : q.atoms) {
     if (AllVarsBelow(atom.vars, s)) {
       any_prefix = true;
       for (int v : atom.vars) prefix_covered[v] = true;
     } else if (SuffixCompatible(atom.vars, s)) {
-      any_suffix = true;
+      junction_in_suffix |= std::find(atom.vars.begin(), atom.vars.end(),
+                                      s - 1) != atom.vars.end();
     } else {
       return false;
     }
@@ -45,7 +47,7 @@ bool ValidSplit(const BoundQuery& q, int s) {
   for (bool covered : prefix_covered) {
     if (!covered) return false;
   }
-  return any_prefix && any_suffix;
+  return any_prefix && junction_in_suffix;
 }
 
 }  // namespace
@@ -65,12 +67,17 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
     return ms.Execute(q, opts);
   }
   const int n = q.num_vars;
+  // Prefix and every per-junction suffix run share one catalog: the
+  // query's, or one private to this run, so each suffix trie is built
+  // at most once per run either way.
+  IndexCatalog private_catalog;
+  IndexCatalog* catalog = q.catalog != nullptr ? q.catalog : &private_catalog;
 
-  // Prefix query over GAO positions [0, s); shares the full query's
-  // catalog (same relations, prefix-truncated permutations).
+  // Prefix query over GAO positions [0, s) (same relations and
+  // permutations as the full query's prefix atoms).
   BoundQuery prefix;
   prefix.num_vars = s;
-  prefix.catalog = q.catalog;
+  prefix.catalog = catalog;
   for (const auto& atom : q.atoms) {
     if (AllVarsBelow(atom.vars, s)) prefix.atoms.push_back(atom);
   }
@@ -78,10 +85,11 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
     if (lo < s && hi < s) prefix.less_than.emplace_back(lo, hi);
   }
 
-  // Suffix query over positions [s-1, n), junction bound via a singleton
-  // relation swapped in per junction value.
+  // Suffix query over positions [s-1, n); the junction is its first
+  // variable, bound per junction value through the var0 range.
   BoundQuery suffix;
   suffix.num_vars = n - s + 1;
+  suffix.catalog = catalog;
   auto remap = [&](int v) { return v - (s - 1); };
   for (const auto& atom : q.atoms) {
     if (AllVarsBelow(atom.vars, s)) continue;
@@ -111,25 +119,6 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
   }
 
   LftjEngine lftj;
-  // Resolve one trie index per suffix atom (ordered by GAO positions):
-  // LFTJ runs once per junction value and must not re-sort the
-  // relations. Catalog-resident indexes are shared; the per-junction
-  // singleton below is transient and must never enter the catalog, so
-  // the suffix queries themselves carry no catalog and the singleton
-  // slot stays a per-call private build.
-  AtomIndexSet suffix_indexes(suffix, EffectiveCatalog(q, opts),
-                              &result.stats, /*prebuilt=*/nullptr,
-                              opts.budget);
-  if (!suffix_indexes.ok()) {
-    result.status = suffix_indexes.status();
-    FinalizeExecStatus(&result, opts);
-    return result;
-  }
-  std::vector<const TrieIndex*> index_ptrs;
-  for (size_t a = 0; a < suffix.atoms.size(); ++a) {
-    index_ptrs.push_back(suffix_indexes.at(a));
-  }
-  index_ptrs.push_back(nullptr);  // singleton junction atom: built per call
   // Memo: junction value -> suffix count (Idea 6's caching effect, made
   // explicit). Only valid when we need counts, not tuples.
   std::unordered_map<Value, uint64_t> memo;
@@ -139,17 +128,6 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
       break;
     }
     const Value j = p[s - 1];
-    ExecOptions suffix_opts;
-    suffix_opts.deadline = opts.deadline;
-    suffix_opts.stop = opts.stop;
-    suffix_opts.collect_tuples = opts.collect_tuples;
-    // The prefix Minesweeper above already ran on opts' scratch (the
-    // option struct is forwarded wholesale); keep the suffix runs on the
-    // same per-worker scratch so any CDS-bearing suffix engine stays
-    // warm too. The runs are sequential, so the single-user contract
-    // holds.
-    suffix_opts.scratch = opts.scratch;
-    suffix_opts.budget = opts.budget;
     if (!opts.collect_tuples) {
       auto it = memo.find(j);
       if (it != memo.end()) {
@@ -157,16 +135,20 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
         continue;
       }
     }
-    // Bind the junction with a singleton unary atom.
-    Relation singleton(1);
-    singleton.Add({j});
-    singleton.Build();
-    BoundQuery sq = suffix;
-    BoundAtom bind;
-    bind.relation = &singleton;
-    bind.vars = {0};
-    sq.atoms.push_back(std::move(bind));
-    ExecResult sub = lftj.ExecuteWithIndexes(sq, suffix_opts, index_ptrs);
+    ExecOptions suffix_opts;
+    suffix_opts.deadline = opts.deadline;
+    suffix_opts.stop = opts.stop;
+    suffix_opts.collect_tuples = opts.collect_tuples;
+    suffix_opts.var0_min = j;
+    suffix_opts.var0_max = j;
+    // The prefix Minesweeper above already ran on opts' scratch (the
+    // option struct is forwarded wholesale); keep the suffix runs on the
+    // same per-worker scratch so any CDS-bearing suffix engine stays
+    // warm too. The runs are sequential, so the single-user contract
+    // holds.
+    suffix_opts.scratch = opts.scratch;
+    suffix_opts.budget = opts.budget;
+    ExecResult sub = lftj.Execute(suffix, suffix_opts);
     if (!sub.ok()) {
       result.status = sub.status;
       break;

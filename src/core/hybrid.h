@@ -11,11 +11,11 @@
 //
 // This engine generalizes that: it finds the largest split depth s such
 // that every atom either lies entirely inside GAO positions [0, s) or
-// touches only the junction position s-1 plus positions >= s. Minesweeper
-// enumerates the prefix; per distinct junction value the suffix count is
-// computed once with LFTJ (binding the junction through a singleton
-// relation) and memoized. Queries with no valid split fall back to pure
-// Minesweeper.
+// touches only the junction position s-1 plus positions >= s, and some
+// suffix atom contains the junction. Minesweeper enumerates the prefix;
+// per distinct junction value j the suffix count is computed once with
+// LFTJ (its first variable restricted to [j, j]) and memoized. Queries
+// with no valid split fall back to pure Minesweeper.
 
 #include "core/engine.h"
 

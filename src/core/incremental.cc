@@ -57,7 +57,10 @@ IncrementalCountView::IncrementalCountView(const BoundQuery& q,
   current_ = std::make_unique<Relation>(*rel);  // snapshot
   next_ = std::make_unique<Relation>(rel->arity());
   delta_ = std::make_unique<Relation>(rel->arity());
-  // Rebind the mutable atoms to the snapshot and materialize the count.
+  // Every execution, terms included (they copy q_), reads the view's
+  // catalog. Rebind the mutable atoms to the snapshot and materialize
+  // the count.
+  q_.catalog = catalog_.get();
   for (int a : mutable_atoms_) q_.atoms[a].relation = current_.get();
   if (engine_ == nullptr) {
     status_ = Status(StatusCode::kInvalidArgument,
@@ -88,7 +91,6 @@ IncrementalCountView IncrementalCountView::ForRelation(const BoundQuery& q,
 
 bool IncrementalCountView::Run(const BoundQuery& q, uint64_t* count) {
   ExecOptions opts;
-  opts.catalog = catalog_.get();
   opts.scratch = options_.scratch;
   const ExecResult result = engine_->Execute(q, opts);
   stats_.Add(result.stats);

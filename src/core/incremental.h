@@ -55,9 +55,9 @@ class IncrementalCountView {
   // whose relation is the mutable one (they must all reference the same
   // Relation object, whose contents this view snapshots). The static
   // relations must keep their contents for the view's lifetime: their
-  // indexes are built once into the view's own catalog, which every
-  // execution uses in place of `q.catalog`. The options-free overloads
-  // use Options' defaults (LFTJ, no scratch).
+  // indexes are built once into the view's own catalog, which replaces
+  // `q.catalog` in the view's copy of the query. The options-free
+  // overloads use Options' defaults (LFTJ, no scratch).
   IncrementalCountView(const BoundQuery& q, std::vector<int> mutable_atoms,
                        Options options);
   IncrementalCountView(const BoundQuery& q, std::vector<int> mutable_atoms);

@@ -18,16 +18,13 @@ namespace {
 // Per-execution state; the engine object itself stays stateless.
 class LftjRun {
  public:
-  LftjRun(const BoundQuery& q, const ExecOptions& opts,
-          const std::vector<const TrieIndex*>* prebuilt, ExecResult* result)
+  LftjRun(const BoundQuery& q, const ExecOptions& opts, ExecResult* result)
       : q_(q),
         opts_(opts),
         result_(result),
         // One trie index per atom, columns ordered by GAO position
-        // (GAO-consistency assumption); prebuilt and catalog-resident
-        // indexes are reused instead of rebuilt.
-        indexes_(q, EffectiveCatalog(q, opts), &result->stats, prebuilt,
-                 opts.budget) {
+        // (GAO-consistency assumption).
+        indexes_(q, &result->stats, opts.budget) {
     // Structured preconditions, checked before any iterator or join is
     // constructed: a failed (budget-refused / fault-injected) index
     // build, or a query whose GAO leaves a variable uncovered, fails
@@ -204,17 +201,7 @@ class LftjRun {
 ExecResult LftjEngine::Execute(const BoundQuery& q,
                                const ExecOptions& opts) const {
   ExecResult result;
-  LftjRun run(q, opts, /*prebuilt=*/nullptr, &result);
-  run.Run();
-  FinalizeExecStatus(&result, opts);
-  return result;
-}
-
-ExecResult LftjEngine::ExecuteWithIndexes(
-    const BoundQuery& q, const ExecOptions& opts,
-    const std::vector<const TrieIndex*>& indexes) const {
-  ExecResult result;
-  LftjRun run(q, opts, &indexes, &result);
+  LftjRun run(q, opts, &result);
   run.Run();
   FinalizeExecStatus(&result, opts);
   return result;

@@ -21,10 +21,7 @@
 // any other out-of-order filter is checked before counting. Bound
 // searches inside the intersection count as seeks; merged keys do not.
 
-#include <vector>
-
 #include "core/engine.h"
-#include "storage/trie.h"
 
 namespace wcoj {
 
@@ -33,15 +30,6 @@ class LftjEngine : public Engine {
   std::string name() const override { return "lftj"; }
   ExecResult Execute(const BoundQuery& q,
                      const ExecOptions& opts) const override;
-
-  // Like Execute, but reuses caller-owned per-atom trie indexes (aligned
-  // with q.atoms; each must be ordered by the atom's GAO positions). Used
-  // by callers that issue many LFTJ calls over the same relations — the
-  // hybrid engine invokes LFTJ once per junction value and must not
-  // re-sort the suffix relations every time.
-  ExecResult ExecuteWithIndexes(const BoundQuery& q, const ExecOptions& opts,
-                                const std::vector<const TrieIndex*>& indexes)
-      const;
 };
 
 }  // namespace wcoj

@@ -37,8 +37,7 @@ class MsRun {
         q_(q),
         opts_(opts),
         result_(result),
-        indexes_(q, EffectiveCatalog(q, opts), &result->stats,
-                 /*prebuilt=*/nullptr, opts.budget) {
+        indexes_(q, &result->stats, opts.budget) {
     // A failed (budget-refused / fault-injected) index build fails the
     // run closed before any index is probed.
     if (!indexes_.ok()) {

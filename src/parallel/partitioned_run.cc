@@ -183,12 +183,11 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
     local_pool.emplace(threads);
     pool = &*local_pool;
   }
-  IndexCatalog* catalog = EffectiveCatalog(q, opts);
   // GAO indexes are only pre-built (and only read for domain metadata
   // below) for engines that actually consume them; for the others the
   // catalog would retain full sorted copies nobody probes.
   const bool use_gao_indexes =
-      catalog != nullptr &&
+      q.catalog != nullptr &&
       engine.catalog_warmup() == CatalogWarmup::kGaoIndexes;
   if (use_gao_indexes) {
     // Warm the shared catalog once, before any job runs: every morsel
@@ -196,11 +195,9 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
     // performs one build per distinct (relation, permutation) pair no
     // matter how many morsels there are. Distinct indexes build
     // concurrently across the worker pool instead of serially.
-    BoundQuery warm_q = q;
-    warm_q.catalog = catalog;
     Status warm_status;
     total.stats.Add(
-        WarmQueryIndexesParallel(warm_q, *pool, opts.budget, &warm_status));
+        WarmQueryIndexesParallel(q, *pool, opts.budget, &warm_status));
     if (!warm_status.ok()) {
       // A refused/faulted shared build would fail every morsel the same
       // way; fail the run closed before spawning any.
@@ -230,7 +227,7 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
       // this key, and the stats counters track engine work, not
       // orchestration lookups.
       const TrieIndex* index =
-          catalog->GetOrBuild(*atom.relation, GaoConsistentPerm(atom.vars));
+          q.catalog->GetOrBuild(*atom.relation, GaoConsistentPerm(atom.vars));
       if (index == nullptr || index->size() == 0) continue;
       lo = std::min(lo, index->ColMin(0));
       hi = std::max(hi, index->ColMax(0));
@@ -317,9 +314,12 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
         // Cancelled before this morsel ran: its share of the output is
         // missing, so the merged result must fail. A sibling's stop
         // merges as a secondary kCancelled, displaced by its root cause.
+        // The cause is read before this morsel requests the stop itself,
+        // or an expired deadline would report as kCancelled.
+        const Status cause = job_opts.AbortStatus();
         stop->RequestStop();
         MutexLock lock(mu);
-        MergeMorselStatus(&total.status, job_opts.AbortStatus());
+        MergeMorselStatus(&total.status, cause);
         return;
       }
       // Fault-injection boundary: a morsel that dies at dispatch must

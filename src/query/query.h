@@ -56,10 +56,12 @@ struct BoundQuery {
   std::vector<std::pair<int, int>> less_than;
   std::vector<std::string> var_names;  // indexed by GAO position
   // Shared bind-time index catalog (set by the Database overload of
-  // Bind, or by hand). Engines fetch memoized GAO-consistent trie
-  // indexes through it instead of rebuilding per execution; null means
-  // legacy per-run builds. Non-owning: the catalog and the relations
-  // behind its indexes must outlive every execution of this query.
+  // Bind, or by hand) — the only way to hand engines resident tries.
+  // Engines fetch memoized GAO-consistent trie indexes through it
+  // instead of rebuilding per execution; null means each execution
+  // builds into a catalog private to it. Non-owning: the catalog and the
+  // relations behind its indexes must outlive every execution of this
+  // query.
   IndexCatalog* catalog = nullptr;
 
   // Sorted GAO positions of atom `i`'s variables.

@@ -91,9 +91,9 @@ class ChaosTest : public testing::Test {
 
   ExecResult Run(const std::string& engine, const ExecOptions& opts = {},
                  IndexCatalog* catalog = nullptr) {
-    ExecOptions o = opts;
-    o.catalog = catalog;
-    return CreateEngine(engine)->Execute(bq_, o);
+    BoundQuery q = bq_;
+    q.catalog = catalog;
+    return CreateEngine(engine)->Execute(q, opts);
   }
 
   // A run that claims success must be bit-identical.

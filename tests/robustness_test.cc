@@ -186,6 +186,30 @@ TEST(HybridSplitTest, LollipopSplitsAtTheJunction) {
   EXPECT_EQ(HybridEngine::FindSplit(bq), 3);  // junction = c
 }
 
+// The suffix run binds the junction as its first variable, so a split
+// whose suffix atoms miss the junction is invalid: at s = 2 the suffix
+// edge(c,d) does not contain b. The split falls back to s = 1, where
+// edge(a,b) carries the junction a.
+TEST(HybridSplitTest, SuffixMustContainTheJunction) {
+  Graph g = ErdosRenyi(10, 20, 3);
+  GraphRelations rels = MakeGraphRelations(g);
+  rels.v1 = SampleNodes(g, 3.0, 1);
+  Query q = MustParseQuery("v1(a), edge(a,b), edge(c,d)");
+  BoundQuery bq = Bind(q, rels.Map(), {"a", "b", "c", "d"});
+  EXPECT_EQ(HybridEngine::FindSplit(bq), 1);
+  for (bool collect : {false, true}) {
+    ExecOptions opts;
+    opts.collect_tuples = collect;
+    const ExecResult lftj = CreateEngine("lftj")->Execute(bq, opts);
+    const ExecResult hybrid = CreateEngine("hybrid")->Execute(bq, opts);
+    ASSERT_TRUE(hybrid.ok()) << hybrid.status.ToString();
+    EXPECT_GT(lftj.count, 0u);
+    EXPECT_EQ(hybrid.count, lftj.count) << "collect=" << collect;
+    EXPECT_EQ(hybrid.tuples.size(), lftj.tuples.size())
+        << "collect=" << collect;
+  }
+}
+
 TEST(HybridSplitTest, CliqueHasNoSplit) {
   Graph g = ErdosRenyi(10, 20, 3);
   GraphRelations rels = MakeGraphRelations(g);

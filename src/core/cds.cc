@@ -16,7 +16,7 @@ constexpr Value kFrontierFloor = -1;
 
 Cds::Cds(int num_vars, const Options& options, CdsArena* arena)
     : num_vars_(num_vars), options_(options), arena_(arena) {
-  assert(num_vars >= 1 && num_vars < 63);
+  assert(num_vars >= 1 && num_vars <= kMaxVars);
   if (arena_ == nullptr) {
     owned_arena_ = std::make_unique<CdsArena>();
     arena_ = owned_arena_.get();
@@ -47,7 +47,7 @@ void Cds::Reset() {
 }
 
 void Cds::Reconfigure(int num_vars, const Options& options) {
-  assert(num_vars >= 1 && num_vars < 63);
+  assert(num_vars >= 1 && num_vars <= kMaxVars);
   num_vars_ = num_vars;
   options_ = options;
   deadline_ = nullptr;

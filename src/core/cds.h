@@ -44,6 +44,10 @@ namespace wcoj {
 
 class Cds {
  public:
+  // Widest query a Cds serves: pattern equality positions are kept as
+  // 64-bit masks (eq_mask) with room for shifts up to depth num_vars - 1.
+  static constexpr int kMaxVars = 62;
+
   struct Options {
     bool idea6_complete_nodes = true;
     bool count_mode = false;  // #Minesweeper last-level tally
@@ -130,9 +134,6 @@ class Cds {
   uint64_t counted_outputs() const { return counted_outputs_; }
 
   const CdsArena& arena() const { return *arena_; }
-  // Mutable access for per-run governance (budget install / latch
-  // clear); the arena's node state is not touched through this.
-  CdsArena* mutable_arena() { return arena_; }
 
  private:
   struct ChainNode {

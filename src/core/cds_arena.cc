@@ -95,6 +95,7 @@ void CdsNode::EraseEntries(CdsArena* arena, size_t b, size_t e) {
   if (b == e) return;
   CdsEntry* d = data();
   for (size_t k = b; k < e; ++k) {
+    if (d[k].left) --left_count_;
     if (d[k].child != kCdsNull) arena->FreeSubtree(d[k].child);
   }
   std::memmove(d + b, d + e, (size_ - e) * sizeof(CdsEntry));
@@ -103,80 +104,34 @@ void CdsNode::EraseEntries(CdsArena* arena, size_t b, size_t e) {
 
 void CdsNode::InsertInterval(CdsArena* arena, Value l, Value r) {
   assert(l < r);
-  // Fast path for the dominant insert: GetFreeValue's Idea 5 cache
-  // records (x-1, x) after every successful descent — a unit gap with no
-  // integer strictly inside. If l is neither a stored left endpoint nor
-  // strictly inside an interval, nothing can merge (r = l+1 cannot be
-  // strictly inside an interval either: that interval would have to
-  // cross l), nothing is deleted, and the whole insert is one search
-  // plus two endpoint upserts.
-  if (r == l + 1) {
-    const size_t i = LowerBound(l);
-    CdsEntry* d = data();
-    const bool l_on_entry = i < size_ && d[i].v == l;
-    const bool l_is_left = l_on_entry && d[i].left;
-    const bool l_inside = !l_on_entry && i > 0 && d[i - 1].left;
-    if (!l_is_left && !l_inside) {
-      CdsEntry* le = l_on_entry ? &d[i] : InsertEntryAt(arena, i, l);
-      if (!le->left) {
-        le->left = true;
-        ++left_count_;
-      }
-      d = data();  // InsertEntryAt may have grown the buffer
-      const size_t j = i + 1;
-      CdsEntry* re =
-          j < size_ && d[j].v == r ? &d[j] : InsertEntryAt(arena, j, r);
-      re->right = true;
-      return;
-    }
+  // One search for l. No entry lies strictly inside a stored interval,
+  // so a stored left endpoint's successor is its right endpoint, and the
+  // entries the merge deletes are exactly those after l's slot that are
+  // below r: one forward walk, which EraseEntries has to make anyway to
+  // free their child subtrees.
+  size_t i = LowerBound(l);
+  CdsEntry* d = data();
+  bool have_l = i < size_ && d[i].v == l;
+  if (!have_l && i > 0 && d[i - 1].left) {
+    // l is strictly inside (d[i-1], d[i]): the merge starts at d[i-1].
+    --i;
+    have_l = true;
   }
-  // Extend left: if l is strictly inside an interval, or coincides with
-  // a stored left endpoint, the merge starts at that interval's left end
-  // and must reach at least its right end.
-  {
-    const size_t i = LowerBound(l);
-    const CdsEntry* d = data();
-    if (i < size_ && d[i].v == l) {
-      if (d[i].left) {
-        assert(i + 1 < size_ && d[i + 1].right);
-        r = std::max(r, d[i + 1].v);
-      }
-    } else if (i > 0 && d[i - 1].left) {
-      assert(i < size_ && d[i].right);
-      l = d[i - 1].v;
-      r = std::max(r, d[i].v);
-    }
-  }
-  // Extend right: if r is strictly inside an interval, absorb it.
-  // Touching at an endpoint does not merge (open intervals leave
-  // endpoints free).
-  {
-    const size_t j = LowerBound(r);
-    const CdsEntry* d = data();
-    if (!(j < size_ && d[j].v == r) && j > 0 && d[j - 1].left) {
-      assert(j < size_ && d[j].right);
-      r = d[j].v;
-    }
-  }
-  // Delete entries strictly inside (l, r); subsumed child branches go
-  // back to the arena.
-  {
-    size_t b = LowerBound(l);
-    if (b < size_ && data()[b].v == l) ++b;
-    const size_t e = LowerBound(r);
-    for (size_t k = b; k < e; ++k) {
-      if (data()[k].left) --left_count_;
-    }
-    EraseEntries(arena, b, e);
-  }
-  // Materialize the endpoints with their flags.
-  auto ensure = [&](Value v) -> CdsEntry* {
-    const size_t i = LowerBound(v);
-    if (i < size_ && data()[i].v == v) return &data()[i];
-    return InsertEntryAt(arena, i, v);
-  };
-  ensure(r)->right = true;
-  CdsEntry* le = ensure(l);
+  // The merged interval's left end is d[i] if have_l, else a new entry
+  // inserted at i. Entries [b, e) lie strictly inside it.
+  const size_t b = have_l ? i + 1 : i;
+  size_t e = b;
+  while (e < size_ && d[e].v < r) ++e;
+  // r strictly inside a stored interval (the one starting at d[e-1]):
+  // absorb it, keeping its right end d[e]. Touching at an endpoint does
+  // not merge: open intervals leave endpoints free.
+  if (e < size_ && d[e].v != r && e > 0 && d[e - 1].left) r = d[e].v;
+  EraseEntries(arena, b, e);
+  // Upsert r at the erase position, then l at the search position.
+  d = data();
+  CdsEntry* re = b < size_ && d[b].v == r ? &d[b] : InsertEntryAt(arena, b, r);
+  re->right = true;
+  CdsEntry* le = have_l ? &data()[i] : InsertEntryAt(arena, i, l);
   if (!le->left) {
     le->left = true;
     ++left_count_;

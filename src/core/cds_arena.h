@@ -92,6 +92,12 @@ class CdsNode {
   // the arena's free lists). Intervals that contain no integer are
   // still stored: their endpoints feed the pointList free-value
   // bookkeeping that Idea 6 depends on.
+  //
+  // Cost: one pointList search for l, plus a forward walk over exactly
+  // the entries the merge deletes (those strictly inside the merged
+  // interval, whose child subtrees must be freed anyway), plus at most
+  // two endpoint upserts. The dominant unit-gap insert (l, l+1) deletes
+  // nothing, so it is one search and two upserts.
   void InsertInterval(CdsArena* arena, Value l, Value r);
 
   // Child with equality label v, or kCdsNull.
@@ -151,7 +157,8 @@ class CdsNode {
   // inline tier or current buffer fills) and default-initializes the
   // new entry to {v, no child, no flags}.
   CdsEntry* InsertEntryAt(CdsArena* arena, size_t i, Value v);
-  // Erases [b, e), freeing the child subtrees of the erased entries.
+  // Erases [b, e), freeing the child subtrees of the erased entries and
+  // dropping their left flags from left_count_.
   void EraseEntries(CdsArena* arena, size_t b, size_t e);
 
   Value label_;  // kWildcard for the wildcard branch

@@ -134,8 +134,9 @@ struct ExecOptions {
   // parallel output-space partitioner (§4.10).
   Value var0_min = kNegInf;
   Value var0_max = kPosInf;
-  // Warm per-worker scratch; null means per-run private arenas. Must
-  // outlive the execution and see at most one execution at a time.
+  // Warm per-worker scratch; null means each execution uses an
+  // ExecScratch private to it. Must outlive the execution and see at
+  // most one execution at a time.
   ExecScratch* scratch = nullptr;
   // Shared cooperative stop: engines treat a requested stop exactly like
   // an expired deadline (wind down at the next frontier boundary, report

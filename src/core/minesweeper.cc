@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,33 +79,27 @@ class MsRun {
     cds_options.idea6_complete_nodes = ms_.idea6_complete_nodes;
     cds_options.count_mode = ms_.count_mode && !opts_.collect_tuples;
     cds_options.completeness_blocked = CompletenessBlockedDepths();
-    // Draw the CDS from the caller's warm per-worker scratch when one is
-    // provided (partitioned runs, repeated executions) — arena memory
-    // and the Cds shell's search vectors both stay warm across runs;
-    // otherwise build a private one that dies with this run.
-    std::optional<Cds> local_cds;
-    Cds* cds_ptr;
-    CdsArena* budget_arena;
+    // Draw the CDS from the caller's warm per-worker scratch (partitioned
+    // runs, repeated executions), where arena memory and the Cds shell's
+    // search vectors stay warm across runs; without one, from a scratch
+    // private to this run.
+    std::unique_ptr<ExecScratch> private_scratch;
+    ExecScratch* scratch = opts_.scratch;
+    if (scratch == nullptr) {
+      private_scratch = std::make_unique<ExecScratch>();
+      scratch = private_scratch.get();
+    }
+    CdsArena* arena = &scratch->cds_arena;
     // CDS growth is the engine's dominant allocator: charge it against
     // the query budget for the duration of this run. The latch (set by a
     // budget refusal or the "arena.slab" failpoint) is polled in the main
     // loop; the run winds down instead of crashing mid-insert. Budget
     // install and stale-latch clear happen BEFORE the CDS is acquired,
     // so growth during this run's own setup is governed too.
-    if (opts_.scratch != nullptr) {
-      budget_arena = &opts_.scratch->cds_arena;
-      budget_arena->ClearAllocFailed();  // stale latch from a prior query
-      budget_arena->SetBudget(opts_.budget);
-      cds_ptr = &opts_.scratch->AcquireCds(q_.num_vars, cds_options,
-                                           opts_.cds_run_token);
-    } else {
-      local_cds.emplace(q_.num_vars, cds_options);
-      cds_ptr = &*local_cds;
-      budget_arena = local_cds->mutable_arena();
-      budget_arena->SetBudget(opts_.budget);
-    }
-    Cds& cds = *cds_ptr;
-    const CdsArena* arena = budget_arena;
+    arena->ClearAllocFailed();  // stale latch from a prior query
+    arena->SetBudget(opts_.budget);
+    Cds& cds =
+        scratch->AcquireCds(q_.num_vars, cds_options, opts_.cds_run_token);
     // Stats baselines: under morsel CDS retention (cds_run_token) the
     // shell carries counters from earlier morsels of this run, so report
     // this execution's contribution as deltas. After a Reconfigure the
@@ -117,14 +110,19 @@ class MsRun {
     cds.set_deadline(&opts_.deadline);
     cds.set_stop(opts_.stop);
     InsertDomainBounds(&cds);
-    Tuple start(q_.num_vars, kFloor);
-    if (opts_.var0_min != kNegInf) start[0] = opts_.var0_min;
-    cds.SetFrontier(start);
+    Tuple t(q_.num_vars, kFloor);
+    if (opts_.var0_min != kNegInf) t[0] = opts_.var0_min;
+    cds.SetFrontier(t);
 
+    // Buffers for the whole run: the loop below reuses their capacity, so
+    // a free tuple costs no heap allocation.
     Tuple prev_free;
+    Tuple advance(q_.num_vars);
+    Tuple gap_next(q_.num_vars);
+    Tuple proj;
+    Constraint gap;
     bool prev_output = true;
     uint64_t iters = 0;
-    Tuple advance(q_.num_vars);
 
     while (cds.ComputeFreeTuple()) {
       if (arena->alloc_failed()) break;  // reported below
@@ -134,7 +132,7 @@ class MsRun {
         break;
       }
       // Copy: the Idea 8 drain below mutates the CDS frontier in place.
-      const Tuple t = cds.frontier();
+      t = cds.frontier();
       if (t[0] > opts_.var0_max) break;
       ++result_->stats.free_tuples;
 
@@ -155,13 +153,12 @@ class MsRun {
       bool exhausted = false;
 
       auto apply_gap_advance = [&](const Constraint& c) {
-        Tuple next;
-        if (!AdvancePastGap(c, t, kFloor, &next)) {
+        if (!AdvancePastGap(c, t, kFloor, &gap_next)) {
           exhausted = true;
           return;
         }
-        if (!have_advance || CompareTuples(next, advance) > 0) {
-          advance = std::move(next);
+        if (!have_advance || CompareTuples(gap_next, advance) > 0) {
+          advance.swap(gap_next);
           have_advance = true;
         }
       };
@@ -170,31 +167,30 @@ class MsRun {
       for (const auto& [lo, hi] : q_.less_than) {
         if (t[lo] < t[hi]) continue;
         found_gap = true;
-        Constraint c;
         if (lo < hi) {
-          c.pattern.assign(hi, kWildcard);
-          c.pattern[lo] = t[lo];
-          c.lo = kNegInf;
-          c.hi = t[lo] + 1;  // rules out values <= t[lo]
+          gap.pattern.assign(hi, kWildcard);
+          gap.pattern[lo] = t[lo];
+          gap.lo = kNegInf;
+          gap.hi = t[lo] + 1;  // rules out values <= t[lo]
         } else {
-          c.pattern.assign(lo, kWildcard);
-          c.pattern[hi] = t[hi];
-          c.lo = t[hi] - 1;  // rules out values >= t[hi]
-          c.hi = kPosInf;
+          gap.pattern.assign(lo, kWildcard);
+          gap.pattern[hi] = t[hi];
+          gap.lo = t[hi] - 1;  // rules out values >= t[hi]
+          gap.hi = kPosInf;
         }
-        apply_gap_advance(c);
+        apply_gap_advance(gap);
         if (exhausted) break;
       }
 
       // Probe every atom for a maximal gap box (Idea 3), short-circuited
       // by the Idea 4 cache.
       for (size_t a = 0; !exhausted && a < q_.atoms.size(); ++a) {
-        Tuple proj(atom_vars_[a].size());
-        for (size_t i = 0; i < proj.size(); ++i) proj[i] = t[atom_vars_[a][i]];
+        const std::vector<int>& vars = atom_vars_[a];
+        proj.resize(vars.size());
+        for (size_t i = 0; i < vars.size(); ++i) proj[i] = t[vars[i]];
 
-        Constraint c;
         bool have_gap = false;
-        if (ms_.idea4_gap_cache && CacheAnswers(a, proj, &c, &have_gap)) {
+        if (ms_.idea4_gap_cache && CacheAnswers(a, proj, &gap, &have_gap)) {
           ++result_->stats.gap_cache_hits;
           if (!have_gap) continue;  // cache proves no gap from this atom
         } else {
@@ -214,14 +210,14 @@ class MsRun {
           caches_[a].lub = probe.lub;
           caches_[a].at_last_attr =
               probe.fail_pos + 1 == static_cast<int>(proj.size());
-          c = MakeConstraint(a, probe.fail_pos, proj, probe.glb, probe.lub);
+          MakeConstraint(a, probe.fail_pos, proj, probe.glb, probe.lub, &gap);
           have_gap = true;
         }
         found_gap = true;
         if (skeleton_[a]) {
-          cds.InsertConstraint(c);
+          cds.InsertConstraint(gap);
         } else {
-          apply_gap_advance(c);  // Idea 7: advance only
+          apply_gap_advance(gap);  // Idea 7: advance only
         }
       }
 
@@ -237,11 +233,11 @@ class MsRun {
         }
         if (drained == 0) {
           // Idea 2: advance the frontier past the reported tuple. (When
-          // the drain fired it already exhausted the class.)
-          Tuple next = t;
-          if (next.back() == kPosInf) break;  // cannot advance further
-          ++next.back();
-          cds.SetFrontier(next);
+          // the drain fired it already exhausted the class.) t is
+          // reloaded from the frontier at the top of the loop.
+          if (t.back() == kPosInf) break;  // cannot advance further
+          ++t.back();
+          cds.SetFrontier(t);
         }
       } else {
         prev_output = false;
@@ -256,8 +252,8 @@ class MsRun {
     if (cds.timed_out()) result_->status.Update(opts_.AbortStatus());
     // Detach the budget and clear the latch so a pooled scratch arena is
     // reusable by the next (possibly differently-governed) run.
-    budget_arena->ClearAllocFailed();
-    budget_arena->SetBudget(nullptr);
+    arena->ClearAllocFailed();
+    arena->SetBudget(nullptr);
     result_->stats.constraints_inserted +=
         cds.constraints_inserted() - base_constraints;
     result_->stats.cds_nodes_allocated +=
@@ -320,7 +316,7 @@ class MsRun {
   // can come from this atom" (have_gap=false: the projection sits exactly
   // on the cached gap's right endpoint at the atom's last attribute, hence
   // is a member) or "the cached gap still contains the projection"
-  // (have_gap=true, *c filled).
+  // (have_gap=true, *c overwritten).
   bool CacheAnswers(size_t a, const Tuple& proj, Constraint* c,
                     bool* have_gap) {
     const GapCache& cache = caches_[a];
@@ -335,7 +331,7 @@ class MsRun {
       return true;
     }
     if (cache.glb < v && v < cache.lub) {
-      *c = MakeConstraint(a, cache.fail_pos, proj, cache.glb, cache.lub);
+      MakeConstraint(a, cache.fail_pos, proj, cache.glb, cache.lub, c);
       *have_gap = true;
       return true;
     }
@@ -344,15 +340,14 @@ class MsRun {
 
   // §4.5: lift an atom-local gap to a global constraint. Equalities at the
   // atom's attribute positions before the failing one, wildcards elsewhere.
-  Constraint MakeConstraint(size_t a, int fail_pos, const Tuple& proj,
-                            Value glb, Value lub) {
+  // Overwrites *c, reusing its pattern's capacity.
+  void MakeConstraint(size_t a, int fail_pos, const Tuple& proj, Value glb,
+                      Value lub, Constraint* c) const {
     const std::vector<int>& vars = atom_vars_[a];
-    Constraint c;
-    c.pattern.assign(vars[fail_pos], kWildcard);
-    for (int p = 0; p < fail_pos; ++p) c.pattern[vars[p]] = proj[p];
-    c.lo = glb;
-    c.hi = lub;
-    return c;
+    c->pattern.assign(vars[fail_pos], kWildcard);
+    for (int p = 0; p < fail_pos; ++p) c->pattern[vars[p]] = proj[p];
+    c->lo = glb;
+    c->hi = lub;
   }
 
   const MsOptions& ms_;
@@ -371,6 +366,15 @@ class MsRun {
 ExecResult MinesweeperEngine::Execute(const BoundQuery& q,
                                       const ExecOptions& opts) const {
   ExecResult result;
+  // The CDS keys equality positions, and the Idea 8 drain its soundness
+  // mask, by 64-bit masks: refuse wider queries before building either.
+  if (q.num_vars > Cds::kMaxVars) {
+    result.status = Status(
+        StatusCode::kInvalidArgument,
+        "minesweeper supports at most " + std::to_string(Cds::kMaxVars) +
+            " variables (query has " + std::to_string(q.num_vars) + ")");
+    return result;
+  }
   // A degenerate x<x filter makes the query unsatisfiable; the gap-box
   // encoding below assumes lo != hi, so answer before entering the loop.
   for (const auto& [lo, hi] : q.less_than) {

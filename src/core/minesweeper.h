@@ -20,7 +20,8 @@
 // CDS, mirroring Idea 7's handling of non-skeleton atoms).
 //
 // Contract: Minesweeper requires nonnegative domain values (the frontier
-// floor is -1); Execute asserts this.
+// floor is -1) and at most Cds::kMaxVars variables; Execute refuses
+// other queries with kInvalidArgument.
 
 #include <string>
 

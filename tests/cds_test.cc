@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -37,6 +39,24 @@ class IntervalOracle {
       x = best;
     }
     return x;
+  }
+
+  // Number of maximal open intervals in the union: overlapping intervals
+  // merge, touching ones do not (their shared endpoint stays free).
+  size_t MergedCount() const {
+    std::vector<std::pair<Value, Value>> sorted = intervals_;
+    std::sort(sorted.begin(), sorted.end());
+    size_t n = 0;
+    Value reach = kNegInf;
+    for (const auto& [l, r] : sorted) {
+      if (n == 0 || l >= reach) {
+        ++n;
+        reach = r;
+      } else {
+        reach = std::max(reach, r);
+      }
+    }
+    return n;
   }
 
  private:
@@ -148,22 +168,101 @@ TEST(CdsNodeTest, PointListSpillsPastInlineTierAndStaysSorted) {
 
 class CdsNodeFuzzTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(CdsNodeFuzzTest, NextMatchesOracleUnderRandomInserts) {
+// Random interval inserts mixed with child placements. After every
+// insert, the node's pointList must match the oracle in behaviour (Next),
+// in shape (sorted entries, each left endpoint followed by its right
+// endpoint, merged-interval count) and in what it kept: a child survives
+// exactly when its label is not strictly inside a stored interval, and
+// every subsumed child goes back to the arena's free list.
+TEST_P(CdsNodeFuzzTest, StructureAndNextMatchOracleUnderRandomInserts) {
   Rng rng(GetParam() * 104729 + 17);
-  NodeFixture f;
-  IntervalOracle oracle;
-  for (int step = 0; step < 200; ++step) {
-    Value l = static_cast<Value>(rng.NextBounded(60)) - 5;
-    Value r = l + 1 + static_cast<Value>(rng.NextBounded(12));
-    if (rng.NextBounded(10) == 0) l = kNegInf;
-    if (rng.NextBounded(10) == 0) r = kPosInf;
-    f.node->InsertInterval(&f.arena, l, r);
-    oracle.Insert(l, r);
-    for (Value x = -6; x <= 60; ++x) {
-      ASSERT_EQ(f.node->Next(x), oracle.Next(x))
-          << "x=" << x << " step=" << step;
+  uint64_t max_erased = 0;  // most entries one insert deleted
+  // Rounds start from an empty node, so later rounds again build dense
+  // pointLists for long inserts to sweep.
+  for (int round = 0; round < 8; ++round) {
+    NodeFixture f;
+    IntervalOracle oracle;
+    // Child label -> nodes in its subtree (1, or 2 with a grandchild).
+    std::map<Value, uint64_t> children;
+    uint64_t free_nodes = 0;  // subsumed nodes not yet reused
+    // One AllocNode through `place`: served from the free list iff an
+    // earlier insert returned subsumed children there.
+    auto expect_alloc = [&](auto place) {
+      const uint64_t allocated = f.arena.nodes_allocated();
+      const uint64_t recycled = f.arena.nodes_recycled();
+      const CdsIndex c = place();
+      EXPECT_NE(c, kCdsNull);
+      if (free_nodes > 0) {
+        EXPECT_EQ(f.arena.nodes_recycled(), recycled + 1);
+        --free_nodes;
+      } else {
+        EXPECT_EQ(f.arena.nodes_allocated(), allocated + 1);
+      }
+      return c;
+    };
+    for (int step = 0; step < 100; ++step) {
+      if (rng.NextBounded(2) == 0) {
+        const Value label = static_cast<Value>(rng.NextBounded(120)) - 5;
+        if (oracle.Covered(label) || children.count(label) != 0) continue;
+        const CdsIndex c = expect_alloc(
+            [&] { return f.node->EnsureChild(&f.arena, label, &f.ids); });
+        children[label] = 1;
+        if (rng.NextBounded(2) == 0) {
+          expect_alloc([&] {
+            return f.arena.node(c)->EnsureChild(&f.arena, 0, &f.ids);
+          });
+          children[label] = 2;
+        }
+        continue;
+      }
+      // Mostly short gaps (unit gaps dominate real runs), some long
+      // ones that merge many intervals at once.
+      Value l = static_cast<Value>(rng.NextBounded(120)) - 5;
+      Value r = l + 1 +
+                static_cast<Value>(rng.NextBounded(8) == 0
+                                       ? 20 + rng.NextBounded(40)
+                                       : rng.NextBounded(4));
+      if (rng.NextBounded(20) == 0) l = kNegInf;
+      if (rng.NextBounded(20) == 0) r = kPosInf;
+      const uint32_t before = f.node->num_entries();
+      f.node->InsertInterval(&f.arena, l, r);
+      oracle.Insert(l, r);
+      // Lower bound on the entries deleted: at most two were added.
+      if (before > f.node->num_entries()) {
+        max_erased = std::max<uint64_t>(max_erased,
+                                        before - f.node->num_entries());
+      }
+
+      const uint32_t n = f.node->num_entries();
+      for (uint32_t i = 0; i < n; ++i) {
+        if (i > 0) {
+          ASSERT_LT(f.node->entry(i - 1).v, f.node->entry(i).v) << step;
+        }
+        if (f.node->entry(i).left) {
+          ASSERT_LT(i + 1, n) << step;
+          ASSERT_TRUE(f.node->entry(i + 1).right) << "i=" << i << " " << step;
+        }
+      }
+      ASSERT_EQ(f.node->NumIntervals(), oracle.MergedCount()) << step;
+      for (auto it = children.begin(); it != children.end();) {
+        const bool alive = !oracle.Covered(it->first);
+        ASSERT_EQ(f.node->Child(it->first) != kCdsNull, alive)
+            << "label=" << it->first << " step=" << step;
+        if (alive) {
+          ++it;
+        } else {
+          free_nodes += it->second;
+          it = children.erase(it);
+        }
+      }
+      for (Value x = -6; x <= 120; ++x) {
+        ASSERT_EQ(f.node->Next(x), oracle.Next(x))
+            << "x=" << x << " step=" << step;
+      }
     }
   }
+  // The seed must have exercised a long erase run over a pooled buffer.
+  EXPECT_GT(max_erased, 8u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CdsNodeFuzzTest, ::testing::Range(0, 10));

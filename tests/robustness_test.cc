@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cds.h"
 #include "core/engine.h"
 #include "graph/generators.h"
 #include "graph/sampling.h"
@@ -138,6 +139,66 @@ TEST(DegenerateInputTest, ReversedFilterAgainstGao) {
   for (const char* name : {"lftj", "ms", "psql"}) {
     EXPECT_EQ(CreateEngine(name)->Execute(bq, ExecOptions{}).count, expected)
         << name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Wide queries: the CDS keys equality positions by 64-bit masks, so every
+// Minesweeper-based engine refuses a query with more than Cds::kMaxVars
+// variables with kInvalidArgument; LFTJ still answers it.
+
+// `n`-variable path x0 - x1 - ... over relation e, bound in path order;
+// `closed` adds edge(x0, x_{n-1}), which leaves the hybrid no split.
+BoundQuery WidePath(const Relation& e, int n, bool closed) {
+  std::string text;
+  std::vector<std::string> gao;
+  for (int v = 0; v < n; ++v) gao.push_back("x" + std::to_string(v));
+  for (int v = 0; v + 1 < n; ++v) {
+    text += (v == 0 ? "" : ", ") + ("e(" + gao[v] + "," + gao[v + 1] + ")");
+  }
+  if (closed) text += ", e(" + gao.front() + "," + gao.back() + ")";
+  return Bind(MustParseQuery(text), {{"e", &e}}, gao);
+}
+
+const char* const kMinesweeperEngines[] = {
+    "ms", "#ms", "ms-noidea4", "ms-noidea6", "ms-noidea46", "ms-noidea7",
+    "hybrid"};
+
+TEST(WideQueryTest, MinesweeperEnginesRefuseMoreThanKMaxVars) {
+  std::vector<Tuple> chain;
+  for (Value i = 0; i < 100; ++i) chain.push_back({i, i + 1});
+  const Relation e = Relation::FromTuples(2, chain);
+  for (bool closed : {false, true}) {
+    const BoundQuery bq = WidePath(e, 71, closed);
+    // The path splits for the hybrid (a 70-variable Minesweeper prefix);
+    // the closed path does not (a pure Minesweeper fallback).
+    EXPECT_EQ(HybridEngine::FindSplit(bq) == 0, closed);
+    const ExecResult lftj = CreateEngine("lftj")->Execute(bq, ExecOptions{});
+    ASSERT_TRUE(lftj.ok()) << lftj.status.ToString();
+    EXPECT_EQ(lftj.count, closed ? 0u : 31u);  // 70-edge paths in the chain
+    for (const char* name : kMinesweeperEngines) {
+      for (bool collect : {false, true}) {
+        ExecOptions opts;
+        opts.collect_tuples = collect;
+        const ExecResult r = CreateEngine(name)->Execute(bq, opts);
+        EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+            << name << " closed=" << closed << ": " << r.status.ToString();
+        EXPECT_EQ(r.count, 0u) << name;
+        EXPECT_TRUE(r.tuples.empty()) << name;
+      }
+    }
+  }
+}
+
+TEST(WideQueryTest, MinesweeperAnswersAtKMaxVars) {
+  std::vector<Tuple> chain;
+  for (Value i = 0; i < 100; ++i) chain.push_back({i, i + 1});
+  const Relation e = Relation::FromTuples(2, chain);
+  const BoundQuery bq = WidePath(e, Cds::kMaxVars, false);
+  for (const char* name : kMinesweeperEngines) {
+    const ExecResult r = CreateEngine(name)->Execute(bq, ExecOptions{});
+    ASSERT_TRUE(r.ok()) << name << ": " << r.status.ToString();
+    EXPECT_EQ(r.count, 40u) << name;  // 61-edge paths in the chain
   }
 }
 

@@ -551,6 +551,30 @@ TEST_F(ServerTest, InvalidQueriesGetStructuredErrorsOnALiveConnection) {
   EXPECT_EQ(server->stats().invalid, 5u);
 }
 
+// A 71-variable path is past Minesweeper's variable limit: every
+// Minesweeper-based engine refuses it with a structured INVALID_ARGUMENT
+// reply (not a crash, not a count), and the connection keeps serving.
+TEST_F(ServerTest, WideQueryIsRefusedByMinesweeperEnginesOverTheWire) {
+  std::string wide;
+  for (int v = 0; v + 1 < 71; ++v) {
+    wide += (v == 0 ? "" : ", ") + ("edge(x" + std::to_string(v) + ",x" +
+                                    std::to_string(v + 1) + ")");
+  }
+  auto server = StartServer(SmallConfig());
+  ServerClient conn;
+  ASSERT_TRUE(conn.Connect(server->port()).ok());
+  ServerReply r;
+  for (const char* engine : {"ms", "#ms", "ms-noidea7", "hybrid"}) {
+    ASSERT_TRUE(Call(conn, QueryLine(wide, engine), &r)) << engine;
+    EXPECT_FALSE(r.ok) << engine;
+    EXPECT_EQ(r.code, "INVALID_ARGUMENT") << engine << ": " << r.message;
+    EXPECT_NE(r.message.find("variables"), std::string::npos) << r.message;
+  }
+  ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "ms"), &r));
+  EXPECT_TRUE(r.ok) << r.message;
+  EXPECT_EQ(r.count, cheap_count_);
+}
+
 TEST_F(ServerTest, DeadlineExpiryIsAStructuredReplyAndConnectionSurvives) {
   auto server = StartServer(SmallConfig());
   ServerClient conn;

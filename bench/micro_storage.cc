@@ -5,9 +5,8 @@
 // every table in the paper.
 //
 // The deep-trie SeekGap, the leapfrog and the intersection-count
-// benchmarks also run under each search kernel (forced scalar vs
-// auto-dispatched SIMD) and key tier (raw-only vs force-packed); the
-// label names the pair that ran.
+// benchmarks also run under each key tier (raw-only vs force-packed);
+// the label names the tier policy that ran.
 //
 // After the registered benchmarks run, main() writes one
 // machine-readable report, BENCH_governor.json: the memory-budget and
@@ -31,7 +30,6 @@
 #include "storage/catalog.h"
 #include "storage/intersect.h"
 #include "storage/level_keys.h"
-#include "storage/search_kernels.h"
 #include "storage/trie.h"
 #include "tests/cds_reference.h"
 #include "util/failpoint.h"
@@ -61,32 +59,16 @@ Relation RandomRows(int64_t n, uint64_t seed, int arity = 1) {
   return r;
 }
 
-// The kernel x tier axes: a benchmark registered with
-// ArgsProduct({..., kKernelArgs, kTierArgs}) reads them from its last
-// two args. Forcing the kernel is process-wide, so the benchmark holds
-// it for its whole run and restores auto dispatch on exit.
-const std::vector<int64_t> kKernelArgs = {0, 1};  // scalar, auto
-const std::vector<int64_t> kTierArgs = {0, 1};    // raw-only, force-packed
+// The tier axis: a benchmark registered with ArgsProduct({n, kTierArgs})
+// reads its tier policy from arg 1, and the run is labelled with it.
+const std::vector<int64_t> kTierArgs = {0, 1};  // raw-only, force-packed
 
-class KernelTierScope {
- public:
-  KernelTierScope(benchmark::State& state, int kernel_arg, int tier_arg)
-      : tier_(tier_arg == 0 ? TierPolicy::kRawOnly
-                            : TierPolicy::kForcePacked) {
-    const KernelKind kernel = ForceSearchKernel(
-        kernel_arg == 0 ? KernelKind::kScalar : KernelKind::kAuto);
-    state.SetLabel(std::string(KernelName(kernel)) + "/" +
-                   TierPolicyName(tier_));
-  }
-  ~KernelTierScope() { ForceSearchKernel(KernelKind::kAuto); }
-  KernelTierScope(const KernelTierScope&) = delete;
-  KernelTierScope& operator=(const KernelTierScope&) = delete;
-
-  TierPolicy tier() const { return tier_; }
-
- private:
-  TierPolicy tier_;
-};
+TierPolicy TierArg(benchmark::State& state) {
+  const TierPolicy tier =
+      state.range(1) == 0 ? TierPolicy::kRawOnly : TierPolicy::kForcePacked;
+  state.SetLabel(TierPolicyName(tier));
+  return tier;
+}
 
 void BM_TrieSeek(benchmark::State& state) {
   const Relation rel = RandomRows(state.range(0), 1);
@@ -124,13 +106,11 @@ BENCHMARK(BM_SeekGap)->Arg(1 << 10)->Arg(1 << 14);
 // intersection mixes catch-up seeks with match advances. Items are
 // leapfrog steps: every Seek plus every Next.
 void BM_LeapfrogIntersect(benchmark::State& state) {
-  const KernelTierScope scope(state, static_cast<int>(state.range(1)),
-                              static_cast<int>(state.range(2)));
+  const TierPolicy tier = TierArg(state);
   const Relation a = RandomRows(state.range(0), 5, 2);
   const Relation b = RandomRows(state.range(0), 6, 2);
   const Relation c = RandomRows(state.range(0) / 8, 7, 2);
-  const TrieIndex ia(a, {}, scope.tier()), ib(b, {}, scope.tier()),
-      ic(c, {}, scope.tier());
+  const TrieIndex ia(a, {}, tier), ib(b, {}, tier), ic(c, {}, tier);
   uint64_t steps = 0;
   for (auto _ : state) {
     TrieIterator ta(&ia), tb(&ib), tc(&ic);
@@ -150,7 +130,7 @@ void BM_LeapfrogIntersect(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(steps));
 }
 BENCHMARK(BM_LeapfrogIntersect)
-    ->ArgsProduct({{1 << 10, 1 << 14}, kKernelArgs, kTierArgs});
+    ->ArgsProduct({{1 << 10, 1 << 14}, kTierArgs});
 
 // LFTJ's count-only last variable: one SpanIntersector call over two
 // sibling groups of one trie level (the self-join shape, so packed
@@ -159,8 +139,7 @@ BENCHMARK(BM_LeapfrogIntersect)
 // and 4 merge and 64 gallops.
 // Items are span keys, so rows compare across ratios as throughput.
 void BM_IntersectCount(benchmark::State& state) {
-  const KernelTierScope scope(state, static_cast<int>(state.range(1)),
-                              static_cast<int>(state.range(2)));
+  const TierPolicy tier = TierArg(state);
   const int64_t short_len = 1 << 10;
   const int64_t long_len = short_len * state.range(0);
   Rng rng(9);
@@ -172,7 +151,7 @@ void BM_IntersectCount(benchmark::State& state) {
     rel.Add({1, static_cast<Value>(rng.NextBounded(long_len * 4))});
   }
   rel.Build();
-  const TrieIndex index(rel, {}, scope.tier());
+  const TrieIndex index(rel, {}, tier);
   const KeySpan groups[] = {
       {&index.Keys(1), index.ChildBegin(0, 0), index.ChildEnd(0, 0)},
       {&index.Keys(1), index.ChildBegin(0, 1), index.ChildEnd(0, 1)}};
@@ -187,7 +166,7 @@ void BM_IntersectCount(benchmark::State& state) {
       state.iterations() * (groups[0].size() + groups[1].size())));
 }
 BENCHMARK(BM_IntersectCount)
-    ->ArgsProduct({{1, 4, 64}, kKernelArgs, kTierArgs});
+    ->ArgsProduct({{1, 4, 64}, kTierArgs});
 
 void BM_CdsInsertAndNext(benchmark::State& state) {
   Rng rng(8);
@@ -314,11 +293,10 @@ Relation DeepSkewed(int arity, size_t rows, uint64_t seed) {
 // half random tuples over the per-level domains.
 void BM_DeepTrieSeekGap(benchmark::State& state) {
   const int arity = static_cast<int>(state.range(0));
-  const KernelTierScope scope(state, static_cast<int>(state.range(1)),
-                              static_cast<int>(state.range(2)));
+  const TierPolicy tier = TierArg(state);
   const Relation rel = DeepSkewed(arity, 1 << 15, 11);
   const std::vector<Value> domain = DeepDomains(arity);
-  const TrieIndex index(rel, {}, scope.tier());
+  const TrieIndex index(rel, {}, tier);
   Rng rng(12);
   Tuple t(arity);
   for (auto _ : state) {
@@ -334,7 +312,7 @@ void BM_DeepTrieSeekGap(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DeepTrieSeekGap)->ArgsProduct({{3, 4, 5}, kKernelArgs, kTierArgs});
+BENCHMARK(BM_DeepTrieSeekGap)->ArgsProduct({{3, 4, 5}, kTierArgs});
 
 // Full depth-first sweep; returns the number of leaves visited.
 uint64_t SweepTrie(TrieIterator* it, int arity, int depth = 0) {

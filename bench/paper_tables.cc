@@ -130,6 +130,16 @@ std::vector<double> Samples(const Table& t, const std::string& dataset,
       sizes.push_back(g.num_edges());
       return sizes;
     }
+    case Sample::kExactNodes: {
+      // N at or above the graph's node count keeps every node: clamp N so
+      // the cell key shows the sample that ran, and run it once.
+      std::vector<double> sizes;
+      for (const double n : t.samples) {
+        const double kept = std::min(n, static_cast<double>(g.num_nodes()));
+        if (sizes.empty() || sizes.back() != kept) sizes.push_back(kept);
+      }
+      return sizes;
+    }
     default:
       return t.samples;
   }

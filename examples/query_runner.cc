@@ -23,11 +23,6 @@
 // repeats. A 60s deadline per iteration demonstrates the cancellation
 // contract — one timed-out morsel stops the whole run.
 //
-// --kernel NAME pins the block-search kernel (scalar, sse4, avx2, neon,
-// auto) for A-B runs; auto (the default) dispatches to the best ISA the
-// CPU supports. Results are identical across kernels by construction —
-// only the seek throughput moves.
-//
 // --load-catalog DIR mmaps a previously saved index catalog before the
 // first run (stale/corrupt entries are counted, logged with a per-file
 // reason, and rebuild in memory), and --save-catalog DIR writes the
@@ -70,7 +65,6 @@
 #include "parallel/partitioned_run.h"
 #include "parallel/worker_pool.h"
 #include "query/parser.h"
-#include "storage/search_kernels.h"
 #include "util/failpoint.h"
 #include "util/mem_budget.h"
 #include "util/stopwatch.h"
@@ -127,31 +121,14 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (std::strcmp(argv[i], "--kernel") == 0 && i + 1 < argc) {
-      KernelKind kind;
-      if (!ParseKernelName(argv[++i], &kind)) {
-        std::fprintf(stderr, "unknown kernel '%s'; known:", argv[i]);
-        for (const KernelKind k : SupportedKernels())
-          std::fprintf(stderr, " %s", KernelName(k));
-        std::fprintf(stderr, " auto\n");
-        return 2;
-      }
-      const KernelKind active = ForceSearchKernel(kind);
-      if (kind != KernelKind::kAuto && active != kind) {
-        std::fprintf(stderr, "kernel '%s' unsupported on this CPU\n",
-                     KernelName(kind));
-        return 2;
-      }
-      std::printf("search kernel: %s\n", KernelName(active));
-      continue;
-    }
     args.push_back(argv[i]);
   }
 
-  if (args.empty()) {
+  // A query and an engine at most: anything else is a mistyped or
+  // unknown flag, which must not run silently with the defaults.
+  if (args.empty() || args.size() > 2) {
     std::fprintf(stderr,
                  "usage: %s \"<query>\" [engine] [--repeat N] [--threads N] "
-                 "[--kernel scalar|sse4|avx2|neon|auto] "
                  "[--mem-budget-mb N] [--deadline-ms N] "
                  "[--save-catalog DIR] [--load-catalog DIR]\n"
                  "exit codes: 0 ok, 1 other failure, 2 bad input or "

@@ -9,11 +9,11 @@ namespace wcoj {
 // and at the last depth only when it collects tuples: a count-only run
 // counts its last variable with one storage/intersect.h span
 // intersection per binding of the others instead. Every Seek lands in
-// TrieIndex::LowerBound and from there in the dispatched SIMD
-// block-search kernels (storage/search_kernels.h), over whatever key
-// tier the level was built with. The loop itself stays scalar
-// bookkeeping — index wrap-around is a compare instead of a modulo so
-// the per-advance cost is a handful of predictable ops.
+// TrieIndex::LowerBound and from there in the gallop-and-count bound
+// search (storage/search_kernels.h), over whatever key tier the level
+// was built with. The loop itself stays scalar bookkeeping — index
+// wrap-around is a compare instead of a modulo so the per-advance cost
+// is a handful of predictable ops.
 
 LeapfrogJoin::LeapfrogJoin(std::vector<TrieIterator*> iters)
     : iters_(std::move(iters)) {

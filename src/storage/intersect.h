@@ -6,8 +6,8 @@
 //
 // This is the count-only form of the unary leapfrog join: when a join
 // only needs how many values its last variable takes, walking the
-// intersection one Seek at a time (each a tier switch plus a dispatched
-// kernel call) is replaced by one pass over the spans.
+// intersection one Seek at a time (each a tier switch plus a bound
+// search) is replaced by one pass over the spans.
 //
 //  * Each span is first clamped to the [lo, hi] window; a clamp costs a
 //    bound search only when the span's first (last) key lies outside it.
@@ -17,7 +17,7 @@
 //    least kGallopRatio times longer, by galloping every candidate into
 //    it with LevelKeys::LowerBound. The choice depends only on lengths,
 //    so the work — and the probe count below — is the same under every
-//    search kernel and key tier.
+//    key tier.
 //  * When every span reads the same tier and the same frame of
 //    reference (raw, or packed with one base — always the case when all
 //    spans come from one LevelKeys, the self-join shape), merges compare

@@ -159,40 +159,32 @@ size_t LevelKeys::PayloadBytes() const {
   return 0;
 }
 
-template <bool Upper>
-size_t LevelKeys::Search(size_t lo, size_t hi, Value v) const {
+size_t LevelKeys::LowerBound(size_t lo, size_t hi, Value v) const {
   if (lo >= hi) return lo;
-  switch (tier_) {
-    case KeyTier::kRaw:
-      return Upper ? KernelUpperBound(raw_, lo, hi, v)
-                   : KernelLowerBound(raw_, lo, hi, v);
-    case KeyTier::kPacked8:
-    case KeyTier::kPacked16:
-    case KeyTier::kPacked32: {
-      // Translate the target into offset space once; the translation is
-      // order-preserving on the encodable range, and targets outside it
-      // resolve to the range ends without touching the array.
-      if (Upper ? v < base_ : v <= base_) return lo;  // every key >= base_
-      const uint64_t target = Span(base_, v);
-      if (tier_ == KeyTier::kPacked8) {
-        if (target > UINT8_MAX) return hi;
-        const uint8_t t = static_cast<uint8_t>(target);
-        return Upper ? KernelUpperBound(p8_, lo, hi, t)
-                     : KernelLowerBound(p8_, lo, hi, t);
-      }
-      if (tier_ == KeyTier::kPacked16) {
-        if (target > UINT16_MAX) return hi;
-        const uint16_t t = static_cast<uint16_t>(target);
-        return Upper ? KernelUpperBound(p16_, lo, hi, t)
-                     : KernelLowerBound(p16_, lo, hi, t);
-      }
-      if (target > UINT32_MAX) return hi;
-      const uint32_t t = static_cast<uint32_t>(target);
-      return Upper ? KernelUpperBound(p32_, lo, hi, t)
-                   : KernelLowerBound(p32_, lo, hi, t);
-    }
+  if (tier_ == KeyTier::kRaw) return KernelLowerBound(raw_, lo, hi, v);
+  // Translate the target into offset space once; the translation is
+  // order-preserving on the encodable range, and targets outside it
+  // resolve to the range ends without touching the array.
+  if (v <= base_) return lo;  // every key >= base_
+  const uint64_t target = Span(base_, v);
+  if (tier_ == KeyTier::kPacked8) {
+    if (target > UINT8_MAX) return hi;
+    return KernelLowerBound(p8_, lo, hi, static_cast<uint8_t>(target));
   }
-  return lo;  // unreachable
+  if (tier_ == KeyTier::kPacked16) {
+    if (target > UINT16_MAX) return hi;
+    return KernelLowerBound(p16_, lo, hi, static_cast<uint16_t>(target));
+  }
+  if (target > UINT32_MAX) return hi;
+  return KernelLowerBound(p32_, lo, hi, static_cast<uint32_t>(target));
+}
+
+size_t LevelKeys::UpperBound(size_t lo, size_t hi, Value v) const {
+  // The least key > v is the least key >= v + 1. No key exceeds kPosInf,
+  // so there the bound is the range end. On a packed tier a target at
+  // the lane maximum becomes one past it, which LowerBound maps to hi.
+  if (v == kPosInf) return lo < hi ? hi : lo;
+  return LowerBound(lo, hi, v + 1);
 }
 
 void LevelKeys::Decode(size_t lo, size_t hi, Value* out) const {
@@ -215,14 +207,6 @@ void LevelKeys::Decode(size_t lo, size_t hi, Value* out) const {
       packed(p32_);
       return;
   }
-}
-
-size_t LevelKeys::LowerBound(size_t lo, size_t hi, Value v) const {
-  return Search<false>(lo, hi, v);
-}
-
-size_t LevelKeys::UpperBound(size_t lo, size_t hi, Value v) const {
-  return Search<true>(lo, hi, v);
 }
 
 size_t LevelKeys::MemoryBytes() const {

@@ -11,21 +11,20 @@
 // build time: kPacked8/16/32, fixed-width offsets from the level's
 // minimum key (frame of reference). A level is eligible when max-min
 // fits the width; a seek translates its target once and gallops over
-// the narrow lanes, so the working set shrinks 8x/4x/2x and the SIMD
-// block scans compare 2-8x more keys per vector. A level whose keys
-// span more than 2^32 stays raw.
+// the narrow lanes, so the working set shrinks 8x/4x/2x. A level whose
+// keys span more than 2^32 stays raw.
 //
 // Every read goes through At / LowerBound / UpperBound, so iterators,
 // SeekGap, SplitPoints, and the engines above them are layout-blind.
 // Bound searches gallop (amortized O(1 + log distance), the contract
-// both join algorithms assume) and finish in the dispatched SIMD block
-// scan of storage/search_kernels.h, in the tier's native lane width.
+// both join algorithms assume) and finish in the branch-free block count
+// of storage/search_kernels.h, in the tier's native lane width.
 //
 // Encoding never changes results: an ineligible or degenerate level
 // (empty, single-key, or any level of an arity-1 trie) silently stays
 // raw, including under the force policy the tests sweep. The
 // differential harness (tests/kernel_differential_test.cc) pins every
-// (kernel, tier) pair against the scalar/raw oracle.
+// tier against the raw-tier oracle.
 //
 // Storage is a pointer + backing pair: every tier reads through const
 // pointers, which normally aim at vectors the LevelKeys owns (Build),
@@ -120,8 +119,9 @@ class LevelKeys {
   void Decode(size_t lo, size_t hi, Value* out) const;
 
   // Least index in [lo, hi) whose key is >= v resp. > v; [lo, hi) must
-  // lie within one sorted parent group. Gallops from lo through the
-  // active search kernel in the tier's native lane width.
+  // lie within one sorted parent group. Gallops from lo through
+  // KernelLowerBound in the tier's native lane width; an upper bound is
+  // the lower bound of v + 1.
   size_t LowerBound(size_t lo, size_t hi, Value v) const;
   size_t UpperBound(size_t lo, size_t hi, Value v) const;
 
@@ -131,9 +131,6 @@ class LevelKeys {
   size_t MemoryBytes() const;
 
  private:
-  template <bool Upper>
-  size_t Search(size_t lo, size_t hi, Value v) const;
-
   // Packs `keys` into the narrowest width their span fits; a span
   // beyond 32 bits leaves the level raw.
   void TryPack(const std::vector<Value>& keys);

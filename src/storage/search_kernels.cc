@@ -1,620 +1,50 @@
 #include "storage/search_kernels.h"
 
-#include <atomic>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define WCOJ_KERNELS_X86 1
-#endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#define WCOJ_KERNELS_NEON 1
-#endif
-
 namespace wcoj {
 
 namespace {
 
-// A block scan answers "least index in [0, n) with a[i] >= v (Lower)
-// resp. > v (Upper)" over one small sorted block. The SIMD variants
-// compute it as a population count of lanes comparing before v — no
-// branches, no early exit, identical result to the scalar loop on any
-// sorted input. Block scans only ever read [a, a + n), which is what
-// keeps them in-bounds under ASan no matter how the caller bracketed.
-struct BlockScans {
-  size_t (*lb_i64)(const int64_t* a, size_t n, int64_t v);
-  size_t (*ub_i64)(const int64_t* a, size_t n, int64_t v);
-  size_t (*lb_u32)(const uint32_t* a, size_t n, uint32_t v);
-  size_t (*ub_u32)(const uint32_t* a, size_t n, uint32_t v);
-  size_t (*lb_u16)(const uint16_t* a, size_t n, uint16_t v);
-  size_t (*ub_u16)(const uint16_t* a, size_t n, uint16_t v);
-  size_t (*lb_u8)(const uint8_t* a, size_t n, uint8_t v);
-  size_t (*ub_u8)(const uint8_t* a, size_t n, uint8_t v);
-  KernelKind kind;
-};
+// Once the gallop has bracketed the answer, bisect only while the
+// bracket is wider than this; below it, counting the whole bracket beats
+// the remaining data-dependent branches. The cut is the same for every
+// lane width: wider (SIMD-sized) cuts measured slower on the engines.
+constexpr size_t kBlockCut = 16;
 
-// --- scalar ---
+}  // namespace
+
+const char* KernelName(KernelKind) { return "portable"; }
+
+KernelKind ActiveSearchKernel() { return KernelKind::kPortable; }
 
 template <typename T>
-size_t LbScalar(const T* a, size_t n, T v) {
-  size_t i = 0;
-  while (i < n && a[i] < v) ++i;
-  return i;
-}
-
-template <typename T>
-size_t UbScalar(const T* a, size_t n, T v) {
-  size_t i = 0;
-  while (i < n && a[i] <= v) ++i;
-  return i;
-}
-
-constexpr BlockScans kScalarScans = {
-    LbScalar<int64_t>,  UbScalar<int64_t>,  LbScalar<uint32_t>,
-    UbScalar<uint32_t>, LbScalar<uint16_t>, UbScalar<uint16_t>,
-    LbScalar<uint8_t>,  UbScalar<uint8_t>,  KernelKind::kScalar,
-};
-
-#if defined(WCOJ_KERNELS_X86)
-
-// --- SSE4.2 (128-bit) ---
-//
-// Unsigned lane types have no unsigned compare; XOR with the sign bit
-// maps unsigned order onto signed order. For lower bound we count lanes
-// with a[i] < v; for upper bound, n minus the lanes with a[i] > v —
-// both exact indexes because the block is sorted.
-
-__attribute__((target("sse4.2"))) size_t LbI64Sse4(const int64_t* a,
-                                                   size_t n, int64_t v) {
-  size_t i = 0, cnt = 0;
-  const __m128i vv = _mm_set1_epi64x(v);
-  for (; i + 2 <= n; i += 2) {
-    const __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i lt = _mm_cmpgt_epi64(vv, x);  // a[i] < v
-    cnt += __builtin_popcount(_mm_movemask_pd(_mm_castsi128_pd(lt)));
-  }
-  for (; i < n; ++i) cnt += a[i] < v;
-  return cnt;
-}
-
-__attribute__((target("sse4.2"))) size_t UbI64Sse4(const int64_t* a,
-                                                   size_t n, int64_t v) {
-  size_t i = 0, gt = 0;
-  const __m128i vv = _mm_set1_epi64x(v);
-  for (; i + 2 <= n; i += 2) {
-    const __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i g = _mm_cmpgt_epi64(x, vv);  // a[i] > v
-    gt += __builtin_popcount(_mm_movemask_pd(_mm_castsi128_pd(g)));
-  }
-  for (; i < n; ++i) gt += a[i] > v;
-  return n - gt;
-}
-
-__attribute__((target("sse4.2"))) size_t LbU32Sse4(const uint32_t* a,
-                                                   size_t n, uint32_t v) {
-  size_t i = 0, cnt = 0;
-  const __m128i flip = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i vv =
-      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(v)), flip);
-  for (; i + 4 <= n; i += 4) {
-    const __m128i x = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)), flip);
-    const __m128i lt = _mm_cmpgt_epi32(vv, x);
-    cnt += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(lt)));
-  }
-  for (; i < n; ++i) cnt += a[i] < v;
-  return cnt;
-}
-
-__attribute__((target("sse4.2"))) size_t UbU32Sse4(const uint32_t* a,
-                                                   size_t n, uint32_t v) {
-  size_t i = 0, gt = 0;
-  const __m128i flip = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i vv =
-      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(v)), flip);
-  for (; i + 4 <= n; i += 4) {
-    const __m128i x = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)), flip);
-    const __m128i g = _mm_cmpgt_epi32(x, vv);
-    gt += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(g)));
-  }
-  for (; i < n; ++i) gt += a[i] > v;
-  return n - gt;
-}
-
-__attribute__((target("sse4.2"))) size_t LbU16Sse4(const uint16_t* a,
-                                                   size_t n, uint16_t v) {
-  size_t i = 0, cnt = 0;
-  const __m128i flip = _mm_set1_epi16(static_cast<short>(0x8000u));
-  const __m128i vv =
-      _mm_xor_si128(_mm_set1_epi16(static_cast<short>(v)), flip);
-  for (; i + 8 <= n; i += 8) {
-    const __m128i x = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)), flip);
-    const __m128i lt = _mm_cmpgt_epi16(vv, x);
-    cnt += __builtin_popcount(_mm_movemask_epi8(lt)) / 2;
-  }
-  for (; i < n; ++i) cnt += a[i] < v;
-  return cnt;
-}
-
-__attribute__((target("sse4.2"))) size_t UbU16Sse4(const uint16_t* a,
-                                                   size_t n, uint16_t v) {
-  size_t i = 0, gt = 0;
-  const __m128i flip = _mm_set1_epi16(static_cast<short>(0x8000u));
-  const __m128i vv =
-      _mm_xor_si128(_mm_set1_epi16(static_cast<short>(v)), flip);
-  for (; i + 8 <= n; i += 8) {
-    const __m128i x = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)), flip);
-    const __m128i g = _mm_cmpgt_epi16(x, vv);
-    gt += __builtin_popcount(_mm_movemask_epi8(g)) / 2;
-  }
-  for (; i < n; ++i) gt += a[i] > v;
-  return n - gt;
-}
-
-__attribute__((target("sse4.2"))) size_t LbU8Sse4(const uint8_t* a, size_t n,
-                                                  uint8_t v) {
-  size_t i = 0, cnt = 0;
-  const __m128i flip = _mm_set1_epi8(static_cast<char>(0x80u));
-  const __m128i vv =
-      _mm_xor_si128(_mm_set1_epi8(static_cast<char>(v)), flip);
-  for (; i + 16 <= n; i += 16) {
-    const __m128i x = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)), flip);
-    const __m128i lt = _mm_cmpgt_epi8(vv, x);
-    cnt += __builtin_popcount(_mm_movemask_epi8(lt));
-  }
-  for (; i < n; ++i) cnt += a[i] < v;
-  return cnt;
-}
-
-__attribute__((target("sse4.2"))) size_t UbU8Sse4(const uint8_t* a, size_t n,
-                                                  uint8_t v) {
-  size_t i = 0, gt = 0;
-  const __m128i flip = _mm_set1_epi8(static_cast<char>(0x80u));
-  const __m128i vv =
-      _mm_xor_si128(_mm_set1_epi8(static_cast<char>(v)), flip);
-  for (; i + 16 <= n; i += 16) {
-    const __m128i x = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)), flip);
-    const __m128i g = _mm_cmpgt_epi8(x, vv);
-    gt += __builtin_popcount(_mm_movemask_epi8(g));
-  }
-  for (; i < n; ++i) gt += a[i] > v;
-  return n - gt;
-}
-
-constexpr BlockScans kSse4Scans = {
-    LbI64Sse4, UbI64Sse4, LbU32Sse4, UbU32Sse4, LbU16Sse4,
-    UbU16Sse4, LbU8Sse4,  UbU8Sse4,  KernelKind::kSse4,
-};
-
-// --- AVX2 (256-bit) ---
-
-__attribute__((target("avx2"))) size_t LbI64Avx2(const int64_t* a, size_t n,
-                                                 int64_t v) {
-  size_t i = 0, cnt = 0;
-  const __m256i vv = _mm256_set1_epi64x(v);
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i lt = _mm256_cmpgt_epi64(vv, x);
-    cnt += __builtin_popcount(_mm256_movemask_pd(_mm256_castsi256_pd(lt)));
-  }
-  for (; i < n; ++i) cnt += a[i] < v;
-  return cnt;
-}
-
-__attribute__((target("avx2"))) size_t UbI64Avx2(const int64_t* a, size_t n,
-                                                 int64_t v) {
-  size_t i = 0, gt = 0;
-  const __m256i vv = _mm256_set1_epi64x(v);
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i g = _mm256_cmpgt_epi64(x, vv);
-    gt += __builtin_popcount(_mm256_movemask_pd(_mm256_castsi256_pd(g)));
-  }
-  for (; i < n; ++i) gt += a[i] > v;
-  return n - gt;
-}
-
-__attribute__((target("avx2"))) size_t LbU32Avx2(const uint32_t* a, size_t n,
-                                                 uint32_t v) {
-  size_t i = 0, cnt = 0;
-  const __m256i flip = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i vv =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(v)), flip);
-  for (; i + 8 <= n; i += 8) {
-    const __m256i x = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), flip);
-    const __m256i lt = _mm256_cmpgt_epi32(vv, x);
-    cnt += __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(lt)));
-  }
-  for (; i < n; ++i) cnt += a[i] < v;
-  return cnt;
-}
-
-__attribute__((target("avx2"))) size_t UbU32Avx2(const uint32_t* a, size_t n,
-                                                 uint32_t v) {
-  size_t i = 0, gt = 0;
-  const __m256i flip = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i vv =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(v)), flip);
-  for (; i + 8 <= n; i += 8) {
-    const __m256i x = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), flip);
-    const __m256i g = _mm256_cmpgt_epi32(x, vv);
-    gt += __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(g)));
-  }
-  for (; i < n; ++i) gt += a[i] > v;
-  return n - gt;
-}
-
-__attribute__((target("avx2"))) size_t LbU16Avx2(const uint16_t* a, size_t n,
-                                                 uint16_t v) {
-  size_t i = 0, cnt = 0;
-  const __m256i flip = _mm256_set1_epi16(static_cast<short>(0x8000u));
-  const __m256i vv =
-      _mm256_xor_si256(_mm256_set1_epi16(static_cast<short>(v)), flip);
-  for (; i + 16 <= n; i += 16) {
-    const __m256i x = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), flip);
-    const __m256i lt = _mm256_cmpgt_epi16(vv, x);
-    cnt += __builtin_popcount(
-               static_cast<unsigned>(_mm256_movemask_epi8(lt))) /
-           2;
-  }
-  for (; i < n; ++i) cnt += a[i] < v;
-  return cnt;
-}
-
-__attribute__((target("avx2"))) size_t UbU16Avx2(const uint16_t* a, size_t n,
-                                                 uint16_t v) {
-  size_t i = 0, gt = 0;
-  const __m256i flip = _mm256_set1_epi16(static_cast<short>(0x8000u));
-  const __m256i vv =
-      _mm256_xor_si256(_mm256_set1_epi16(static_cast<short>(v)), flip);
-  for (; i + 16 <= n; i += 16) {
-    const __m256i x = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), flip);
-    const __m256i g = _mm256_cmpgt_epi16(x, vv);
-    gt += __builtin_popcount(
-              static_cast<unsigned>(_mm256_movemask_epi8(g))) /
-          2;
-  }
-  for (; i < n; ++i) gt += a[i] > v;
-  return n - gt;
-}
-
-__attribute__((target("avx2"))) size_t LbU8Avx2(const uint8_t* a, size_t n,
-                                                uint8_t v) {
-  size_t i = 0, cnt = 0;
-  const __m256i flip = _mm256_set1_epi8(static_cast<char>(0x80u));
-  const __m256i vv =
-      _mm256_xor_si256(_mm256_set1_epi8(static_cast<char>(v)), flip);
-  for (; i + 32 <= n; i += 32) {
-    const __m256i x = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), flip);
-    const __m256i lt = _mm256_cmpgt_epi8(vv, x);
-    cnt +=
-        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_epi8(lt)));
-  }
-  for (; i < n; ++i) cnt += a[i] < v;
-  return cnt;
-}
-
-__attribute__((target("avx2"))) size_t UbU8Avx2(const uint8_t* a, size_t n,
-                                                uint8_t v) {
-  size_t i = 0, gt = 0;
-  const __m256i flip = _mm256_set1_epi8(static_cast<char>(0x80u));
-  const __m256i vv =
-      _mm256_xor_si256(_mm256_set1_epi8(static_cast<char>(v)), flip);
-  for (; i + 32 <= n; i += 32) {
-    const __m256i x = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), flip);
-    const __m256i g = _mm256_cmpgt_epi8(x, vv);
-    gt +=
-        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_epi8(g)));
-  }
-  for (; i < n; ++i) gt += a[i] > v;
-  return n - gt;
-}
-
-constexpr BlockScans kAvx2Scans = {
-    LbI64Avx2, UbI64Avx2, LbU32Avx2, UbU32Avx2, LbU16Avx2,
-    UbU16Avx2, LbU8Avx2,  UbU8Avx2,  KernelKind::kAvx2,
-};
-
-#endif  // WCOJ_KERNELS_X86
-
-#if defined(WCOJ_KERNELS_NEON)
-
-// --- NEON (128-bit, aarch64 baseline) ---
-//
-// NEON has no movemask; the comparison mask is narrowed to one bit of
-// weight per lane and summed with a horizontal add.
-
-size_t LbI64Neon(const int64_t* a, size_t n, int64_t v) {
-  size_t i = 0, cnt = 0;
-  const int64x2_t vv = vdupq_n_s64(v);
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t lt = vcltq_s64(vld1q_s64(a + i), vv);
-    cnt += vgetq_lane_u64(lt, 0) >> 63;
-    cnt += vgetq_lane_u64(lt, 1) >> 63;
-  }
-  for (; i < n; ++i) cnt += a[i] < v;
-  return cnt;
-}
-
-size_t UbI64Neon(const int64_t* a, size_t n, int64_t v) {
-  size_t i = 0, gt = 0;
-  const int64x2_t vv = vdupq_n_s64(v);
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t g = vcgtq_s64(vld1q_s64(a + i), vv);
-    gt += vgetq_lane_u64(g, 0) >> 63;
-    gt += vgetq_lane_u64(g, 1) >> 63;
-  }
-  for (; i < n; ++i) gt += a[i] > v;
-  return n - gt;
-}
-
-size_t LbU32Neon(const uint32_t* a, size_t n, uint32_t v) {
-  size_t i = 0, cnt = 0;
-  const uint32x4_t vv = vdupq_n_u32(v);
-  for (; i + 4 <= n; i += 4) {
-    const uint32x4_t lt = vcltq_u32(vld1q_u32(a + i), vv);
-    cnt += vaddvq_u32(vshrq_n_u32(lt, 31));
-  }
-  for (; i < n; ++i) cnt += a[i] < v;
-  return cnt;
-}
-
-size_t UbU32Neon(const uint32_t* a, size_t n, uint32_t v) {
-  size_t i = 0, gt = 0;
-  const uint32x4_t vv = vdupq_n_u32(v);
-  for (; i + 4 <= n; i += 4) {
-    const uint32x4_t g = vcgtq_u32(vld1q_u32(a + i), vv);
-    gt += vaddvq_u32(vshrq_n_u32(g, 31));
-  }
-  for (; i < n; ++i) gt += a[i] > v;
-  return n - gt;
-}
-
-size_t LbU16Neon(const uint16_t* a, size_t n, uint16_t v) {
-  size_t i = 0, cnt = 0;
-  const uint16x8_t vv = vdupq_n_u16(v);
-  for (; i + 8 <= n; i += 8) {
-    const uint16x8_t lt = vcltq_u16(vld1q_u16(a + i), vv);
-    cnt += vaddvq_u16(vshrq_n_u16(lt, 15));
-  }
-  for (; i < n; ++i) cnt += a[i] < v;
-  return cnt;
-}
-
-size_t UbU16Neon(const uint16_t* a, size_t n, uint16_t v) {
-  size_t i = 0, gt = 0;
-  const uint16x8_t vv = vdupq_n_u16(v);
-  for (; i + 8 <= n; i += 8) {
-    const uint16x8_t g = vcgtq_u16(vld1q_u16(a + i), vv);
-    gt += vaddvq_u16(vshrq_n_u16(g, 15));
-  }
-  for (; i < n; ++i) gt += a[i] > v;
-  return n - gt;
-}
-
-size_t LbU8Neon(const uint8_t* a, size_t n, uint8_t v) {
-  size_t i = 0, cnt = 0;
-  const uint8x16_t vv = vdupq_n_u8(v);
-  for (; i + 16 <= n; i += 16) {
-    const uint8x16_t lt = vcltq_u8(vld1q_u8(a + i), vv);
-    cnt += vaddvq_u8(vshrq_n_u8(lt, 7));
-  }
-  for (; i < n; ++i) cnt += a[i] < v;
-  return cnt;
-}
-
-size_t UbU8Neon(const uint8_t* a, size_t n, uint8_t v) {
-  size_t i = 0, gt = 0;
-  const uint8x16_t vv = vdupq_n_u8(v);
-  for (; i + 16 <= n; i += 16) {
-    const uint8x16_t g = vcgtq_u8(vld1q_u8(a + i), vv);
-    gt += vaddvq_u8(vshrq_n_u8(g, 7));
-  }
-  for (; i < n; ++i) gt += a[i] > v;
-  return n - gt;
-}
-
-constexpr BlockScans kNeonScans = {
-    LbI64Neon, UbI64Neon, LbU32Neon, UbU32Neon, LbU16Neon,
-    UbU16Neon, LbU8Neon,  UbU8Neon,  KernelKind::kNeon,
-};
-
-#endif  // WCOJ_KERNELS_NEON
-
-const BlockScans* ScansFor(KernelKind kind) {
-  switch (kind) {
-#if defined(WCOJ_KERNELS_X86)
-    case KernelKind::kSse4:
-      return &kSse4Scans;
-    case KernelKind::kAvx2:
-      return &kAvx2Scans;
-#endif
-#if defined(WCOJ_KERNELS_NEON)
-    case KernelKind::kNeon:
-      return &kNeonScans;
-#endif
-    default:
-      return &kScalarScans;
-  }
-}
-
-KernelKind DetectBestKernel() {
-#if defined(WCOJ_KERNELS_X86)
-  if (__builtin_cpu_supports("avx2")) return KernelKind::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return KernelKind::kSse4;
-#endif
-#if defined(WCOJ_KERNELS_NEON)
-  return KernelKind::kNeon;
-#endif
-  return KernelKind::kScalar;
-}
-
-std::atomic<const BlockScans*> g_scans{nullptr};
-
-const BlockScans& ActiveScans() {
-  const BlockScans* s = g_scans.load(std::memory_order_acquire);
-  if (s == nullptr) {
-    // First use (or after a reset to auto): detect once. Racing
-    // initializers agree on the answer, so a benign double-store is fine.
-    s = ScansFor(DetectBestKernel());
-    g_scans.store(s, std::memory_order_release);
-  }
-  return *s;
-}
-
-// Once the gallop has bracketed the answer, binary-search only while the
-// bracket is wider than one SIMD-friendly block; below the cut, a
-// branch-free count over the whole block beats the remaining log2 steps.
-// Cuts scale with lane width so every type scans a similar byte volume.
-constexpr size_t kCutI64 = 32;
-constexpr size_t kCutU32 = 64;
-constexpr size_t kCutU16 = 128;
-constexpr size_t kCutU8 = 256;
-
-template <typename T, bool Upper>
-size_t Gallop(size_t (*scan)(const T*, size_t, T), size_t cut, const T* a,
-              size_t lo, size_t hi, T v) {
-  auto before = [&](size_t i) { return Upper ? a[i] <= v : a[i] < v; };
+size_t KernelLowerBound(const T* a, size_t lo, size_t hi, T v) {
   // Exponential probe from lo to bracket the answer in [x, b).
   size_t step = 1;
   size_t x = lo, b = lo;
-  while (b < hi && before(b)) {
+  while (b < hi && a[b] < v) {
     x = b + 1;
     b = lo + step;
     step <<= 1;
   }
   b = b < hi ? b : hi;
-  // Bisect the bracket down to one block, then scan it.
-  while (b - x > cut) {
+  // Bisect the bracket down to one block, then count it. The count only
+  // reads [x, b), so it stays in bounds however the caller bracketed.
+  while (b - x > kBlockCut) {
     const size_t mid = x + (b - x) / 2;
-    if (before(mid)) {
+    if (a[mid] < v) {
       x = mid + 1;
     } else {
       b = mid;
     }
   }
-  return x + scan(a + x, b - x, v);
+  size_t n = x;
+  for (size_t i = x; i < b; ++i) n += a[i] < v;
+  return n;
 }
 
-}  // namespace
-
-const char* KernelName(KernelKind kind) {
-  switch (kind) {
-    case KernelKind::kScalar:
-      return "scalar";
-    case KernelKind::kSse4:
-      return "sse4";
-    case KernelKind::kAvx2:
-      return "avx2";
-    case KernelKind::kNeon:
-      return "neon";
-    case KernelKind::kAuto:
-      return "auto";
-  }
-  return "scalar";
-}
-
-bool ParseKernelName(const std::string& name, KernelKind* out) {
-  for (KernelKind k : {KernelKind::kScalar, KernelKind::kSse4,
-                       KernelKind::kAvx2, KernelKind::kNeon,
-                       KernelKind::kAuto}) {
-    if (name == KernelName(k)) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool KernelSupported(KernelKind kind) {
-  switch (kind) {
-    case KernelKind::kScalar:
-    case KernelKind::kAuto:
-      return true;
-    case KernelKind::kSse4:
-#if defined(WCOJ_KERNELS_X86)
-      return __builtin_cpu_supports("sse4.2");
-#else
-      return false;
-#endif
-    case KernelKind::kAvx2:
-#if defined(WCOJ_KERNELS_X86)
-      return __builtin_cpu_supports("avx2");
-#else
-      return false;
-#endif
-    case KernelKind::kNeon:
-#if defined(WCOJ_KERNELS_NEON)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-std::vector<KernelKind> SupportedKernels() {
-  std::vector<KernelKind> kinds = {KernelKind::kScalar};
-  for (KernelKind k :
-       {KernelKind::kSse4, KernelKind::kAvx2, KernelKind::kNeon}) {
-    if (KernelSupported(k)) kinds.push_back(k);
-  }
-  return kinds;
-}
-
-KernelKind ForceSearchKernel(KernelKind kind) {
-  if (kind == KernelKind::kAuto) kind = DetectBestKernel();
-  if (!KernelSupported(kind)) kind = KernelKind::kScalar;
-  g_scans.store(ScansFor(kind), std::memory_order_release);
-  return kind;
-}
-
-KernelKind ActiveSearchKernel() { return ActiveScans().kind; }
-
-size_t KernelLowerBound(const int64_t* a, size_t lo, size_t hi, int64_t v) {
-  return Gallop<int64_t, false>(ActiveScans().lb_i64, kCutI64, a, lo, hi, v);
-}
-size_t KernelUpperBound(const int64_t* a, size_t lo, size_t hi, int64_t v) {
-  return Gallop<int64_t, true>(ActiveScans().ub_i64, kCutI64, a, lo, hi, v);
-}
-size_t KernelLowerBound(const uint32_t* a, size_t lo, size_t hi,
-                        uint32_t v) {
-  return Gallop<uint32_t, false>(ActiveScans().lb_u32, kCutU32, a, lo, hi,
-                                 v);
-}
-size_t KernelUpperBound(const uint32_t* a, size_t lo, size_t hi,
-                        uint32_t v) {
-  return Gallop<uint32_t, true>(ActiveScans().ub_u32, kCutU32, a, lo, hi, v);
-}
-size_t KernelLowerBound(const uint16_t* a, size_t lo, size_t hi,
-                        uint16_t v) {
-  return Gallop<uint16_t, false>(ActiveScans().lb_u16, kCutU16, a, lo, hi,
-                                 v);
-}
-size_t KernelUpperBound(const uint16_t* a, size_t lo, size_t hi,
-                        uint16_t v) {
-  return Gallop<uint16_t, true>(ActiveScans().ub_u16, kCutU16, a, lo, hi, v);
-}
-size_t KernelLowerBound(const uint8_t* a, size_t lo, size_t hi, uint8_t v) {
-  return Gallop<uint8_t, false>(ActiveScans().lb_u8, kCutU8, a, lo, hi, v);
-}
-size_t KernelUpperBound(const uint8_t* a, size_t lo, size_t hi, uint8_t v) {
-  return Gallop<uint8_t, true>(ActiveScans().ub_u8, kCutU8, a, lo, hi, v);
-}
+template size_t KernelLowerBound(const int64_t*, size_t, size_t, int64_t);
+template size_t KernelLowerBound(const uint32_t*, size_t, size_t, uint32_t);
+template size_t KernelLowerBound(const uint16_t*, size_t, size_t, uint16_t);
+template size_t KernelLowerBound(const uint8_t*, size_t, size_t, uint8_t);
 
 }  // namespace wcoj

@@ -15,10 +15,9 @@
 //
 // Each level's key array lives behind a LevelKeys tier
 // (storage/level_keys.h): raw int64 or fixed-width packed offsets,
-// chosen per level at build time. Seeks run through the
-// runtime-dispatched SIMD block-search kernels (storage/search_kernels.h)
-// in the tier's native lane width; iterators and engines stay
-// layout-blind.
+// chosen per level at build time. Seeks run through the one bound
+// search (storage/search_kernels.h) in the tier's native lane width;
+// iterators and engines stay layout-blind.
 //
 // The layout is built in a single pass over the (permutation-sorted)
 // rows of the source relation — no intermediate permuted Relation copy
@@ -51,8 +50,8 @@ namespace wcoj {
 
 // Process-wide tier policy used by TrieIndex builds that don't pass an
 // explicit one (the IndexCatalog path). Returns the previous policy.
-// Like ForceSearchKernel, a setup/test knob, not a mid-query switch;
-// indexes already built keep the tiers they were built with.
+// A setup/test knob, not a mid-query switch; indexes already built
+// keep the tiers they were built with.
 TierPolicy SetDefaultTierPolicy(TierPolicy policy);
 TierPolicy DefaultTierPolicy();
 
@@ -113,8 +112,8 @@ class TrieIndex {
 
   // Least node index in [lo, hi) at `depth` whose key is >= v
   // (LowerBound) resp. > v (UpperBound), galloping from lo through the
-  // active search kernel. Used by the iterator and the baseline probe
-  // path; exposed for tests.
+  // level's LevelKeys. Used by the iterator and the baseline probe path;
+  // exposed for tests.
   size_t LowerBound(int depth, size_t lo, size_t hi, Value v) const {
     return levels_[depth].keys.LowerBound(lo, hi, v);
   }

@@ -1,21 +1,22 @@
-// Differential test harness for the SIMD search kernels and the
-// compressed key tiers (ISSUE 6).
+// Differential test harness for the bound search and the compressed key
+// tiers.
 //
-// Layer 1 pins every dispatched kernel against a std::lower_bound /
-// std::upper_bound oracle on thousands of seeded arrays per element
-// type (int64 keys and the unsigned 8/16/32-bit lanes the packed tiers
-// store), over the adversarial shape classes the trie produces:
-// empty, single, all-duplicate, dense runs, clustered gaps, and
-// int64-extreme domains (the PR 5 overflow class).
+// Layer 1 pins the search against a std::lower_bound oracle on
+// thousands of seeded arrays per element type (int64 keys and the
+// unsigned 8/16/32-bit lanes the packed tiers store), over the
+// adversarial shape classes the trie produces: empty, single,
+// all-duplicate, dense runs, clustered gaps, and int64-extreme domains
+// (the PR 5 overflow class). It also pins LevelKeys::LowerBound and
+// UpperBound on every tier against std::lower_bound / std::upper_bound
+// over the decoded keys, at the probes where the tier translation and
+// the upper-bound-as-(v + 1) rewrite could slip.
 //
-// Layer 2 pins every (kernel, tier) pair at the TrieIndex level: walk,
-// Seek, and SeekGap results must be bit-identical to the raw-tier /
-// scalar-kernel oracle on randomized relations.
+// Layer 2 pins every tier at the TrieIndex level: walk, Seek, and
+// SeekGap results must be bit-identical to the raw-tier oracle on
+// randomized relations.
 //
 // Layer 3 sweeps full engines (lftj, ms, hybrid) across tier policies
-// and kernels and asserts bit-identical query results, and layer 4 pins
-// dispatch transparency: forcing --kernel=scalar vs auto must leave
-// EngineStats seek counters untouched on a fixed workload.
+// and asserts bit-identical query results and seek counters.
 
 #include <gtest/gtest.h>
 
@@ -39,21 +40,18 @@
 namespace wcoj {
 namespace {
 
-// Restores auto dispatch and the previous tier policy on scope exit so
-// no test leaks a forced configuration into the rest of the suite.
-struct DispatchGuard {
+// Restores the previous tier policy on scope exit so no test leaks a
+// forced configuration into the rest of the suite.
+struct TierPolicyGuard {
   TierPolicy prev_policy;
-  DispatchGuard() : prev_policy(DefaultTierPolicy()) {}
-  ~DispatchGuard() {
-    ForceSearchKernel(KernelKind::kAuto);
-    SetDefaultTierPolicy(prev_policy);
-  }
+  TierPolicyGuard() : prev_policy(DefaultTierPolicy()) {}
+  ~TierPolicyGuard() { SetDefaultTierPolicy(prev_policy); }
 };
 
 constexpr TierPolicy kSweepPolicies[] = {TierPolicy::kRawOnly,
                                          TierPolicy::kForcePacked};
 
-// --- Layer 1: kernel primitives vs the standard-library oracle ---
+// --- Layer 1: the bound search vs the standard-library oracle ---
 
 // Sorted array corpus for one element type. `extreme` draws values
 // hugging the domain ends; Value arrays additionally hug the int64
@@ -140,56 +138,135 @@ std::vector<T> ProbesFor(const std::vector<T>& a, Rng* rng) {
 
 template <typename T>
 void RunPrimitiveDifferential(uint64_t seed) {
-  DispatchGuard guard;
   const std::vector<std::vector<T>> corpus = BuildCorpus<T>(seed);
   ASSERT_GT(corpus.size(), 400u);  // "thousands" across the 4 types
-  for (const KernelKind kernel : SupportedKernels()) {
-    ASSERT_EQ(ForceSearchKernel(kernel), kernel);
-    Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
-    for (const std::vector<T>& a : corpus) {
-      const size_t n = a.size();
-      // Full range plus sub-ranges, so galloping from a nonzero lo and
-      // clamping at an interior hi are both exercised.
+  Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
+  for (const std::vector<T>& a : corpus) {
+    const size_t n = a.size();
+    // Full range plus sub-ranges, so galloping from a nonzero lo and
+    // clamping at an interior hi are both exercised.
+    const size_t ranges[][2] = {{0, n}, {n / 3, n - n / 4}, {n / 2, n / 2}};
+    for (const T v : ProbesFor(a, &rng)) {
+      for (const auto& r : ranges) {
+        const size_t lo = r[0], hi = std::max(r[0], r[1]);
+        const size_t oracle =
+            std::lower_bound(a.begin() + lo, a.begin() + hi, v) - a.begin();
+        ASSERT_EQ(KernelLowerBound(a.data(), lo, hi, v), oracle)
+            << "n=" << n << " lo=" << lo << " hi=" << hi;
+      }
+    }
+  }
+}
+
+TEST(KernelPrimitiveTest, Int64MatchesStdLowerBound) {
+  RunPrimitiveDifferential<int64_t>(11);
+}
+
+TEST(KernelPrimitiveTest, U32MatchesStdLowerBound) {
+  RunPrimitiveDifferential<uint32_t>(12);
+}
+
+TEST(KernelPrimitiveTest, U16MatchesStdLowerBound) {
+  RunPrimitiveDifferential<uint16_t>(13);
+}
+
+TEST(KernelPrimitiveTest, U8MatchesStdLowerBound) {
+  RunPrimitiveDifferential<uint8_t>(14);
+}
+
+// LevelKeys bounds on every tier vs std::lower_bound / std::upper_bound
+// over the decoded keys. Each level spans exactly its lane maximum (or
+// more, for raw), so base - 1, base, base + lane max and base + lane
+// max + 1 sit on both sides of the packed translation's cut-offs; levels
+// hugging INT64_MIN and INT64_MAX put the upper bound's v + 1 at the
+// domain edge.
+TEST(KernelPrimitiveTest, LevelKeysBoundsMatchStdOracleOnEveryTier) {
+  struct Level {
+    KeyTier tier;
+    Value base;
+    uint64_t span;  // last key - base
+  };
+  const uint64_t kU32Max = UINT32_MAX;
+  const Level levels[] = {
+      {KeyTier::kPacked8, -1000, UINT8_MAX},
+      {KeyTier::kPacked8, kNegInf, UINT8_MAX},
+      {KeyTier::kPacked8, kPosInf - UINT8_MAX, UINT8_MAX},
+      {KeyTier::kPacked16, 77, UINT16_MAX},
+      {KeyTier::kPacked16, kNegInf, UINT16_MAX},
+      {KeyTier::kPacked16, kPosInf - UINT16_MAX, UINT16_MAX},
+      {KeyTier::kPacked32, -(Value{1} << 31), kU32Max},
+      {KeyTier::kPacked32, kNegInf, kU32Max},
+      {KeyTier::kPacked32, kPosInf - static_cast<Value>(kU32Max), kU32Max},
+      {KeyTier::kRaw, -5, kU32Max + 1},
+      {KeyTier::kRaw, kNegInf, UINT64_MAX},
+  };
+  // Probes are computed wide and kept when they fit a Value.
+  auto add_probe = [](__int128 v, std::vector<Value>* probes) {
+    if (v >= kNegInf && v <= kPosInf) {
+      probes->push_back(static_cast<Value>(v));
+    }
+  };
+  Rng rng(15);
+  for (const Level& spec : levels) {
+    for (const size_t n : {2, 3, 17, 40, 300}) {
+      std::vector<Value> keys = {spec.base,
+                                 static_cast<Value>(
+                                     static_cast<uint64_t>(spec.base) +
+                                     spec.span)};
+      while (keys.size() < n) {
+        // Offsets bunch near the ends and spread over the middle, with
+        // repeats, so galloping crosses both dense and sparse stretches.
+        const uint64_t off = rng.NextBounded(4) == 0
+                                 ? rng.NextBounded(8)
+                                 : rng.NextBounded(spec.span);
+        keys.push_back(
+            static_cast<Value>(static_cast<uint64_t>(spec.base) + off));
+      }
+      std::sort(keys.begin(), keys.end());
+      LevelKeys level;
+      level.Build(keys, TierPolicy::kForcePacked, /*compressible=*/true);
+      ASSERT_EQ(level.tier(), spec.tier)
+          << TierName(spec.tier) << " n=" << n;
+      std::vector<Value> decoded;
+      for (size_t i = 0; i < n; ++i) decoded.push_back(level.At(i));
+      ASSERT_EQ(decoded, keys);
+
+      std::vector<Value> probes = {kNegInf, kPosInf, 0};
+      const __int128 base = spec.base;
+      for (const __int128 v : {base - 1, base, base + spec.span,
+                               base + spec.span + 1}) {
+        add_probe(v, &probes);
+      }
+      for (int i = 0; i < 8; ++i) {
+        const __int128 k = keys[rng.NextBounded(n)];
+        for (const int d : {-1, 0, 1}) add_probe(k + d, &probes);
+      }
+      // Sub-ranges start at a nonzero lo, so the gallop and the packed
+      // translation both run from inside the array.
       const size_t ranges[][2] = {
-          {0, n}, {n / 3, n - n / 4}, {n / 2, n / 2}};
-      for (const T v : ProbesFor(a, &rng)) {
+          {0, n}, {1, n}, {n / 3, n - n / 4}, {n / 2, n / 2}, {n - 1, n}};
+      for (const Value v : probes) {
         for (const auto& r : ranges) {
           const size_t lo = r[0], hi = std::max(r[0], r[1]);
-          const size_t lb_oracle =
-              std::lower_bound(a.begin() + lo, a.begin() + hi, v) -
-              a.begin();
-          const size_t ub_oracle =
-              std::upper_bound(a.begin() + lo, a.begin() + hi, v) -
-              a.begin();
-          ASSERT_EQ(KernelLowerBound(a.data(), lo, hi, v), lb_oracle)
-              << KernelName(kernel) << " n=" << n << " lo=" << lo
-              << " hi=" << hi;
-          ASSERT_EQ(KernelUpperBound(a.data(), lo, hi, v), ub_oracle)
-              << KernelName(kernel) << " n=" << n << " lo=" << lo
-              << " hi=" << hi;
+          const auto first = decoded.begin() + lo;
+          const auto last = decoded.begin() + hi;
+          const size_t lb =
+              std::lower_bound(first, last, v) - decoded.begin();
+          const size_t ub =
+              std::upper_bound(first, last, v) - decoded.begin();
+          ASSERT_EQ(level.LowerBound(lo, hi, v), lb)
+              << TierName(spec.tier) << " base=" << spec.base << " n=" << n
+              << " lo=" << lo << " hi=" << hi << " v=" << v;
+          ASSERT_EQ(level.UpperBound(lo, hi, v), ub)
+              << TierName(spec.tier) << " base=" << spec.base << " n=" << n
+              << " lo=" << lo << " hi=" << hi << " v=" << v;
         }
       }
     }
   }
 }
 
-TEST(KernelPrimitiveTest, Int64MatchesStdOracleOnEveryKernel) {
-  RunPrimitiveDifferential<int64_t>(11);
-}
-
-TEST(KernelPrimitiveTest, U32MatchesStdOracleOnEveryKernel) {
-  RunPrimitiveDifferential<uint32_t>(12);
-}
-
-TEST(KernelPrimitiveTest, U16MatchesStdOracleOnEveryKernel) {
-  RunPrimitiveDifferential<uint16_t>(13);
-}
-
-TEST(KernelPrimitiveTest, U8MatchesStdOracleOnEveryKernel) {
-  RunPrimitiveDifferential<uint8_t>(14);
-}
-
-// --- Layer 2: (kernel, tier) pairs vs the raw/scalar oracle index ---
+// --- Layer 2: every tier vs the raw oracle index ---
 
 // Everything observable through the trie's probe interfaces, collected
 // deterministically so configurations compare with one EXPECT each.
@@ -285,8 +362,7 @@ Relation RandomRelation(int arity, int rows, int klass, Rng* rng) {
   return r;
 }
 
-TEST(KernelTierDifferentialTest, TrieMatchesRawScalarOracle) {
-  DispatchGuard guard;
+TEST(KernelTierDifferentialTest, TrieMatchesRawOracle) {
   bool saw_packed = false;
   for (int trial = 0; trial < 48; ++trial) {
     Rng rng(4000 + trial);
@@ -324,7 +400,6 @@ TEST(KernelTierDifferentialTest, TrieMatchesRawScalarOracle) {
     }
 
     const TrieIndex oracle_index(rel, {}, TierPolicy::kRawOnly);
-    ASSERT_EQ(ForceSearchKernel(KernelKind::kScalar), KernelKind::kScalar);
     const TrieObservations oracle = Observe(oracle_index, probes);
 
     for (const TierPolicy policy : kSweepPolicies) {
@@ -340,14 +415,8 @@ TEST(KernelTierDifferentialTest, TrieMatchesRawScalarOracle) {
               << TierPolicyName(policy);
         }
       }
-      for (const KernelKind kernel : SupportedKernels()) {
-        ForceSearchKernel(kernel);
-        const TrieObservations got = Observe(index, probes);
-        EXPECT_EQ(got, oracle)
-            << "trial " << trial << " kernel " << KernelName(kernel)
-            << " tier policy " << TierPolicyName(policy);
-      }
-      ForceSearchKernel(KernelKind::kScalar);
+      EXPECT_EQ(Observe(index, probes), oracle)
+          << "trial " << trial << " tier policy " << TierPolicyName(policy);
     }
   }
   // The sweep must actually have exercised compressed layouts.
@@ -401,8 +470,7 @@ Relation GroupedRelation(Value stride, uint64_t seed) {
 // Spans come from two tries built under the swept policy (one
 // LevelKeys shared by many spans: the native-lane path) and from a
 // standalone raw level (mixed with packed spans: the decode path).
-TEST(SpanIntersectTest, CountMatchesOracleOnEveryKernelAndTier) {
-  DispatchGuard guard;
+TEST(SpanIntersectTest, CountMatchesOracleOnEveryTier) {
   struct Call {
     // (source, parent key); source 2 is the whole standalone level.
     std::vector<std::pair<int, Value>> spans;
@@ -480,34 +548,28 @@ TEST(SpanIntersectTest, CountMatchesOracleOnEveryKernelAndTier) {
       return out;
     };
 
-    ForceSearchKernel(KernelKind::kScalar);
-    const auto oracle = run(TierPolicy::kRawOnly, "raw-only/scalar");
+    const auto oracle = run(TierPolicy::kRawOnly, "raw-only");
     for (const TierPolicy policy :
-         {TierPolicy::kAuto, TierPolicy::kRawOnly,
-          TierPolicy::kForcePacked}) {
-      for (const KernelKind kernel : SupportedKernels()) {
-        ForceSearchKernel(kernel);
-        const std::string config =
-            std::string(TierPolicyName(policy)) + "/" + KernelName(kernel);
-        // Counts and probe counts alike are configuration-blind.
-        EXPECT_EQ(run(policy, config), oracle) << config << " stride "
-                                               << stride;
-      }
+         {TierPolicy::kAuto, TierPolicy::kForcePacked}) {
+      const std::string config = TierPolicyName(policy);
+      // Counts and probe counts alike are tier-blind.
+      EXPECT_EQ(run(policy, config), oracle) << config << " stride "
+                                             << stride;
     }
   }
 }
 
 // --- Layer 3: full-engine sweep, bit-identical results across configs ---
 
-// Every engine answers each query per (tier policy, kernel) collecting
-// tuples, which must match the raw/scalar oracle bit for bit. The
+// Every engine answers each query per tier policy collecting tuples,
+// which must match the raw-tier oracle bit for bit. The
 // engines built on LFTJ (lftj, and hybrid's suffix joins) answer again
 // count-only — the run shape every paper table and served query takes,
 // where LFTJ counts its last GAO variable with one span intersection
 // instead of binding it: that count must match the oracle too, and its
-// seek counter must not move with the configuration.
-TEST(KernelTierDifferentialTest, EngineResultsIdenticalAcrossKernelsAndTiers) {
-  DispatchGuard guard;
+// seek counter must not move with the tier.
+TEST(KernelTierDifferentialTest, EngineResultsIdenticalAcrossTiers) {
+  TierPolicyGuard guard;
   Graph g = ErdosRenyi(/*num_nodes=*/220, /*num_edges=*/1100, /*seed=*/21);
   const Relation edge = g.EdgeRelationSymmetric();
   const Relation edge_lt = g.EdgeRelationOriented();
@@ -555,9 +617,8 @@ TEST(KernelTierDifferentialTest, EngineResultsIdenticalAcrossKernelsAndTiers) {
       collect.collect_tuples = true;
       const ExecOptions count_only;
 
-      // Oracle: raw tier, scalar kernel.
+      // Oracle: raw tier.
       SetDefaultTierPolicy(TierPolicy::kRawOnly);
-      ForceSearchKernel(KernelKind::kScalar);
       uint64_t oracle_count;
       std::vector<Tuple> oracle_tuples;
       uint64_t oracle_seeks = 0;
@@ -583,115 +644,33 @@ TEST(KernelTierDifferentialTest, EngineResultsIdenticalAcrossKernelsAndTiers) {
            {TierPolicy::kAuto, TierPolicy::kRawOnly,
             TierPolicy::kForcePacked}) {
         SetDefaultTierPolicy(policy);
-        for (const KernelKind kernel : SupportedKernels()) {
-          ForceSearchKernel(kernel);
-          const std::string config = std::string(engine_name) + " " +
-                                     spec.text + " " +
-                                     TierPolicyName(policy) + "/" +
-                                     KernelName(kernel);
-          Database db;  // fresh catalog: indexes rebuilt under `policy`
-          put_relations(&db);
-          const BoundQuery bq = Bind(q, db, spec.gao);
-          ExecResult r = engine->Execute(bq, collect);
-          std::sort(r.tuples.begin(), r.tuples.end());
-          EXPECT_EQ(r.count, oracle_count) << config;
-          EXPECT_EQ(r.tuples, oracle_tuples) << config;
+        const std::string config = std::string(engine_name) + " " +
+                                   spec.text + " " + TierPolicyName(policy);
+        Database db;  // fresh catalog: indexes rebuilt under `policy`
+        put_relations(&db);
+        const BoundQuery bq = Bind(q, db, spec.gao);
+        ExecResult r = engine->Execute(bq, collect);
+        std::sort(r.tuples.begin(), r.tuples.end());
+        EXPECT_EQ(r.count, oracle_count) << config;
+        EXPECT_EQ(r.tuples, oracle_tuples) << config;
 
-          if (!runs_lftj) continue;
-          const ExecResult c = engine->Execute(bq, count_only);
-          EXPECT_EQ(c.count, oracle_count) << config;
-          EXPECT_EQ(c.stats.seeks, oracle_seeks) << config;
+        if (!runs_lftj) continue;
+        const ExecResult c = engine->Execute(bq, count_only);
+        EXPECT_EQ(c.count, oracle_count) << config;
+        EXPECT_EQ(c.stats.seeks, oracle_seeks) << config;
 
-          if (std::string(engine_name) == "lftj") {
-            // Morsels restrict the first variable to [var0_min,
-            // var0_max]; on the one-variable query that range is the
-            // counted window itself.
-            const ExecResult p = PartitionedExecute(
-                *engine, bq, count_only, /*num_threads=*/2,
-                /*granularity=*/4);
-            EXPECT_EQ(p.count, oracle_count) << config << " partitioned";
-          }
+        if (std::string(engine_name) == "lftj") {
+          // Morsels restrict the first variable to [var0_min,
+          // var0_max]; on the one-variable query that range is the
+          // counted window itself.
+          const ExecResult p = PartitionedExecute(
+              *engine, bq, count_only, /*num_threads=*/2,
+              /*granularity=*/4);
+          EXPECT_EQ(p.count, oracle_count) << config << " partitioned";
         }
       }
     }
   }
-}
-
-// --- Layer 4: dispatch is transparent to the engines' cost model ---
-
-// Forcing --kernel=scalar vs auto must change only how a lower bound is
-// computed, never how many seeks an engine issues: the kernels are
-// drop-in replacements below the counting layer. Regression-pins the
-// dispatch seam on a fixed workload.
-TEST(KernelDispatchTest, SeekCountersIdenticalScalarVsAuto) {
-  DispatchGuard guard;
-  SetDefaultTierPolicy(TierPolicy::kAuto);
-  Graph g = ErdosRenyi(/*num_nodes=*/500, /*num_edges=*/3000, /*seed=*/33);
-  const Relation edge_lt = g.EdgeRelationOriented();
-  const Query q =
-      MustParseQuery("edge_lt(a,b), edge_lt(b,c), edge_lt(a,c)");
-  for (const char* engine_name : {"lftj", "ms"}) {
-    const auto engine = CreateEngine(engine_name);
-    EngineStats scalar_stats, auto_stats;
-    uint64_t scalar_count = 0, auto_count = 0;
-    {
-      ForceSearchKernel(KernelKind::kScalar);
-      Database db;
-      db.Put("edge_lt", edge_lt);
-      ExecResult r =
-          engine->Execute(Bind(q, db, {"a", "b", "c"}), ExecOptions{});
-      scalar_stats = r.stats;
-      scalar_count = r.count;
-    }
-    {
-      const KernelKind best = ForceSearchKernel(KernelKind::kAuto);
-      SCOPED_TRACE(std::string("auto kernel resolved to ") +
-                   KernelName(best));
-      Database db;
-      db.Put("edge_lt", edge_lt);
-      ExecResult r =
-          engine->Execute(Bind(q, db, {"a", "b", "c"}), ExecOptions{});
-      auto_stats = r.stats;
-      auto_count = r.count;
-    }
-    EXPECT_EQ(scalar_count, auto_count) << engine_name;
-    EXPECT_EQ(scalar_stats.seeks, auto_stats.seeks) << engine_name;
-    EXPECT_EQ(scalar_stats.free_tuples, auto_stats.free_tuples)
-        << engine_name;
-    EXPECT_EQ(scalar_stats.constraints_inserted,
-              auto_stats.constraints_inserted)
-        << engine_name;
-  }
-}
-
-// --- Dispatch plumbing: names, support, forcing ---
-
-TEST(KernelDispatchTest, NamesRoundTripAndSupportIsSane) {
-  DispatchGuard guard;
-  for (const KernelKind k :
-       {KernelKind::kScalar, KernelKind::kSse4, KernelKind::kAvx2,
-        KernelKind::kNeon, KernelKind::kAuto}) {
-    KernelKind parsed;
-    ASSERT_TRUE(ParseKernelName(KernelName(k), &parsed));
-    EXPECT_EQ(parsed, k);
-  }
-  KernelKind parsed;
-  EXPECT_FALSE(ParseKernelName("avx512", &parsed));
-  EXPECT_FALSE(ParseKernelName("", &parsed));
-
-  const std::vector<KernelKind> supported = SupportedKernels();
-  ASSERT_FALSE(supported.empty());
-  EXPECT_EQ(supported.front(), KernelKind::kScalar);
-  for (const KernelKind k : supported) EXPECT_TRUE(KernelSupported(k));
-
-  // Forcing resolves to a concrete supported kind, and auto picks the
-  // best one, which must itself be supported.
-  const KernelKind best = ForceSearchKernel(KernelKind::kAuto);
-  EXPECT_NE(best, KernelKind::kAuto);
-  EXPECT_TRUE(KernelSupported(best));
-  EXPECT_EQ(ActiveSearchKernel(), best);
-  EXPECT_EQ(ForceSearchKernel(KernelKind::kScalar), KernelKind::kScalar);
-  EXPECT_EQ(ActiveSearchKernel(), KernelKind::kScalar);
 }
 
 }  // namespace

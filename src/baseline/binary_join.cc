@@ -34,7 +34,8 @@ class BinaryJoinRun {
         strategy_(strategy),
         result_(result),
         catalog_(q.catalog),
-        inter_charge_(opts.budget) {}
+        inter_charge_(opts.budget),
+        poll_(opts) {}
 
   void Run() {
     const JoinPlan plan = PlanJoin(q_, strategy_);
@@ -73,11 +74,9 @@ class BinaryJoinRun {
   }
 
  private:
+  // A wind-down lands in the run's status, next to a failed index build.
   bool Expired() {
-    if ((opts_.stop != nullptr && opts_.stop->stop_requested()) ||
-        (++steps_ % 4096 == 0 && opts_.Aborted())) {
-      result_->status.Update(opts_.AbortStatus());  // result is incomplete
-    }
+    if (poll_.Check()) result_->status.Update(poll_.status());
     return !result_->status.ok();
   }
 
@@ -293,7 +292,7 @@ class BinaryJoinRun {
   // as the reference the storage layer is checked against.
   IndexCatalog* catalog_;
   ScopedCharge inter_charge_;  // live materialized-intermediate bytes
-  uint64_t steps_ = 0;
+  AbortPoll poll_;
 };
 
 }  // namespace

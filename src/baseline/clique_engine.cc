@@ -192,17 +192,15 @@ ExecResult CliqueEngine::Execute(const BoundQuery& q,
     }
   };
 
-  uint64_t steps = 0;
+  AbortPoll poll(opts);
   for (const auto& [u, v] : g.edges()) {
-    if ((opts.stop != nullptr && opts.stop->stop_requested()) ||
-        (++steps % 1024 == 0 && opts.Aborted())) {
-      result.status = opts.AbortStatus();
-      FinalizeExecStatus(&result, opts);
-      return result;
-    }
     const Value lo = g.HasFwdEdge(u, v) ? u : v;
     const Value hi = lo == u ? v : u;
     const std::vector<Value> common = g.Intersect(lo, hi);
+    if (poll.Check(1 + common.size())) {
+      result.status = poll.status();
+      break;
+    }
     if (shape.k == 3) {
       for (Value w : common) tally({u, v, w});
     } else {

@@ -75,6 +75,7 @@ ExecResult YannakakisEngine::Execute(const BoundQuery& q,
   // Semijoin program to fixpoint (bounded rounds; acyclic queries converge
   // in at most |atoms| rounds).
   const size_t m = q.atoms.size();
+  AbortPoll poll(opts);
   for (size_t round = 0; round < m; ++round) {
     bool changed = false;
     for (size_t i = 0; i < m; ++i) {
@@ -82,8 +83,8 @@ ExecResult YannakakisEngine::Execute(const BoundQuery& q,
         if (i == j) continue;
         changed |= Semijoin(q, &reduced[i], q.atoms[i].vars, reduced[j],
                             q.atoms[j].vars);
-        if (opts.Aborted()) {
-          result.status = opts.AbortStatus();
+        if (poll.Check(reduced[i].size() + reduced[j].size())) {
+          result.status = poll.status();
           FinalizeExecStatus(&result, opts);
           return result;
         }

@@ -24,9 +24,9 @@ class YannakakisEngine : public Engine {
   CatalogWarmup catalog_warmup() const override {
     return CatalogWarmup::kNone;
   }
-  // The semijoin program has no var0 hook: a range-restricted Execute
-  // still computes the full answer, so the morsel scheduler must not
-  // fan this engine out over var0 ranges.
+  // A range-restricted Execute is exact (the final pairwise join filters
+  // var0 on every atom), but each call reruns the whole semijoin program,
+  // so the morsel scheduler runs this engine as one morsel.
   bool honors_var0_range() const override { return false; }
 };
 

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 
+#include "core/engine.h"
+
 namespace wcoj {
 
 namespace {
@@ -30,8 +32,6 @@ void Cds::Reset() {
   root_ = arena_->AllocNode(kCdsNull, kWildcard, ++id_counter_);
   frontier_.assign(num_vars_, kFrontierFloor);
   depth_ = 0;
-  timed_out_ = false;
-  poll_counter_ = 0;
   constraints_inserted_ = 0;
   counted_outputs_ = 0;
   complete_shortcut_ok_ = true;
@@ -50,16 +50,10 @@ void Cds::Reconfigure(int num_vars, const Options& options) {
   assert(num_vars >= 1 && num_vars <= kMaxVars);
   num_vars_ = num_vars;
   options_ = options;
-  deadline_ = nullptr;
-  stop_ = nullptr;
   Reset();
 }
 
 void Cds::ResumeRetainingTree() {
-  deadline_ = nullptr;
-  stop_ = nullptr;
-  timed_out_ = false;
-  poll_counter_ = 0;
   depth_ = 0;
   // See the header: in-progress rotations must not survive into a
   // sweep over a different var0 range. Completeness already earned by
@@ -208,17 +202,11 @@ void Cds::Truncate(CdsNode* u) {
   }
 }
 
-bool Cds::ComputeFreeTuple() {
+bool Cds::ComputeFreeTuple(AbortPoll* poll) {
   depth_ = 0;
   std::vector<ChainNode>& chain = chain_;
   for (;;) {
-    if ((deadline_ != nullptr || stop_ != nullptr) &&
-        ++poll_counter_ % 4096 == 0 &&
-        ((deadline_ != nullptr && deadline_->Expired()) ||
-         (stop_ != nullptr && stop_->stop_requested()))) {
-      timed_out_ = true;
-      return false;
-    }
+    if (poll != nullptr && poll->Check()) return false;
     if (depth_ < 0) return false;
     bool is_chain = true;
     Gather(depth_, &chain, &is_chain);

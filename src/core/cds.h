@@ -26,6 +26,10 @@
 //   completeness is disabled — the expensive general case the paper
 //   describes, used by the "ms-noidea7" ablation).
 //
+// The poset regime can spend unbounded time between free tuples (the
+// paper's "thrashing" cells), so the search checks the run's AbortPoll
+// (core/engine.h) on every step; the Cds keeps no run control of its own.
+//
 // The counting hook (Idea 8, #Minesweeper): in count mode, when the
 // bottom node at the last depth is complete, the remaining outputs for the
 // current prefix class are exactly its finite pointList entries; they are
@@ -37,10 +41,11 @@
 
 #include "core/cds_arena.h"
 #include "core/constraint.h"
-#include "util/stopwatch.h"
 #include "util/value.h"
 
 namespace wcoj {
+
+class AbortPoll;
 
 class Cds {
  public:
@@ -50,7 +55,6 @@ class Cds {
 
   struct Options {
     bool idea6_complete_nodes = true;
-    bool count_mode = false;  // #Minesweeper last-level tally
     // Depths where frontier jumps can skip values without caching them
     // (Idea 7 advances from non-skeleton atoms, filter advances). A node's
     // pointList at such a depth may miss free values, so completeness
@@ -84,13 +88,13 @@ class Cds {
   // range a morsel scans — so a later morsel of one partitioned run may
   // start from every constraint its worker accumulated instead of
   // re-deriving them (ExecScratch::AcquireCds's token-matched path).
-  // Only run control (deadline/stop/timeout/poll) is cleared, plus the
-  // Idea 6 rotation trackers: a rotation validated in one morsel and
-  // exhausted in a later, possibly non-adjacent (work-stolen) one would
-  // claim a contiguous floor-to-exhaustion sweep that never happened,
-  // so rotations — unlike the completeness marks they earn, which are
-  // per-pattern facts — must not span executions. The caller re-seeds
-  // the frontier via SetFrontier.
+  // Only the search depth and the Idea 6 rotation trackers are cleared:
+  // a rotation validated in one morsel and exhausted in a later,
+  // possibly non-adjacent (work-stolen) one would claim a contiguous
+  // floor-to-exhaustion sweep that never happened, so rotations —
+  // unlike the completeness marks they earn, which are per-pattern
+  // facts — must not span executions. The caller re-seeds the frontier
+  // via SetFrontier.
   void ResumeRetainingTree();
 
   // Inserts a gap-box constraint (pattern walk from the root, interval at
@@ -101,22 +105,12 @@ class Cds {
   // Advances the frontier to the next tuple >= the current frontier that
   // avoids every stored constraint. Returns false when the output space is
   // exhausted. On true, frontier() holds the free tuple; trailing
-  // coordinates may be -1 when no constraint restricts them yet.
-  bool ComputeFreeTuple();
+  // coordinates may be -1 when no constraint restricts them yet. Also
+  // returns false, mid-search, once `poll` (if given) fires.
+  bool ComputeFreeTuple(AbortPoll* poll = nullptr);
 
   const Tuple& frontier() const { return frontier_; }
   void SetFrontier(const Tuple& t);
-
-  // Cooperative deadline for the internal search loop: without a nested
-  // elimination order the §4.8 poset regime can spend unbounded time
-  // between free tuples (the paper's "thrashing" cells), so the CDS itself
-  // must be interruptible. `deadline` must outlive the Cds.
-  void set_deadline(const Deadline* deadline) { deadline_ = deadline; }
-  // Shared cooperative stop, polled on the same schedule as the
-  // deadline; null (the default) disables the check. `stop` must outlive
-  // the Cds or be cleared first.
-  void set_stop(const StopToken* stop) { stop_ = stop; }
-  bool timed_out() const { return timed_out_; }
 
   // #Minesweeper (Idea 8): callable right after the engine verified and
   // reported the frontier tuple at the last depth. If the last depth's
@@ -178,10 +172,6 @@ class Cds {
 
   int num_vars_;
   Options options_;
-  const Deadline* deadline_ = nullptr;
-  const StopToken* stop_ = nullptr;
-  bool timed_out_ = false;
-  uint64_t poll_counter_ = 0;
   uint64_t id_counter_ = 0;
   std::unique_ptr<CdsArena> owned_arena_;  // set when no arena was given
   CdsArena* arena_;

@@ -307,7 +307,6 @@ void CdsArena::Reset() {
   }
   nodes_allocated_ = 0;
   nodes_recycled_ = 0;
-  ++epoch_;
 }
 
 }  // namespace wcoj

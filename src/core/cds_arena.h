@@ -235,7 +235,6 @@ class CdsArena {
   // High-water heap footprint in bytes across all epochs (slabs plus
   // dedicated large buffers; never shrinks before destruction).
   uint64_t peak_bytes() const { return total_bytes_; }
-  uint64_t epoch() const { return epoch_; }
 
  private:
   static constexpr int kNodeSlabLog2 = 10;  // 1024 nodes per slab
@@ -276,7 +275,6 @@ class CdsArena {
   uint64_t nodes_allocated_ = 0;  // epoch-local
   uint64_t nodes_recycled_ = 0;   // epoch-local
   uint64_t total_bytes_ = 0;
-  uint64_t epoch_ = 0;
 
   MemoryBudget* budget_ = nullptr;
   uint64_t charged_ = 0;  // bytes charged to budget_ so far

@@ -8,6 +8,7 @@
 // the specialized clique engine — implements Engine::Execute over a
 // BoundQuery. Benchmarks and tests treat engines interchangeably, exactly
 // how the paper swaps join algorithms inside one system.
+// Every engine also winds down the same way, through one AbortPoll.
 
 #include <algorithm>
 #include <cassert>
@@ -153,14 +154,14 @@ struct ExecOptions {
   uint64_t cds_run_token = 0;
   // Per-query memory governor, shared by every morsel of a partitioned
   // run. Charged by CDS arenas, trie builds, materialized intermediates
-  // and persist mappings; engines poll Aborted() and wind down with
-  // kBudgetExceeded when the budget latches. Null means ungoverned.
+  // and persist mappings; engines wind down with kBudgetExceeded when
+  // the budget latches (see AbortPoll). Null means ungoverned.
   MemoryBudget* budget = nullptr;
 
-  // The full "stop working now" predicate engines poll at frontier
-  // boundaries: latched budget, requested stop, or expired deadline. The
-  // first two legs are relaxed atomic loads; engines rate-limit the
-  // deadline's clock read themselves.
+  // The full "stop working now" predicate: latched budget, requested
+  // stop, or expired deadline. The first two legs are relaxed atomic
+  // loads, the last a clock read; engine loops reach it through
+  // AbortPoll, which rate-limits it by work.
   bool Aborted() const {
     return (budget != nullptr && budget->exceeded()) ||
            (stop != nullptr && stop->stop_requested()) || deadline.Expired();
@@ -179,6 +180,39 @@ struct ExecOptions {
     }
     return Status(StatusCode::kDeadlineExceeded, "deadline expired");
   }
+};
+
+// The one wind-down check: engine hot loops and the CDS search call
+// Check(work) with the units of work done since the last call. Each call
+// reads the stop token; Aborted() runs on the first call and whenever the
+// work total crosses a multiple of kInterval, so checks stay spaced by
+// work, not calls. The first abort latches AbortStatus(). One poll per
+// execution, never shared across threads.
+class AbortPoll {
+ public:
+  static constexpr uint64_t kInterval = 4096;
+
+  explicit AbortPoll(const ExecOptions& opts) : opts_(opts) {}
+
+  // True once the execution must wind down.
+  bool Check(uint64_t work = 1) {
+    const uint64_t before = work_;
+    work_ += work;
+    if (status_.ok() &&
+        ((opts_.stop != nullptr && opts_.stop->stop_requested()) ||
+         (work_ / kInterval != before / kInterval && opts_.Aborted()))) {
+      status_ = opts_.AbortStatus();
+    }
+    return !status_.ok();
+  }
+
+  bool aborted() const { return !status_.ok(); }
+  const Status& status() const { return status_; }  // OK until it fires
+
+ private:
+  const ExecOptions& opts_;
+  uint64_t work_ = kInterval - 1;  // the first Check crosses a multiple
+  Status status_;
 };
 
 struct ExecResult {

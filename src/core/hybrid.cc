@@ -122,9 +122,14 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
   // Memo: junction value -> suffix count (Idea 6's caching effect, made
   // explicit). Only valid when we need counts, not tuples.
   std::unordered_map<Value, uint64_t> memo;
+  // The suffix runs share opts' deadline, stop, budget and scratch (they
+  // run one after another, so the scratch's single-user contract holds);
+  // only the junction range is their own.
+  ExecOptions suffix_opts = opts;
+  AbortPoll poll(opts);
   for (const Tuple& p : prefix_result.tuples) {
-    if (opts.Aborted()) {
-      result.status = opts.AbortStatus();
+    if (poll.Check()) {
+      result.status = poll.status();
       break;
     }
     const Value j = p[s - 1];
@@ -135,19 +140,8 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
         continue;
       }
     }
-    ExecOptions suffix_opts;
-    suffix_opts.deadline = opts.deadline;
-    suffix_opts.stop = opts.stop;
-    suffix_opts.collect_tuples = opts.collect_tuples;
     suffix_opts.var0_min = j;
     suffix_opts.var0_max = j;
-    // The prefix Minesweeper above already ran on opts' scratch (the
-    // option struct is forwarded wholesale); keep the suffix runs on the
-    // same per-worker scratch so any CDS-bearing suffix engine stays
-    // warm too. The runs are sequential, so the single-user contract
-    // holds.
-    suffix_opts.scratch = opts.scratch;
-    suffix_opts.budget = opts.budget;
     ExecResult sub = lftj.Execute(suffix, suffix_opts);
     if (!sub.ok()) {
       result.status = sub.status;

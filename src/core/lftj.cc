@@ -22,6 +22,7 @@ class LftjRun {
       : q_(q),
         opts_(opts),
         result_(result),
+        poll_(opts),
         // One trie index per atom, columns ordered by GAO position
         // (GAO-consistency assumption).
         indexes_(q, &result->stats, opts.budget) {
@@ -80,28 +81,13 @@ class LftjRun {
     if (!result_->status.ok()) return;  // refused in the constructor
     if (q_.num_vars == 0) return;
     Search(0);
+    result_->status.Update(poll_.status());  // an aborted run is incomplete
     // Seeks: iterator moves plus the count path's bound searches.
     result_->stats.seeks += count_probes_;
     for (const auto& it : iters_) result_->stats.seeks += it->seeks();
   }
 
  private:
-  // Reads the stop token on every call and the full abort predicate
-  // each time the step count crosses a multiple of kPollInterval. A
-  // binding is one step; a batched last-variable count is as many steps
-  // as it did work (keys merged plus probes), so polls stay spaced by
-  // work, not by calls, however wide the counted spans get.
-  bool Expired(uint64_t work = 1) {
-    const uint64_t before = steps_;
-    steps_ += work;
-    if ((opts_.stop != nullptr && opts_.stop->stop_requested()) ||
-        (steps_ / kPollInterval != before / kPollInterval &&
-         opts_.Aborted())) {
-      result_->status.Update(opts_.AbortStatus());  // result is incomplete
-    }
-    return !result_->status.ok();
-  }
-
   void Emit() {
     ++result_->count;
     if (opts_.collect_tuples) result_->tuples.push_back(t_);
@@ -135,11 +121,11 @@ class LftjRun {
     IntersectWork work;
     result_->count += intersector_.Count(spans_, lo, hi, &work);
     count_probes_ += work.probes;
-    Expired(1 + work.probes + work.merged);
+    poll_.Check(1 + work.probes + work.merged);  // a binding is 1
   }
 
   void Search(int depth) {
-    if (!result_->status.ok()) return;
+    if (poll_.aborted()) return;
     if (depth == last_ && !opts_.collect_tuples) {
       CountLast();
       return;
@@ -166,12 +152,12 @@ class LftjRun {
     }
     if (!join.AtEnd() && min_allowed != kNegInf) join.Seek(min_allowed);
     while (!join.AtEnd()) {
-      if (Expired()) break;
+      if (poll_.Check()) break;
       const Value v = join.Key();
       if (depth == 0 && v > opts_.var0_max) break;
       t_[depth] = v;
       Search(depth + 1);
-      if (!result_->status.ok()) break;
+      if (poll_.aborted()) break;
       join.Next();
     }
     for (auto* it : iters) it->Up();
@@ -180,6 +166,7 @@ class LftjRun {
   const BoundQuery& q_;
   const ExecOptions& opts_;
   ExecResult* result_;
+  AbortPoll poll_;
   AtomIndexSet indexes_;
   std::vector<std::unique_ptr<TrieIterator>> iters_;
   std::vector<std::vector<size_t>> per_depth_;  // atom ids per GAO depth
@@ -192,8 +179,6 @@ class LftjRun {
   std::vector<KeySpan> spans_;   // the last depth's spans, refilled per count
   SpanIntersector intersector_;  // its buffers live as long as the run
   uint64_t count_probes_ = 0;
-  uint64_t steps_ = 0;
-  static constexpr uint64_t kPollInterval = 4096;
 };
 
 }  // namespace

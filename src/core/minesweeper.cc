@@ -36,6 +36,7 @@ class MsRun {
         q_(q),
         opts_(opts),
         result_(result),
+        poll_(opts),
         indexes_(q, &result->stats, opts.budget) {
     // A failed (budget-refused / fault-injected) index build fails the
     // run closed before any index is probed.
@@ -77,7 +78,6 @@ class MsRun {
     if (!result_->status.ok()) return;  // refused in the constructor
     Cds::Options cds_options;
     cds_options.idea6_complete_nodes = ms_.idea6_complete_nodes;
-    cds_options.count_mode = ms_.count_mode && !opts_.collect_tuples;
     cds_options.completeness_blocked = CompletenessBlockedDepths();
     // Draw the CDS from the caller's warm per-worker scratch (partitioned
     // runs, repeated executions), where arena memory and the Cds shell's
@@ -91,11 +91,12 @@ class MsRun {
     }
     CdsArena* arena = &scratch->cds_arena;
     // CDS growth is the engine's dominant allocator: charge it against
-    // the query budget for the duration of this run. The latch (set by a
-    // budget refusal or the "arena.slab" failpoint) is polled in the main
-    // loop; the run winds down instead of crashing mid-insert. Budget
-    // install and stale-latch clear happen BEFORE the CDS is acquired,
-    // so growth during this run's own setup is governed too.
+    // the query budget for the duration of this run. The run's poll reads
+    // the budget latch; the main loop reads the arena's (set by the
+    // "arena.slab" failpoint); the run winds down instead of crashing
+    // mid-insert. Budget install and stale-latch clear happen BEFORE the
+    // CDS is acquired, so growth during this run's own setup is governed
+    // too.
     arena->ClearAllocFailed();  // stale latch from a prior query
     arena->SetBudget(opts_.budget);
     Cds& cds =
@@ -107,8 +108,6 @@ class MsRun {
     const uint64_t base_constraints = cds.constraints_inserted();
     const uint64_t base_allocated = arena->nodes_allocated();
     const uint64_t base_recycled = arena->nodes_recycled();
-    cds.set_deadline(&opts_.deadline);
-    cds.set_stop(opts_.stop);
     InsertDomainBounds(&cds);
     Tuple t(q_.num_vars, kFloor);
     if (opts_.var0_min != kNegInf) t[0] = opts_.var0_min;
@@ -122,15 +121,9 @@ class MsRun {
     Tuple proj;
     Constraint gap;
     bool prev_output = true;
-    uint64_t iters = 0;
 
-    while (cds.ComputeFreeTuple()) {
+    while (cds.ComputeFreeTuple(&poll_)) {
       if (arena->alloc_failed()) break;  // reported below
-      if ((opts_.stop != nullptr && opts_.stop->stop_requested()) ||
-          (++iters % 256 == 0 && opts_.Aborted())) {
-        result_->status.Update(opts_.AbortStatus());
-        break;
-      }
       // Copy: the Idea 8 drain below mutates the CDS frontier in place.
       t = cds.frontier();
       if (t[0] > opts_.var0_max) break;
@@ -249,7 +242,7 @@ class MsRun {
           Status(StatusCode::kResourceExhausted,
                  "CDS arena allocation refused (budget or injected fault)"));
     }
-    if (cds.timed_out()) result_->status.Update(opts_.AbortStatus());
+    result_->status.Update(poll_.status());
     // Detach the budget and clear the latch so a pooled scratch arena is
     // reusable by the next (possibly differently-governed) run.
     arena->ClearAllocFailed();
@@ -354,6 +347,7 @@ class MsRun {
   const BoundQuery& q_;
   const ExecOptions& opts_;
   ExecResult* result_;
+  AbortPoll poll_;  // checked on every CDS search step
   AtomIndexSet indexes_;
   std::vector<std::vector<int>> atom_vars_;  // sorted GAO positions per atom
   std::vector<bool> skeleton_;

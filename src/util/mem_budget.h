@@ -16,9 +16,9 @@
 //   - ForceCharge: soft landing. The charge always lands (the arena has
 //     already decided to grow and a half-allocated slab is worse than a
 //     bounded overshoot), but crossing the limit latches `exceeded()`.
-//     Engines poll exceeded() in the same loops that poll deadlines and
-//     wind down with kBudgetExceeded; the overshoot is bounded by one
-//     slab per worker.
+//     Engines read exceeded() through the same poll that reads
+//     deadlines (AbortPoll, core/engine.h) and wind down with
+//     kBudgetExceeded; the overshoot is bounded by one slab per worker.
 //
 // `exceeded()` is sticky for the life of the budget — a query that blew
 // its budget stays failed even if memory is later released; the caller
@@ -75,7 +75,7 @@ class MemoryBudget {
   }
 
   // Sticky: once over budget, stays over until the budget object is
-  // replaced. Polled by engine loops alongside deadline/stop checks.
+  // replaced. Engine loops read it through their AbortPoll.
   bool exceeded() const { return exceeded_.load(std::memory_order_relaxed); }
 
   uint64_t used() const { return used_.load(std::memory_order_relaxed); }

@@ -26,7 +26,7 @@ namespace {
 struct DiffCase {
   int num_vars;
   bool chain_only;  // chain regime vs §4.8 poset regime
-  bool count_mode;  // exercise Idea 8 draining
+  bool count_mode;  // drain completed classes (Idea 8), or never
   Value domain;
 };
 
@@ -43,22 +43,19 @@ TEST_P(CdsDifferentialTest, ArenaMatchesPointerReferenceExactly) {
       {4, /*chain_only=*/false, /*count_mode=*/true, 32},
   };
   for (const DiffCase& c : cases) {
-    Cds::Options options;
-    options.count_mode = c.count_mode;
-    Cds arena_cds(c.num_vars, options);
+    Cds arena_cds(c.num_vars, Cds::Options{});
+    cdsref::Cds ref_cds(c.num_vars, cdsref::Cds::Options{});
 
-    cdsref::Cds::Options ref_options;
-    ref_options.count_mode = c.count_mode;
-    cdsref::Cds ref_cds(c.num_vars, ref_options);
-
+    const CdsDrain drain =
+        c.count_mode ? CdsDrain::kCountMode : CdsDrain::kNever;
     const uint64_t wseed = 1000003u * seed + c.num_vars +
                            (c.chain_only ? 7 : 0) + (c.count_mode ? 13 : 0);
     const CdsWorkloadResult got = DriveCdsWorkload(
         &arena_cds, c.num_vars, wseed, /*max_free_tuples=*/300, c.chain_only,
-        c.domain);
+        c.domain, /*collect_frontiers=*/true, drain);
     const CdsWorkloadResult want = DriveCdsWorkload(
         &ref_cds, c.num_vars, wseed, /*max_free_tuples=*/300, c.chain_only,
-        c.domain);
+        c.domain, /*collect_frontiers=*/true, drain);
 
     ASSERT_EQ(got.frontiers.size(), want.frontiers.size())
         << "seed=" << seed << " chain=" << c.chain_only
@@ -71,6 +68,9 @@ TEST_P(CdsDifferentialTest, ArenaMatchesPointerReferenceExactly) {
     EXPECT_EQ(got.frontier_hash, want.frontier_hash) << "seed=" << seed;
     EXPECT_EQ(got.inserted, want.inserted) << "seed=" << seed;
     EXPECT_EQ(got.counted, want.counted) << "seed=" << seed;
+    // The count-mode cases really drain; the plain ones never do.
+    EXPECT_EQ(got.counted > 0, c.count_mode)
+        << "seed=" << seed << " chain=" << c.chain_only;
     EXPECT_EQ(arena_cds.constraints_inserted(),
               ref_cds.constraints_inserted())
         << "seed=" << seed;

@@ -190,7 +190,6 @@ class Cds {
  public:
   struct Options {
     bool idea6_complete_nodes = true;
-    bool count_mode = false;
     std::vector<bool> completeness_blocked;
   };
 
@@ -439,6 +438,25 @@ struct CdsWorkloadResult {
   uint64_t counted = 0;          // DrainCompleteLastLevel tallies
 };
 
+// What DriveCdsWorkload does around a verified output.
+enum class CdsDrain {
+  // Drains at random after an output: the default, and the timed
+  // workload of bench/micro_storage.cc. Gap inserts also land at random
+  // mid-sweep, so a last-level sweep seldom ends with the bottom node it
+  // started with, completeness (Idea 6) is seldom earned, and the drain
+  // almost never fires.
+  kAtRandom,
+  // Never drains: plain Minesweeper reports every output through the
+  // frontier.
+  kNever,
+  // #Minesweeper's best case: gaps constrain only the prefix (depths
+  // before the last), and once a prefix has passed its first free tuple
+  // every later free tuple under it is an output. Last-level sweeps then
+  // finish under a stable bottom node, which earns completeness, and the
+  // drain fires. Needs num_vars >= 3.
+  kCountMode,
+};
+
 // Drives one CDS implementation through an engine-shaped loop: compute a
 // free tuple, then either report it (advance the moving frontier past it,
 // occasionally draining the last level like #Minesweeper) or insert
@@ -457,11 +475,15 @@ struct CdsWorkloadResult {
 // `collect_frontiers` materializes the full free-tuple sequence for the
 // differential test's exact diffing; the benchmark passes false so the
 // timed region is pure CDS work (the hash still pins the sequence).
+// `drain` picks the output handling (CdsDrain); every mode rolls the
+// same dice, so the random stream does not depend on it.
 template <class CdsT>
 CdsWorkloadResult DriveCdsWorkload(CdsT* cds, int num_vars, uint64_t seed,
                                    int max_free_tuples, bool chain_only,
                                    Value domain,
-                                   bool collect_frontiers = true) {
+                                   bool collect_frontiers = true,
+                                   CdsDrain drain = CdsDrain::kAtRandom) {
+  assert(drain != CdsDrain::kCountMode || num_vars >= 3);
   Rng rng(seed);
   CdsWorkloadResult result;
   auto skewed = [&](Value bound) -> Value {
@@ -483,6 +505,7 @@ CdsWorkloadResult DriveCdsWorkload(CdsT* cds, int num_vars, uint64_t seed,
     if (cds->InsertConstraint(hi)) ++result.inserted;
   }
   Tuple advance;  // reused advance buffer: no per-tuple allocation
+  Tuple prev;     // the previous free tuple (kCountMode only)
   while (static_cast<int>(result.num_frontiers) < max_free_tuples &&
          cds->ComputeFreeTuple()) {
     const Tuple& t = cds->frontier();
@@ -492,13 +515,17 @@ CdsWorkloadResult DriveCdsWorkload(CdsT* cds, int num_vars, uint64_t seed,
           (result.frontier_hash ^ static_cast<uint64_t>(v)) * 1099511628211u;
     }
     if (collect_frontiers) result.frontiers.push_back(t);
-    if (rng.NextBounded(4) == 0) {
+    const bool continues_prefix =
+        drain == CdsDrain::kCountMode && !prev.empty() &&
+        std::equal(t.begin(), t.end() - 1, prev.begin());
+    if (drain == CdsDrain::kCountMode) prev = t;
+    if (rng.NextBounded(4) == 0 || continues_prefix) {
       // "Verified output": drain the completed class (Idea 8) when the
       // dice say so, else advance the moving frontier past the output
       // (Idea 2) — a fired drain already exhausted the class, exactly
       // like the engine's handling.
       uint64_t drained = 0;
-      if (rng.NextBounded(4) == 0) {
+      if (rng.NextBounded(4) == 0 && drain != CdsDrain::kNever) {
         drained = cds->DrainCompleteLastLevel(0);
         result.counted += drained;
       }
@@ -519,7 +546,8 @@ CdsWorkloadResult DriveCdsWorkload(CdsT* cds, int num_vars, uint64_t seed,
     // insert / merge / truncate churn the arena targets.
     const int k = 1 + static_cast<int>(rng.NextBounded(3));
     for (int j = 0; j < k; ++j) {
-      const int depth = 1 + static_cast<int>(rng.NextBounded(num_vars - 1));
+      int depth = 1 + static_cast<int>(rng.NextBounded(num_vars - 1));
+      if (drain == CdsDrain::kCountMode) depth = std::min(depth, num_vars - 2);
       Constraint c;
       c.pattern.assign(depth, kWildcard);
       if (chain_only) {

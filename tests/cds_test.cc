@@ -9,7 +9,11 @@
 #include "core/cds.h"
 #include "core/cds_arena.h"
 #include "core/constraint.h"
+#include "core/engine.h"
+#include "util/mem_budget.h"
 #include "util/rng.h"
+#include "util/status.h"
+#include "util/stopwatch.h"
 
 namespace wcoj {
 namespace {
@@ -463,6 +467,52 @@ TEST(CdsTest, SharedArenaSequentialCdsInstancesAreIndependent) {
   ASSERT_TRUE(cds.ComputeFreeTuple());
   EXPECT_EQ(cds.frontier()[0], -1);
   EXPECT_EQ(first[0], 3);
+}
+
+// The run's AbortPoll ends a free-tuple search in the §4.8 poset regime
+// (two incomparable patterns constrain the last depth): a requested stop
+// reads as kCancelled, and a budget latched by the CDS arena's own
+// growth as kBudgetExceeded. An idle poll lets the same search finish.
+TEST(CdsTest, AbortPollEndsAPosetRegimeSearch) {
+  auto load_poset = [](Cds* cds) {
+    cds->InsertConstraint(MakeC({1, kWildcard}, 3, 6));
+    cds->InsertConstraint(MakeC({kWildcard, 2}, 5, 12));
+    cds->SetFrontier({1, 2, 4});
+  };
+  {
+    Cds cds(3, Cds::Options{});
+    load_poset(&cds);
+    const ExecOptions ungoverned;
+    AbortPoll idle(ungoverned);
+    ASSERT_TRUE(cds.ComputeFreeTuple(&idle));
+    EXPECT_EQ(cds.frontier(), (Tuple{1, 2, 12}));
+    EXPECT_TRUE(idle.status().ok());
+  }
+  {
+    Cds cds(3, Cds::Options{});
+    load_poset(&cds);
+    StopToken stop;
+    stop.RequestStop();
+    ExecOptions stopped;
+    stopped.stop = &stop;
+    AbortPoll poll(stopped);
+    EXPECT_FALSE(cds.ComputeFreeTuple(&poll));
+    EXPECT_EQ(poll.status().code(), StatusCode::kCancelled);
+  }
+  {
+    MemoryBudget budget(64);  // less than one slab
+    CdsArena arena;
+    arena.SetBudget(&budget);
+    Cds cds(3, Cds::Options{}, &arena);
+    load_poset(&cds);
+    ASSERT_TRUE(budget.exceeded());
+    ExecOptions governed;
+    governed.budget = &budget;
+    AbortPoll poll(governed);
+    EXPECT_FALSE(cds.ComputeFreeTuple(&poll));
+    EXPECT_EQ(poll.status().code(), StatusCode::kBudgetExceeded);
+    arena.SetBudget(nullptr);
+  }
 }
 
 }  // namespace

@@ -32,6 +32,14 @@ void Use() {
 }  // namespace wcoj
 """.replace("SOCKET", "socket")  # so a grep for raw socket calls skips this file
 
+BAD_POLL = """
+namespace wcoj {
+bool Loop(const ExecOptions& opts) {
+  return opts.stop->stop_requested() || opts.Aborted();  // abort-poll
+}
+}  // namespace wcoj
+"""
+
 
 def run(root):
     return subprocess.run(
@@ -49,6 +57,8 @@ def main():
         bad = pathlib.Path(tmp)
         (bad / "src").mkdir()
         (bad / "src" / "broken.cc").write_text(BAD_SOURCE)
+        (bad / "src" / "core").mkdir()
+        (bad / "src" / "core" / "engine_loop.cc").write_text(BAD_POLL)
         result = run(bad)
         if result.returncode != 1:
             print(f"FAIL: bad tree returned {result.returncode}, want 1:\n"
@@ -56,7 +66,7 @@ def main():
             return 1
         expected_rules = ["naked-new", "raw-mutex", "failpoint-names",
                           "void-discard", "nolint-format", "nodiscard-gate",
-                          "raw-socket"]
+                          "raw-socket", "abort-poll"]
         missing = [r for r in expected_rules if f"[{r}]" not in result.stdout]
         if missing:
             print("FAIL: rules did not fire on known-bad input: "

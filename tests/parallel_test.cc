@@ -19,6 +19,7 @@
 #include "query/parser.h"
 #include "storage/trie.h"
 #include "tests/test_util.h"
+#include "util/mem_budget.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -439,9 +440,10 @@ TEST(PartitionedRunTest, ExternalStopTokenSkipsAllMorsels) {
   EXPECT_EQ(r.count, 0u);
 }
 
-// An engine that ignores var0 ranges (Yannakakis' semijoin program)
-// must run as a single morsel: fanning it out would sum the full
-// answer once per range.
+// Yannakakis reruns its whole semijoin program per call, so the morsel
+// scheduler runs it as one morsel. Its range-restricted answers are
+// still exact: ranges that partition var0 sum to the full count, and
+// each matches lftj's.
 TEST(PartitionedRunTest, RangeBlindEnginesRunAsOneMorsel) {
   Graph g = ErdosRenyi(60, 200, 12);
   GraphRelations rels = MakeGraphRelations(g);
@@ -451,6 +453,20 @@ TEST(PartitionedRunTest, RangeBlindEnginesRunAsOneMorsel) {
   ASSERT_FALSE(engine->honors_var0_range());
   const ExecResult direct = engine->Execute(bq, ExecOptions{});
   ASSERT_GT(direct.count, 0u);
+  auto lftj = CreateEngine("lftj");
+  uint64_t range_sum = 0;
+  for (const auto& [lo, hi] :
+       {std::pair<Value, Value>{0, 9}, {10, 29}, {30, 59}}) {
+    ExecOptions ranged;
+    ranged.var0_min = lo;
+    ranged.var0_max = hi;
+    const ExecResult part = engine->Execute(bq, ranged);
+    ASSERT_TRUE(part.ok()) << part.status.ToString();
+    EXPECT_EQ(part.count, lftj->Execute(bq, ranged).count)
+        << "[" << lo << "," << hi << "]";
+    range_sum += part.count;
+  }
+  EXPECT_EQ(range_sum, direct.count);
   const ExecResult split =
       PartitionedExecute(*engine, bq, ExecOptions{}, /*num_threads=*/3,
                          /*granularity=*/8);
@@ -482,7 +498,9 @@ TEST(PartitionedRunTest, InternalTimeoutDoesNotPoisonCallerToken) {
 
 // Every registered engine honors a pre-stopped token: it winds down at
 // its first frontier boundary and reports kCancelled, the contract the
-// morsel scheduler's cross-partition cancellation relies on.
+// morsel scheduler's cross-partition cancellation relies on. A
+// pre-latched budget ends every engine the same way, with
+// kBudgetExceeded.
 TEST(StopTokenTest, EveryEngineHonorsARequestedStop) {
   Graph g = Rmat(8, 900, 0.57, 0.19, 0.19, 13);
   GraphRelations rels = MakeGraphRelations(g);
@@ -497,6 +515,25 @@ TEST(StopTokenTest, EveryEngineHonorsARequestedStop) {
     const ExecResult r = engine->Execute(bq, opts);
     EXPECT_EQ(r.status.code(), StatusCode::kCancelled)
         << name << ": " << r.status.ToString();
+  }
+  // A budget latched before the run starts. Each engine first runs
+  // ungoverned, so every index it reads is resident and the governed run
+  // charges nothing: the poll's first check must end it before it counts
+  // a single answer.
+  IndexCatalog catalog;
+  bq.catalog = &catalog;
+  MemoryBudget latched(1);
+  latched.ForceCharge(2);
+  ASSERT_TRUE(latched.exceeded());
+  ExecOptions budget_opts;
+  budget_opts.budget = &latched;
+  for (const std::string& name : EngineNames()) {
+    auto engine = CreateEngine(name);
+    ASSERT_TRUE(engine->Execute(bq, ExecOptions{}).ok()) << name;
+    const ExecResult r = engine->Execute(bq, budget_opts);
+    EXPECT_EQ(r.status.code(), StatusCode::kBudgetExceeded)
+        << name << ": " << r.status.ToString();
+    EXPECT_EQ(r.count, 0u) << name;
   }
 }
 

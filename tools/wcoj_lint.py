@@ -31,6 +31,11 @@ Rules:
                    test, bench and CLI talks to the server through
                    ServerClient (server/client.h), so the protocol client
                    and its send loop exist once.
+  abort-poll       No stop_requested() / .Aborted() in src/core/ or
+                   src/baseline/ outside src/core/engine.h, where
+                   ExecOptions and its AbortPoll live. Engines and the
+                   CDS wind down through AbortPoll::Check, so the
+                   rate-limit and the latched status exist once.
   nolint-format    Every clang-tidy NOLINT must name its check
                    (NOLINT(check-name)) and carry a `-- reason`
                    trailer; bare NOLINTs are unauditable. A tree-wide
@@ -51,6 +56,8 @@ NOLINT_BUDGET = 10  # tree-wide cap: clang-tidy NOLINTs + wcoj allows
 ARENA_FILES = {"src/core/cds_arena.h", "src/core/cds_arena.cc"}
 ANNOTATION_HEADER = "src/util/thread_annotations.h"
 SOCKET_FILES = {"src/server/server.cc", "src/server/client.cc"}
+POLL_DIRS = ("src/core/", "src/baseline/")
+POLL_FILE = "src/core/engine.h"
 
 ALLOC_RE = re.compile(
     r"(?<![\w.])new\s+[A-Za-z_(]|(?<![\w.:])(?:malloc|calloc|realloc|free)\s*\("
@@ -59,6 +66,7 @@ RAW_MUTEX_RE = re.compile(
     r"std::(?:mutex|condition_variable|lock_guard|unique_lock|scoped_lock)\b"
 )
 RAW_SOCKET_RE = re.compile(r"::(?:socket|connect|send|recv)\(")
+ABORT_POLL_RE = re.compile(r"\bstop_requested\(\)|\.Aborted\(\)")
 REGISTER_RE = re.compile(r'FailPoints::Register\("([^"]+)"\)')
 VOID_DISCARD_RE = re.compile(
     r"\(void\)\s*\w*(?:status|Status|TryCharge|TryRebase)"
@@ -159,6 +167,13 @@ def lint(root):
                     findings.append((rel, lineno, "raw-socket",
                                      "raw socket call outside the server "
                                      "and its client (use ServerClient): "
+                                     + line.strip()))
+                if rel.startswith(POLL_DIRS) and rel != POLL_FILE and \
+                        ABORT_POLL_RE.search(code) and \
+                        not allowed(line, "abort-poll"):
+                    findings.append((rel, lineno, "abort-poll",
+                                     "hand-rolled abort check outside "
+                                     "AbortPoll (use AbortPoll::Check): "
                                      + line.strip()))
                 if in_src:
                     for m in REGISTER_RE.finditer(line):

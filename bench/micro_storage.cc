@@ -218,23 +218,31 @@ void BM_CdsConstraintStream(benchmark::State& state) {
 BENCHMARK(BM_CdsConstraintStream)->Arg(1024)->Arg(8192);
 
 // The engine-shaped insert / ComputeFreeTuple / drain loop (the shared
-// DriveCdsWorkload harness) on a warm arena + warm Cds shell.
+// DriveCdsWorkload harness) on a warm arena + warm Cds shell. Args:
+// chain-only patterns (0/1), then the drain mode — 0 plain Minesweeper
+// (never drains), 1 #Minesweeper's count mode, where
+// DrainCompleteLastLevel fires.
 void BM_CdsComputeFreeTuple(benchmark::State& state) {
   const bool chain = state.range(0) != 0;
+  const CdsDrain drain =
+      state.range(1) != 0 ? CdsDrain::kCountMode : CdsDrain::kNever;
   CdsArena arena;
   Cds cds(4, Cds::Options{}, &arena);
-  uint64_t free_tuples = 0;
+  uint64_t free_tuples = 0, drained = 0;
   for (auto _ : state) {
     cds.Reset();
     const CdsWorkloadResult r =
         DriveCdsWorkload(&cds, 4, 29, /*max_free_tuples=*/512, chain, 64,
-                         /*collect_frontiers=*/false);
+                         /*collect_frontiers=*/false, drain);
     free_tuples += r.num_frontiers;
+    drained += r.counted;
     benchmark::DoNotOptimize(r.inserted);
   }
   state.SetItemsProcessed(static_cast<int64_t>(free_tuples));
+  state.counters["drained"] = benchmark::Counter(
+      static_cast<double>(drained), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_CdsComputeFreeTuple)->Arg(0)->Arg(1);
+BENCHMARK(BM_CdsComputeFreeTuple)->ArgsProduct({{0, 1}, {0, 1}});
 
 void BM_CatalogGetOrBuildHit(benchmark::State& state) {
   Graph g = ErdosRenyi(state.range(0), state.range(0) * 8, 3);

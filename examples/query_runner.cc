@@ -55,7 +55,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -159,35 +158,16 @@ int main(int argc, char** argv) {
   // Bind() trusts its input (in-process callers), so vet the query here
   // at the untrusted CLI boundary.
   const auto rel_map = rels.Map();
-  for (const Atom& atom : parsed.query.atoms) {
-    const auto it = rel_map.find(atom.relation);
-    if (it == rel_map.end()) {
-      std::fprintf(stderr, "unknown relation '%s'; known:",
-                   atom.relation.c_str());
+  const Status vetted = CheckBindable(parsed.query, rel_map);
+  if (!vetted.ok()) {
+    std::fprintf(stderr, "%s", vetted.message().c_str());
+    if (vetted.message().rfind("unknown relation", 0) == 0) {
+      std::fprintf(stderr, "; known:");
       for (const auto& [name, rel] : rel_map)
         std::fprintf(stderr, " %s/%d", name.c_str(), rel->arity());
-      std::fprintf(stderr, "\n");
-      return 2;
     }
-    if (static_cast<int>(atom.vars.size()) != it->second->arity()) {
-      std::fprintf(stderr, "relation '%s' has arity %d, got %zu variables\n",
-                   atom.relation.c_str(), it->second->arity(),
-                   atom.vars.size());
-      return 2;
-    }
-  }
-  std::set<std::string> atom_vars;
-  for (const Atom& atom : parsed.query.atoms)
-    atom_vars.insert(atom.vars.begin(), atom.vars.end());
-  for (const Filter& f : parsed.query.filters) {
-    for (const std::string& v : {f.lo, f.hi}) {
-      if (atom_vars.count(v) == 0) {
-        std::fprintf(stderr,
-                     "filter variable '%s' is not bound by any atom\n",
-                     v.c_str());
-        return 2;
-      }
-    }
+    std::fprintf(stderr, "\n");
+    return 2;
   }
   BoundQuery bq = Bind(parsed.query, rel_map, parsed.query.Variables());
   bq.catalog = rels.catalog();  // execute over shared resident indexes

@@ -23,6 +23,11 @@ class CliqueEngine : public Engine {
   CatalogWarmup catalog_warmup() const override {
     return CatalogWarmup::kNone;
   }
+  // A range-restricted Execute is exact (the tally keeps only var0's
+  // range), but each call rebuilds the whole forward graph and
+  // enumerates every clique, so the morsel scheduler runs this engine as
+  // one morsel.
+  bool honors_var0_range() const override { return false; }
 
   // True iff Execute would handle this query (K3 or K4 pattern).
   static bool Supports(const BoundQuery& q);

@@ -262,11 +262,14 @@ class Engine {
   virtual CatalogWarmup catalog_warmup() const {
     return CatalogWarmup::kGaoIndexes;
   }
-  // Whether Execute restricts its output to ExecOptions::var0_{min,max}.
-  // The morsel scheduler may only fan an engine out over var0 ranges
-  // when this holds — summing full-query counts once per morsel would
-  // silently multiply the answer. Engines that ignore the range
-  // (Yannakakis' semijoin program has no var0 hook) run as one morsel.
+  // Whether the morsel scheduler may fan Execute out over
+  // ExecOptions::var0_{min,max} ranges: the output must be restricted
+  // to the range (summing full-query counts once per morsel would
+  // silently multiply the answer), and a range's cost must shrink with
+  // it. Engines whose ranged call still does the whole query's work —
+  // Yannakakis reruns its semijoin program, the clique engine rebuilds
+  // its forward graph and enumerates every clique — return false and
+  // run as one morsel.
   virtual bool honors_var0_range() const { return true; }
 };
 

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/atom_index.h"
+#include "storage/catalog.h"
 #include "storage/trie.h"
 #include "util/failpoint.h"
 #include "util/thread_annotations.h"
@@ -15,47 +14,6 @@
 namespace wcoj {
 
 namespace {
-
-// Key of a distinct warm-up build job. Hashed: the old first-occurrence
-// linear scan compared full permutation vectors pairwise, O(atoms^2)
-// vector compares per query.
-struct WarmKey {
-  const Relation* relation;
-  std::vector<int> perm;
-  bool operator==(const WarmKey& o) const {
-    return relation == o.relation && perm == o.perm;
-  }
-};
-
-struct WarmKeyHash {
-  size_t operator()(const WarmKey& k) const {
-    size_t h = std::hash<const void*>()(k.relation);
-    for (int c : k.perm) {
-      h = h * 1000003u + static_cast<size_t>(c) + 0x9e3779b9u;
-    }
-    return h;
-  }
-};
-
-// Quantile boundaries over a sorted (duplicates kept) value sequence:
-// at most parts-1 strictly increasing values cutting the sequence into
-// roughly equal-population ranges. The cold-path analogue of
-// TrieIndex::SplitPoints — duplicates in the scan stand in for the
-// subtree-breadth weights the trie stores explicitly.
-std::vector<Value> QuantileSplits(const std::vector<Value>& sorted,
-                                  int parts) {
-  std::vector<Value> splits;
-  const size_t n = sorted.size();
-  if (parts <= 1 || n == 0) return splits;
-  for (int j = 1; j < parts; ++j) {
-    const size_t rank = n * static_cast<size_t>(j) / parts;
-    if (rank == 0 || rank >= n) continue;
-    const Value v = sorted[rank - 1];
-    if (v == sorted.back()) break;  // tail range must stay non-degenerate
-    if (splits.empty() || splits.back() < v) splits.push_back(v);
-  }
-  return splits;
-}
 
 // Inclusive [a, b] morsel ranges covering [lo, hi], cut at the given
 // strictly increasing split values. Boundaries are actual domain
@@ -92,50 +50,30 @@ EngineStats WarmQueryIndexesParallel(const BoundQuery& q, WorkerPool& pool,
                                      MemoryBudget* budget, Status* status) {
   EngineStats stats;
   if (q.catalog == nullptr) return stats;
-  // Distinct (relation, permutation) keys; the map owns each key once,
-  // `keys` preserves node-stable pointers for the build jobs.
-  std::unordered_map<WarmKey, size_t, WarmKeyHash> key_ids;
-  std::vector<const WarmKey*> keys;
-  std::vector<size_t> atom_key(q.atoms.size());
-  for (size_t a = 0; a < q.atoms.size(); ++a) {
-    WarmKey key{q.atoms[a].relation, GaoConsistentPerm(q.atoms[a].vars)};
-    auto [it, inserted] = key_ids.emplace(std::move(key), keys.size());
-    if (inserted) keys.push_back(&it->first);
-    atom_key[a] = it->second;
-  }
-  // One build job per distinct key; the catalog serializes same-key
-  // racers internally, so distinct keys are the real parallelism.
-  std::vector<char> built(keys.size(), 0);
-  std::vector<Status> build_status(keys.size());
+  // One job per atom. The catalog builds each distinct key once and
+  // reports the build to exactly one of its same-key callers, so the
+  // per-atom build/hit tally equals the serial warm pass's while
+  // distinct keys build concurrently.
+  std::vector<EngineStats> atom_stats(q.atoms.size());
+  std::vector<Status> atom_status(q.atoms.size());
   std::vector<std::function<void()>> jobs;
-  jobs.reserve(keys.size());
-  for (size_t k = 0; k < keys.size(); ++k) {
-    jobs.push_back([&, k]() {
-      bool b = false;
-      const TrieIndex* index = q.catalog->GetOrBuild(
-          *keys[k]->relation, keys[k]->perm, &b, budget, &build_status[k]);
-      if (index == nullptr && build_status[k].ok()) {
-        build_status[k] = Status(StatusCode::kInternal, "index build failed");
+  jobs.reserve(q.atoms.size());
+  for (size_t a = 0; a < q.atoms.size(); ++a) {
+    jobs.push_back([&, a]() {
+      const BoundAtom& atom = q.atoms[a];
+      const TrieIndex* index = q.catalog->GetOrBuildCounted(
+          *atom.relation, GaoConsistentPerm(atom.vars),
+          &atom_stats[a].index_builds, &atom_stats[a].index_cache_hits,
+          budget, &atom_status[a]);
+      if (index == nullptr && atom_status[a].ok()) {
+        atom_status[a] = Status(StatusCode::kInternal, "index build failed");
       }
-      built[k] = b ? 1 : 0;
     });
   }
   pool.Run(jobs);
-  if (status != nullptr) {
-    for (const Status& st : build_status) status->Update(st);
-  }
-  // Per-atom accounting, matching the serial WarmQueryIndexes: the
-  // first atom of each key records its build (or resident hit), every
-  // repeat atom a hit.
-  std::vector<char> seen(keys.size(), 0);
   for (size_t a = 0; a < q.atoms.size(); ++a) {
-    const size_t k = atom_key[a];
-    if (!seen[k] && built[k]) {
-      ++stats.index_builds;
-    } else {
-      ++stats.index_cache_hits;
-    }
-    seen[k] = 1;
+    stats.Add(atom_stats[a]);
+    if (status != nullptr) status->Update(atom_status[a]);
   }
   return stats;
 }
@@ -183,75 +121,58 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
     local_pool.emplace(threads);
     pool = &*local_pool;
   }
-  // GAO indexes are only pre-built (and only read for domain metadata
-  // below) for engines that actually consume them; for the others the
-  // catalog would retain full sorted copies nobody probes.
-  const bool use_gao_indexes =
-      q.catalog != nullptr &&
+  // Bind the run to one catalog: the query's, or one private to this
+  // call, so a cold run builds each distinct trie once rather than once
+  // per morsel.
+  IndexCatalog private_catalog;
+  BoundQuery run_q = q;
+  if (run_q.catalog == nullptr) run_q.catalog = &private_catalog;
+  // Engines that read GAO tries execute over the run's catalog, warmed
+  // once before any morsel runs; distinct tries build concurrently
+  // across the pool. The others never probe GAO tries, so theirs (only
+  // needed for split points) go to the private catalog, and the shared
+  // catalog never keeps tries no engine reads; their morsels execute `q`
+  // as given (without a catalog the pairwise joins hash-join, trie-free).
+  const bool reads_gao_tries =
       engine.catalog_warmup() == CatalogWarmup::kGaoIndexes;
-  if (use_gao_indexes) {
-    // Warm the shared catalog once, before any job runs: every morsel
-    // then executes over the same resident indexes, so the whole run
-    // performs one build per distinct (relation, permutation) pair no
-    // matter how many morsels there are. Distinct indexes build
-    // concurrently across the worker pool instead of serially.
-    Status warm_status;
+  IndexCatalog* split_catalog =
+      reads_gao_tries ? run_q.catalog : &private_catalog;
+  Status build_status;
+  if (reads_gao_tries) {
     total.stats.Add(
-        WarmQueryIndexesParallel(q, *pool, opts.budget, &warm_status));
-    if (!warm_status.ok()) {
-      // A refused/faulted shared build would fail every morsel the same
-      // way; fail the run closed before spawning any.
-      total.status = warm_status;
-      FinalizeExecStatus(&total, opts);
-      return total;
-    }
+        WarmQueryIndexesParallel(run_q, *pool, opts.budget, &build_status));
   }
 
   // Domain of the first GAO variable (union over atoms containing it)
-  // plus the skew pilot: the resident var0-binding index with the most
-  // level-0 keys, whose CSR key array drives split-point selection. The
-  // largest key population is where a value-uniform split would
-  // concentrate work, so it is the distribution worth tracking.
+  // plus the skew pilot: the var0-binding trie with the most level-0
+  // keys, whose CSR key array drives split-point selection. The largest
+  // key population is where a value-uniform split would concentrate
+  // work, so it is the distribution worth tracking. Lookups here are
+  // uncounted: the stats counters track engine work, and for GAO
+  // engines the warm pass above already accounted for every key.
   Value lo = kPosInf, hi = kNegInf;
   const TrieIndex* pilot = nullptr;
-  std::vector<Value> scanned;  // cold path: var0 occurrences, unsorted
-  // Cold-path scan dedup: repeated atoms over one relation (a triangle
-  // binds edge_lt's column 0 twice) must contribute their values once.
-  std::vector<std::pair<const Relation*, int>> scanned_cols;
   for (const auto& atom : q.atoms) {
-    const bool has_var0 =
-        std::find(atom.vars.begin(), atom.vars.end(), 0) != atom.vars.end();
-    if (use_gao_indexes) {
-      if (!has_var0) continue;
-      // Uncounted re-read: the warm pass above already accounted for
-      // this key, and the stats counters track engine work, not
-      // orchestration lookups.
-      const TrieIndex* index =
-          q.catalog->GetOrBuild(*atom.relation, GaoConsistentPerm(atom.vars));
-      if (index == nullptr || index->size() == 0) continue;
-      lo = std::min(lo, index->ColMin(0));
-      hi = std::max(hi, index->ColMax(0));
-      if (pilot == nullptr || index->LevelSize(0) > pilot->LevelSize(0)) {
-        pilot = index;
-      }
+    if (!build_status.ok()) break;
+    if (std::find(atom.vars.begin(), atom.vars.end(), 0) == atom.vars.end()) {
       continue;
     }
-    for (size_t c = 0; c < atom.vars.size(); ++c) {
-      if (atom.vars[c] != 0) continue;
-      const std::pair<const Relation*, int> col{atom.relation,
-                                                static_cast<int>(c)};
-      if (std::find(scanned_cols.begin(), scanned_cols.end(), col) !=
-          scanned_cols.end()) {
-        continue;
-      }
-      scanned_cols.push_back(col);
-      for (size_t r = 0; r < atom.relation->size(); ++r) {
-        const Value v = atom.relation->At(r, static_cast<int>(c));
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-        scanned.push_back(v);
-      }
+    const TrieIndex* index =
+        split_catalog->GetOrBuild(*atom.relation, GaoConsistentPerm(atom.vars),
+                                  nullptr, opts.budget, &build_status);
+    if (index == nullptr || index->size() == 0) continue;
+    lo = std::min(lo, index->ColMin(0));
+    hi = std::max(hi, index->ColMax(0));
+    if (pilot == nullptr || index->LevelSize(0) > pilot->LevelSize(0)) {
+      pilot = index;
     }
+  }
+  if (!build_status.ok()) {
+    // A refused/faulted build would fail every morsel the same way;
+    // fail the run closed before spawning any.
+    total.status = build_status;
+    FinalizeExecStatus(&total, opts);
+    return total;
   }
   if (lo > hi) {  // variable 0 has an empty domain: empty result
     FinalizeExecStatus(&total, opts);
@@ -264,21 +185,13 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
     return total;
   }
 
-  // Rank-based morsel boundaries: quantiles over resident keys (warm
-  // path, subtree-breadth weighted) or over the scanned occurrences
-  // (cold path, duplicates = weight). Splits outside [lo, hi] are
+  // Rank-based morsel boundaries: quantiles over the pilot's level-0
+  // keys, weighted by subtree breadth. Splits outside [lo, hi] are
   // dropped by MorselRanges, so a var0-restricted call simply gets
   // fewer, still balanced, morsels.
-  const int parts = std::max(1, threads * granularity);
-  std::vector<Value> splits;
-  if (pilot != nullptr) {
-    splits = pilot->SplitPoints(parts);
-  } else if (!scanned.empty()) {
-    std::sort(scanned.begin(), scanned.end());
-    splits = QuantileSplits(scanned, parts);
-  }
-  const std::vector<std::pair<Value, Value>> ranges =
-      MorselRanges(lo, hi, splits);
+  const std::vector<std::pair<Value, Value>> ranges = MorselRanges(
+      lo, hi, pilot->SplitPoints(std::max(1, threads * granularity)));
+  const BoundQuery& morsel_q = reads_gao_tries ? run_q : q;
 
   // Run-scoped cooperative stop, chained to the caller's token: every
   // morsel polls it, so an external cancel reaches running engines at
@@ -335,7 +248,7 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
                    "(failpoint worker.job)"));
         return;
       }
-      ExecResult r = engine.Execute(q, job_opts);
+      ExecResult r = engine.Execute(morsel_q, job_opts);
       // A failed morsel cancels the whole run: queued siblings skip,
       // running siblings wind down at their next poll.
       if (!r.ok()) stop->RequestStop();

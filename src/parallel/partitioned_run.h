@@ -8,12 +8,24 @@
 // ExecOptions::var0_{min,max}. Unlike the old value-uniform slicing
 // (lo + span*p/parts — empty morsels on skewed data, one hub morsel
 // owning the work, and signed overflow on wide domains), boundaries are
-// *rank-based*: the pilot index's level-0 CSR key array is cut at
-// subtree-breadth quantiles (TrieIndex::SplitPoints), so each morsel
-// covers an equal share of resident keys weighted by fanout. Engines
-// without resident tries get the same treatment over a sorted scan of
-// the var0 columns (duplicates kept — they are the weights). Boundaries
-// are actual domain values, so no span arithmetic can overflow.
+// *rank-based*, and there is one rule for every engine: var0's domain
+// is read from level 0 of the var0 atoms' GAO-consistent tries, and the
+// pilot trie (most level-0 keys) is cut at subtree-breadth quantiles
+// (TrieIndex::SplitPoints), so each morsel covers an equal share of
+// keys weighted by fanout. Boundaries are actual domain values, so no
+// span arithmetic can overflow.
+//
+// Catalog: the run is bound to one IndexCatalog — the query's, or, when
+// q.catalog is null, one private to the call — the rule single
+// executions and the hybrid follow. Engines that read GAO tries (LFTJ,
+// Minesweeper and its ablations, the hybrid) have them built once, in
+// parallel on the pool, before any morsel runs, and every morsel
+// executes over them, so a run builds each distinct trie once however
+// many morsels it has. Engines that do not read GAO tries (the pairwise
+// baselines) get their split tries built in the run-private catalog, so
+// a shared catalog never keeps tries no engine probes. Split-trie builds
+// are governed by opts.budget; a refused build fails the run closed
+// before any morsel runs.
 //
 // Morsels run on a work-stealing WorkerPool (persistent threads,
 // per-worker deques, steal-half); pass `worker_pool` to reuse one
@@ -56,9 +68,11 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
 
 // Parallel flavor of WarmQueryIndexes (core/atom_index.h): builds the
 // GAO-consistent index of every atom of `q` in its catalog, one `pool`
-// job per *distinct* (relation, permutation) pair, so a cold partitioned
-// run constructs independent indexes concurrently instead of serially.
-// Per-atom build/hit accounting is identical to the serial warm pass.
+// job per atom, so a cold partitioned run constructs independent
+// indexes concurrently instead of serially. The catalog builds each
+// distinct (relation, permutation) pair once and reports the build to
+// one caller, so per-atom build/hit accounting is identical to the
+// serial warm pass.
 // No-op without a catalog. Builds are governed by `budget` when given;
 // the first build failure (budget refusal / injected fault) is folded
 // into *status.

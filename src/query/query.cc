@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <set>
+#include <string>
 
 #include "storage/catalog.h"
 
@@ -54,6 +56,34 @@ std::string BoundQuery::DebugString() const {
   }
   out += "]";
   return out;
+}
+
+Status CheckBindable(const Query& query,
+                     const std::map<std::string, const Relation*>& relations) {
+  auto invalid = [](const std::string& why) {
+    return Status(StatusCode::kInvalidArgument, why);
+  };
+  std::set<std::string> atom_vars;
+  for (const Atom& atom : query.atoms) {
+    const auto it = relations.find(atom.relation);
+    if (it == relations.end()) {
+      return invalid("unknown relation '" + atom.relation + "'");
+    }
+    if (static_cast<int>(atom.vars.size()) != it->second->arity()) {
+      return invalid("relation '" + atom.relation + "' has arity " +
+                     std::to_string(it->second->arity()) + ", got " +
+                     std::to_string(atom.vars.size()) + " variables");
+    }
+    atom_vars.insert(atom.vars.begin(), atom.vars.end());
+  }
+  for (const Filter& f : query.filters) {
+    for (const std::string& v : {f.lo, f.hi}) {
+      if (atom_vars.count(v) == 0) {
+        return invalid("filter variable '" + v + "' is not bound by any atom");
+      }
+    }
+  }
+  return Status::Ok();
 }
 
 BoundQuery Bind(const Query& query,

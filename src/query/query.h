@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "storage/relation.h"
+#include "util/status.h"
 
 namespace wcoj {
 
@@ -68,6 +69,14 @@ struct BoundQuery {
   std::vector<int> AtomVarsSorted(size_t i) const;
   std::string DebugString() const;
 };
+
+// Vets `query` against `relations` for an untrusted boundary (the CLI,
+// the wire) before Bind, which trusts its input: every atom must name a
+// known relation with that relation's arity, and every filter variable
+// must be bound by some atom. Returns kInvalidArgument naming the first
+// violation, else OK.
+Status CheckBindable(const Query& query,
+                     const std::map<std::string, const Relation*>& relations);
 
 // Binds `query` against `relations` using `gao` (a permutation of the
 // query's variables; every query variable must appear exactly once).

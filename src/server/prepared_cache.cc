@@ -1,6 +1,5 @@
 #include "server/prepared_cache.h"
 
-#include <set>
 #include <utility>
 
 #include "query/agm.h"
@@ -28,30 +27,9 @@ std::shared_ptr<PreparedQuery> PreparedQueryCache::Build(
   const ParseResult parsed = ParseQuery(text);
   if (!parsed.ok) return fail("parse error: " + parsed.error);
   // The wire is an untrusted boundary; Bind() asserts on malformed
-  // input, so everything it trusts is vetted here first (the same
-  // checks query_runner performs at the CLI boundary).
-  for (const Atom& atom : parsed.query.atoms) {
-    const auto it = relations_.find(atom.relation);
-    if (it == relations_.end()) {
-      return fail("unknown relation '" + atom.relation + "'");
-    }
-    if (static_cast<int>(atom.vars.size()) != it->second->arity()) {
-      return fail("relation '" + atom.relation + "' has arity " +
-                  std::to_string(it->second->arity()) + ", got " +
-                  std::to_string(atom.vars.size()) + " variables");
-    }
-  }
-  std::set<std::string> atom_vars;
-  for (const Atom& atom : parsed.query.atoms) {
-    atom_vars.insert(atom.vars.begin(), atom.vars.end());
-  }
-  for (const Filter& f : parsed.query.filters) {
-    for (const std::string& v : {f.lo, f.hi}) {
-      if (atom_vars.count(v) == 0) {
-        return fail("filter variable '" + v + "' is not bound by any atom");
-      }
-    }
-  }
+  // input, so everything it trusts is vetted here first.
+  *status = CheckBindable(parsed.query, relations_);
+  if (!status->ok()) return nullptr;
   auto prepared = std::make_shared<PreparedQuery>();
   prepared->engine_name = engine_name;
   prepared->text = text;

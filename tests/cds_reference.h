@@ -440,12 +440,6 @@ struct CdsWorkloadResult {
 
 // What DriveCdsWorkload does around a verified output.
 enum class CdsDrain {
-  // Drains at random after an output: the default, and the timed
-  // workload of bench/micro_storage.cc. Gap inserts also land at random
-  // mid-sweep, so a last-level sweep seldom ends with the bottom node it
-  // started with, completeness (Idea 6) is seldom earned, and the drain
-  // almost never fires.
-  kAtRandom,
   // Never drains: plain Minesweeper reports every output through the
   // frontier.
   kNever,
@@ -480,9 +474,8 @@ enum class CdsDrain {
 template <class CdsT>
 CdsWorkloadResult DriveCdsWorkload(CdsT* cds, int num_vars, uint64_t seed,
                                    int max_free_tuples, bool chain_only,
-                                   Value domain,
-                                   bool collect_frontiers = true,
-                                   CdsDrain drain = CdsDrain::kAtRandom) {
+                                   Value domain, bool collect_frontiers,
+                                   CdsDrain drain) {
   assert(drain != CdsDrain::kCountMode || num_vars >= 3);
   Rng rng(seed);
   CdsWorkloadResult result;

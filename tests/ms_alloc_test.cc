@@ -27,13 +27,30 @@ namespace {
 std::atomic<uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The replacements are kept out of line: inlined into a call site, GCC
+// would pair one side's malloc/free with the other side's new/delete
+// and warn -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// The nothrow form too (std::stable_sort's temporary buffer uses it):
+// left to the runtime, its blocks would be freed by the replacement
+// delete below, an allocator mismatch under AddressSanitizer.
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace wcoj {
 namespace {

@@ -243,6 +243,36 @@ TEST(PartitionedRunTest, ParallelPrewarmBuildsOncePerDistinctIndex) {
   EXPECT_EQ(none.index_cache_hits, 0u);
 }
 
+// Without a catalog, a partitioned run is bound to one catalog private
+// to the call: every morsel executes over the same tries, so the run
+// reports exactly the builds of a serial run, not one set per morsel.
+TEST(PartitionedRunTest, RunWithoutCatalogBuildsEachTrieOnce) {
+  Graph g = Rmat(7, 420, 0.57, 0.19, 0.19, 31);
+  GraphRelations rels = MakeGraphRelations(g);
+  rels.v1 = SampleNodes(g, 3.0, 4);
+  rels.v2 = SampleNodes(g, 3.0, 5);
+  struct Case {
+    const char* engine;
+    const char* workload;
+  };
+  const Case cases[] = {
+      {"lftj", "3-clique"}, {"ms", "3-path"}, {"hybrid", "2-lollipop"}};
+  for (const auto& c : cases) {
+    const Workload& w = WorkloadByName(c.workload);
+    const BoundQuery bq = Bind(MustParseQuery(w.query_text), rels.Map(), w.gao);
+    ASSERT_EQ(bq.catalog, nullptr);
+    auto engine = CreateEngine(c.engine);
+    const ExecResult serial = engine->Execute(bq, ExecOptions{});
+    const ExecResult split = PartitionedExecute(
+        *engine, bq, ExecOptions{}, /*num_threads=*/3, /*granularity=*/8);
+    ASSERT_TRUE(split.ok()) << c.engine << ": " << split.status.ToString();
+    EXPECT_EQ(split.count, serial.count) << c.engine;
+    EXPECT_GT(serial.stats.index_builds, 0u) << c.engine;
+    EXPECT_EQ(split.stats.index_builds, serial.stats.index_builds)
+        << c.engine;
+  }
+}
+
 // The PR 4 acceptance bar: partition jobs draw their CDS from per-worker
 // scratch arenas, so a multi-partition run recycles nodes (every job
 // after a worker's first reuses warm memory), and re-running over a
@@ -356,8 +386,7 @@ TEST(PartitionedRunTest, CollectedTuplesAreCompleteAndSorted) {
 // signed 64-bit the moment a relation's var0 domain spans most of the
 // Value range — partitions went missing and counts came back wrong.
 // Rank-based morsel boundaries are actual domain values, so extreme
-// domains must count exactly, warm (catalog quantiles) and cold
-// (scan quantiles).
+// domains must count exactly, with and without a shared catalog.
 TEST(PartitionedRunTest, ExtremeDomainsDoNotOverflowPartitionMath) {
   constexpr Value kLo = std::numeric_limits<Value>::min() + 2;
   constexpr Value kHi = std::numeric_limits<Value>::max() - 2;
@@ -373,13 +402,12 @@ TEST(PartitionedRunTest, ExtremeDomainsDoNotOverflowPartitionMath) {
   auto engine = CreateEngine("lftj");
   const ExecResult direct = engine->Execute(bq, ExecOptions{});
   ASSERT_EQ(direct.count, edge.size());
-  // Cold path: no catalog, boundaries from the sorted column scan.
+  // No catalog: the split trie is built in a catalog private to the run.
   const ExecResult cold =
       PartitionedExecute(*engine, bq, ExecOptions{}, /*num_threads=*/3,
                          /*granularity=*/8);
   EXPECT_EQ(cold.count, direct.count);
-  // Warm path: boundaries from TrieIndex::SplitPoints on the catalog
-  // index.
+  // Shared catalog: the split trie is the catalog's resident index.
   IndexCatalog catalog;
   bq.catalog = &catalog;
   const ExecResult warm =
@@ -440,37 +468,43 @@ TEST(PartitionedRunTest, ExternalStopTokenSkipsAllMorsels) {
   EXPECT_EQ(r.count, 0u);
 }
 
-// Yannakakis reruns its whole semijoin program per call, so the morsel
-// scheduler runs it as one morsel. Its range-restricted answers are
-// still exact: ranges that partition var0 sum to the full count, and
-// each matches lftj's.
+// Yannakakis reruns its whole semijoin program per call, and the clique
+// engine rebuilds its forward graph and enumerates every clique, so the
+// morsel scheduler runs each as one morsel. Their range-restricted
+// answers are still exact: ranges that partition var0 sum to the full
+// count, and each matches lftj's.
 TEST(PartitionedRunTest, RangeBlindEnginesRunAsOneMorsel) {
   Graph g = ErdosRenyi(60, 200, 12);
   GraphRelations rels = MakeGraphRelations(g);
-  Query q = MustParseQuery("edge(a,b), edge(b,c), edge(c,d)");
-  BoundQuery bq = Bind(q, rels.Map(), {"a", "b", "c", "d"});
-  auto engine = CreateEngine("yannakakis");
-  ASSERT_FALSE(engine->honors_var0_range());
-  const ExecResult direct = engine->Execute(bq, ExecOptions{});
-  ASSERT_GT(direct.count, 0u);
+  const PartitionCase cases[] = {
+      {"yannakakis", "edge(a,b), edge(b,c), edge(c,d)", {"a", "b", "c", "d"}},
+      {"clique", "edge_lt(a,b), edge_lt(b,c), edge_lt(a,c)", {"a", "b", "c"}},
+  };
   auto lftj = CreateEngine("lftj");
-  uint64_t range_sum = 0;
-  for (const auto& [lo, hi] :
-       {std::pair<Value, Value>{0, 9}, {10, 29}, {30, 59}}) {
-    ExecOptions ranged;
-    ranged.var0_min = lo;
-    ranged.var0_max = hi;
-    const ExecResult part = engine->Execute(bq, ranged);
-    ASSERT_TRUE(part.ok()) << part.status.ToString();
-    EXPECT_EQ(part.count, lftj->Execute(bq, ranged).count)
-        << "[" << lo << "," << hi << "]";
-    range_sum += part.count;
+  for (const PartitionCase& c : cases) {
+    BoundQuery bq = Bind(MustParseQuery(c.query), rels.Map(), c.gao);
+    auto engine = CreateEngine(c.engine);
+    ASSERT_FALSE(engine->honors_var0_range()) << c.engine;
+    const ExecResult direct = engine->Execute(bq, ExecOptions{});
+    ASSERT_GT(direct.count, 0u) << c.engine;
+    uint64_t range_sum = 0;
+    for (const auto& [lo, hi] :
+         {std::pair<Value, Value>{0, 9}, {10, 29}, {30, 59}}) {
+      ExecOptions ranged;
+      ranged.var0_min = lo;
+      ranged.var0_max = hi;
+      const ExecResult part = engine->Execute(bq, ranged);
+      ASSERT_TRUE(part.ok()) << c.engine << ": " << part.status.ToString();
+      EXPECT_EQ(part.count, lftj->Execute(bq, ranged).count)
+          << c.engine << " [" << lo << "," << hi << "]";
+      range_sum += part.count;
+    }
+    EXPECT_EQ(range_sum, direct.count) << c.engine;
+    const ExecResult split =
+        PartitionedExecute(*engine, bq, ExecOptions{}, /*num_threads=*/3,
+                           /*granularity=*/8);
+    EXPECT_EQ(split.count, direct.count) << c.engine;
   }
-  EXPECT_EQ(range_sum, direct.count);
-  const ExecResult split =
-      PartitionedExecute(*engine, bq, ExecOptions{}, /*num_threads=*/3,
-                         /*granularity=*/8);
-  EXPECT_EQ(split.count, direct.count);
 }
 
 // An internal timeout must propagate through the *run's* token only:

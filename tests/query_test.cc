@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "core/engine.h"
 #include "util/rng.h"
@@ -62,6 +64,41 @@ TEST(BindTest, MapsVariablesToGaoPositions) {
   EXPECT_EQ(bq.atoms[1].vars, (std::vector<int>{1, 0}));  // edge(a,b)
   ASSERT_EQ(bq.less_than.size(), 1u);
   EXPECT_EQ(bq.less_than[0], (std::pair<int, int>{1, 0}));
+}
+
+// CheckBindable is the one vetting pass in front of Bind at the CLI and
+// wire boundaries; each refusal is kInvalidArgument with a message
+// naming the offender.
+class CheckBindableTest : public ::testing::Test {
+ protected:
+  Relation edge_ = Relation::FromTuples(2, {{0, 1}});
+  Relation v1_ = Relation::FromTuples(1, {{0}});
+  const std::map<std::string, const Relation*> relations_ = {
+      {"edge", &edge_}, {"v1", &v1_}};
+};
+
+TEST_F(CheckBindableTest, AcceptsAWellFormedQuery) {
+  EXPECT_TRUE(
+      CheckBindable(MustParseQuery("v1(a), edge(a,b), a<b"), relations_).ok());
+}
+
+TEST_F(CheckBindableTest, RejectsUnknownRelation) {
+  const Status s = CheckBindable(MustParseQuery("edge(a,b), nope(b)"),
+                                 relations_);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.message(), "unknown relation 'nope'");
+}
+
+TEST_F(CheckBindableTest, RejectsArityMismatch) {
+  const Status s = CheckBindable(MustParseQuery("edge(a,b,c)"), relations_);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.message(), "relation 'edge' has arity 2, got 3 variables");
+}
+
+TEST_F(CheckBindableTest, RejectsUnboundFilterVariable) {
+  const Status s = CheckBindable(MustParseQuery("edge(a,b), a<z"), relations_);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.message(), "filter variable 'z' is not bound by any atom");
 }
 
 // --- Acyclicity ------------------------------------------------------------

@@ -407,8 +407,9 @@ TEST(StatsTest, IndexCounterAccountingIsLayoutInvariant) {
 }
 
 TEST(StatsTest, ParallelWarmAccountingMatchesSerialWarm) {
-  // The hashed-key dedup inside WarmQueryIndexesParallel must keep the
-  // per-atom build/hit accounting bit-identical to the serial
+  // WarmQueryIndexesParallel's concurrent per-atom jobs, which rely on
+  // the catalog reporting each key's build to exactly one caller, must
+  // keep the per-atom build/hit accounting bit-identical to the serial
   // WarmQueryIndexes, cold and warm, on queries mixing repeated and
   // distinct (relation, permutation) keys.
   Graph g = Rmat(7, 420, 0.57, 0.19, 0.19, 31);

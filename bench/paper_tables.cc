@@ -107,14 +107,10 @@ CellRun RunCell(const Run& run, const BoundQuery& bq) {
       break;
   }
   CellRun out{RunName(run), {}, run.granularity == 0};
-  if (run.granularity == 0) {
-    out.result = RunTimed(*engine, bq, opts);
-  } else {
-    Stopwatch watch;
-    out.result =
-        PartitionedExecute(*engine, bq, opts, kThreads, run.granularity);
-    out.result.seconds = watch.ElapsedSeconds();
-  }
+  out.result =
+      run.granularity == 0
+          ? RunTimed(*engine, bq, opts)
+          : PartitionedExecute(*engine, bq, opts, kThreads, run.granularity);
   return out;
 }
 

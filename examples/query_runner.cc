@@ -213,10 +213,8 @@ int main(int argc, char** argv) {
     opts.deadline = Deadline::AfterSeconds(deadline_ms / 1000.0);
     ExecResult r;
     if (threads > 1) {
-      Stopwatch watch;
       r = PartitionedExecute(*engine, bq, opts, static_cast<int>(threads),
                              /*granularity=*/8, &scratch_pool, &pool);
-      r.seconds = watch.ElapsedSeconds();
     } else {
       r = RunTimed(*engine, bq, opts);
     }

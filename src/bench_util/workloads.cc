@@ -75,45 +75,27 @@ const Workload& WorkloadByName(const std::string& name) {
   __builtin_trap();
 }
 
-DatasetRelations::DatasetRelations(const Graph& g)
-    : edge_(g.EdgeRelationSymmetric()),
-      edge_lt_(g.EdgeRelationOriented()),
-      node_(g.NodeRelation()),
-      samples_(4, Relation(1)),
-      graph_(&g) {
+namespace {
+const char* const kSampleNames[] = {"v1", "v2", "v3", "v4"};
+}  // namespace
+
+DatasetRelations::DatasetRelations(const Graph& g) : graph_(&g) {
+  Put("edge", g.EdgeRelationSymmetric());
+  Put("edge_lt", g.EdgeRelationOriented());
+  Put("node", g.NodeRelation());
   Resample(/*selectivity=*/1.0, /*seed=*/0);
 }
 
 void DatasetRelations::Resample(double selectivity, uint64_t seed) {
   for (int i = 0; i < 4; ++i) {
-    catalog_.Invalidate(&samples_[i]);
-    samples_[i] = SampleNodes(*graph_, selectivity, seed * 4 + i + 1);
+    Put(kSampleNames[i], SampleNodes(*graph_, selectivity, seed * 4 + i + 1));
   }
 }
 
 void DatasetRelations::ResampleExact(int64_t count, uint64_t seed) {
   for (int i = 0; i < 4; ++i) {
-    catalog_.Invalidate(&samples_[i]);
-    samples_[i] = SampleNodesExact(*graph_, count, seed * 4 + i + 1);
+    Put(kSampleNames[i], SampleNodesExact(*graph_, count, seed * 4 + i + 1));
   }
-}
-
-std::map<std::string, const Relation*> DatasetRelations::Map() const {
-  return {{"edge", &edge_}, {"edge_lt", &edge_lt_}, {"node", &node_},
-          {"v1", &samples_[0]}, {"v2", &samples_[1]}, {"v3", &samples_[2]},
-          {"v4", &samples_[3]}};
-}
-
-size_t DatasetRelations::SaveCatalog(const std::string& dir,
-                                     Status* status) const {
-  return catalog_.SaveTo(dir, status);
-}
-
-size_t DatasetRelations::LoadCatalog(const std::string& dir,
-                                     CatalogOpenStats* stats) {
-  std::vector<const Relation*> live = {&edge_, &edge_lt_, &node_};
-  for (const Relation& s : samples_) live.push_back(&s);
-  return catalog_.OpenFrom(dir, live, stats);
 }
 
 BoundQuery BindWorkload(const Workload& w, const DatasetRelations& rels) {

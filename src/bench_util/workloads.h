@@ -6,8 +6,6 @@
 // v1..v4 node samples), the Datalog-ish query texts, and their GAOs.
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,12 +30,14 @@ struct Workload {
 const std::vector<Workload>& PaperWorkloads();
 const Workload& WorkloadByName(const std::string& name);
 
-// Relations derived from one graph, owning storage plus the shared
-// index catalog over it (the resident-index regime the paper measures
-// in; see storage/catalog.h). v1..v4 are node samples regenerated per
-// selectivity via Resample, which invalidates their cached indexes.
-// Non-copyable: catalog keys reference this object's relations.
-class DatasetRelations {
+// The relations derived from one graph, as a Database (so the shared
+// index catalog and its persistent save/load come with it; see
+// storage/catalog.h): edge, edge_lt and node, plus the v1..v4 node
+// samples regenerated per selectivity. Resample replaces v1..v4 through
+// Database::Put, which invalidates their cached indexes, so a catalog
+// saved before a Resample leaves those entries stale on load while the
+// edge relations still warm-start.
+class DatasetRelations : public Database {
  public:
   explicit DatasetRelations(const Graph& g);
 
@@ -46,26 +46,8 @@ class DatasetRelations {
   // Draws v1..v4 with exactly `count` nodes (figure 3-5 sweeps).
   void ResampleExact(int64_t count, uint64_t seed);
 
-  std::map<std::string, const Relation*> Map() const;
-  IndexCatalog* catalog() const { return &catalog_; }
-
-  // Persistent warm start (storage/persist.h): SaveCatalog snapshots the
-  // resident indexes to `dir`; LoadCatalog matches the directory's
-  // manifest against the dataset's current relations — including the
-  // current v1..v4 samples, so a Resample since the save leaves those
-  // entries stale and they rebuild in memory — and installs mmap-backed
-  // indexes. Both return the number of index files processed; *status /
-  // *stats (when non-null) carry the structured outcome, including
-  // per-file skip reasons on open.
-  size_t SaveCatalog(const std::string& dir, Status* status = nullptr) const;
-  size_t LoadCatalog(const std::string& dir,
-                     CatalogOpenStats* stats = nullptr);
-
  private:
-  Relation edge_, edge_lt_, node_;
-  std::vector<Relation> samples_;  // v1..v4
   const Graph* graph_;
-  mutable IndexCatalog catalog_;
 };
 
 // Binds a workload against the dataset's relations and catalog; dies on

@@ -153,9 +153,10 @@ struct ExecOptions {
   // PartitionedExecute; single executions leave it 0.
   uint64_t cds_run_token = 0;
   // Per-query memory governor, shared by every morsel of a partitioned
-  // run. Charged by CDS arenas, trie builds, materialized intermediates
-  // and persist mappings; engines wind down with kBudgetExceeded when
-  // the budget latches (see AbortPoll). Null means ungoverned.
+  // run. Charged by CDS arenas, trie builds and materialized
+  // intermediates (never by mapped catalog files); engines wind down
+  // with kBudgetExceeded when the budget latches (see AbortPoll). Null
+  // means ungoverned.
   MemoryBudget* budget = nullptr;
 
   // The full "stop working now" predicate: latched budget, requested
@@ -219,7 +220,7 @@ struct ExecResult {
   uint64_t count = 0;
   std::vector<Tuple> tuples;  // populated iff collect_tuples
   EngineStats stats;
-  double seconds = 0.0;  // filled by RunTimed
+  double seconds = 0.0;  // filled by RunTimed and PartitionedExecute
   // The one record of how the run ended. OK means count/tuples are the
   // exact answer; any other code means the run failed closed (cancel,
   // deadline, budget, bad input, internal fault) and partial output

@@ -9,6 +9,7 @@
 #include "storage/catalog.h"
 #include "storage/trie.h"
 #include "util/failpoint.h"
+#include "util/stopwatch.h"
 #include "util/thread_annotations.h"
 
 namespace wcoj {
@@ -78,11 +79,13 @@ EngineStats WarmQueryIndexesParallel(const BoundQuery& q, WorkerPool& pool,
   return stats;
 }
 
-ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
-                              const ExecOptions& opts, int num_threads,
-                              int granularity,
-                              ExecScratchPool* scratch_pool,
-                              WorkerPool* worker_pool) {
+namespace {
+
+// The run behind PartitionedExecute, which times it.
+ExecResult RunPartitioned(const Engine& engine, const BoundQuery& q,
+                          const ExecOptions& opts, int num_threads,
+                          int granularity, ExecScratchPool* scratch_pool,
+                          WorkerPool* worker_pool) {
   ExecResult total;
   // A run that arrives already cancelled (request token fired while the
   // query sat in an admission queue, budget latched by a sibling) must
@@ -268,6 +271,20 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
   }
   FinalizeExecStatus(&total, opts);
   return total;
+}
+
+}  // namespace
+
+ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
+                              const ExecOptions& opts, int num_threads,
+                              int granularity,
+                              ExecScratchPool* scratch_pool,
+                              WorkerPool* worker_pool) {
+  Stopwatch watch;
+  ExecResult result = RunPartitioned(engine, q, opts, num_threads,
+                                     granularity, scratch_pool, worker_pool);
+  result.seconds = watch.ElapsedSeconds();
+  return result;
 }
 
 }  // namespace wcoj

@@ -54,6 +54,9 @@
 // `scratch_pool` that outlives the call to keep worker arenas warm
 // across whole queries; `opts.scratch` is ignored (a single scratch
 // cannot be shared by concurrent jobs).
+//
+// Like RunTimed, it fills ExecResult::seconds with the whole call's wall
+// time, on every exit (pre-cancelled and range-blind runs included).
 
 #include "core/engine.h"
 #include "parallel/worker_pool.h"

@@ -247,11 +247,9 @@ std::string Server::HandleQuery(Connection* conn, const ServerRequest& req) {
     if (slot.pool == nullptr) {
       slot.pool = std::make_unique<WorkerPool>(config_.threads_per_query);
     }
-    Stopwatch watch;
     r = PartitionedExecute(*prepared->engine, prepared->bound, opts,
                            config_.threads_per_query, /*granularity=*/8,
                            &slot.scratch, slot.pool.get());
-    r.seconds = watch.ElapsedSeconds();
   } else {
     slot.scratch.Reserve(1);
     opts.scratch = slot.scratch.ForWorker(0);

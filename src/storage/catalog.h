@@ -91,22 +91,26 @@ class IndexCatalog {
   // --- Persistent catalog (implemented in storage/persist.cc) ---
 
   // Writes every resident (fully built) index to `dir` as one versioned
-  // binary file each, plus a MANIFEST keyed on relation fingerprint +
-  // permutation + tier policy. Returns the number of files written;
-  // in-flight builds are skipped. Safe with concurrent GetOrBuild, and
-  // serialized against concurrent SaveTo callers (same or other
-  // process) by an advisory flock on `dir/.catalog.lock`, so two
-  // writers cannot interleave their tmp+rename sequences. On failure
-  // *status names the first file or manifest step that failed.
+  // binary file each, whose checksummed header records its identity
+  // (relation fingerprint, arity, tier policy, permutation), then
+  // commits a MANIFEST listing the file names, one per line, by atomic
+  // rename. Returns the number of files written; in-flight builds are
+  // skipped. Safe with concurrent GetOrBuild, and serialized against
+  // concurrent SaveTo callers (same or other process) by an advisory
+  // flock on `dir/.catalog.lock`, so two writers cannot interleave
+  // their tmp+rename sequences. On failure *status names the first file
+  // or manifest step that failed, and no new manifest is committed.
   size_t SaveTo(const std::string& dir, Status* status = nullptr);
 
-  // Reads `dir`'s MANIFEST and, for every entry whose fingerprint and
-  // arity match one of `live`'s relations and whose tier policy matches
-  // the current DefaultTierPolicy, mmaps the file and installs the
-  // zero-copy index. Stale fingerprints and truncated/corrupt files are
-  // skipped cleanly — those indexes simply build in memory on first
-  // use — with each skip counted and explained in *stats. Returns the
-  // number installed.
+  // Maps every file `dir`'s MANIFEST lists and validates its header.
+  // Where the header's fingerprint and arity match one of `live`'s
+  // relations and its tier policy matches the current
+  // DefaultTierPolicy, the zero-copy index is installed over that
+  // relation under the permutation the header names (the file name is
+  // never trusted). Stale fingerprints, malformed entries and
+  // truncated/corrupt files are skipped cleanly — those indexes simply
+  // build in memory on first use — with each skip counted and explained
+  // in *stats. Returns the number installed.
   size_t OpenFrom(const std::string& dir,
                   const std::vector<const Relation*>& live,
                   CatalogOpenStats* stats = nullptr);
@@ -184,7 +188,7 @@ class Database {
 
   // Persistent warm start (storage/persist.cc): SaveCatalog snapshots
   // the resident indexes to `dir`; LoadCatalog matches that directory's
-  // manifest against this database's current relations and installs the
+  // files against this database's current relations and installs the
   // mmap-backed indexes, so the first query pays page faults instead of
   // builds. Both return the number of index files processed.
   size_t SaveCatalog(const std::string& dir, Status* status = nullptr) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "storage/search_kernels.h"
 
@@ -43,17 +42,6 @@ const char* TierPolicyName(TierPolicy policy) {
       return "force-packed";
   }
   return "auto";
-}
-
-bool ParseTierPolicyName(const char* name, TierPolicy* out) {
-  for (const TierPolicy p : {TierPolicy::kAuto, TierPolicy::kRawOnly,
-                             TierPolicy::kForcePacked}) {
-    if (std::strcmp(name, TierPolicyName(p)) == 0) {
-      *out = p;
-      return true;
-    }
-  }
-  return false;
 }
 
 void LevelKeys::TryPack(const std::vector<Value>& keys) {

@@ -53,8 +53,6 @@ enum class TierPolicy : uint8_t { kAuto, kRawOnly, kForcePacked };
 
 const char* TierName(KeyTier tier);
 const char* TierPolicyName(TierPolicy policy);
-// Inverse of TierPolicyName; false on unknown names.
-bool ParseTierPolicyName(const char* name, TierPolicy* out);
 
 class LevelKeys {
  public:

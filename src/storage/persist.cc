@@ -221,6 +221,52 @@ bool SectionInBounds(uint64_t off, uint64_t bytes, uint64_t header_bytes,
   return bytes <= file_bytes - off;
 }
 
+// One mapped file that passed every open-time check: the header (the
+// file's identity), its permutation and section table, and the mapping.
+// Each Assemble binds a fresh TrieIndex to the same mapping.
+struct MappedTrie {
+  FileHeader header;
+  std::vector<int> perm;
+  std::vector<LevelSection> secs;
+  std::shared_ptr<MappedFile> file;
+};
+
+// Write-then-rename, the one way this layer publishes a file: `bytes`
+// go to `path`.tmp, which is then renamed over `path`, so a crash or
+// failure never leaves a half-written `path` behind. On any failure —
+// real or injected through `write_fp`/`rename_fp` — the tmp file is
+// removed and `path` keeps whatever it held before.
+Status WriteThenRename(const std::string& path, const void* bytes, size_t n,
+                       FailPoint& write_fp, FailPoint& rename_fp) {
+  auto tag = [](const FailPoint& fp, bool injected) {
+    return injected ? " (failpoint " + fp.name() + ")" : std::string();
+  };
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    const bool injected = WCOJ_FAILPOINT(write_fp);
+    if (injected || !out ||
+        !out.write(static_cast<const char*>(bytes),
+                   static_cast<std::streamsize>(n))) {
+      out.close();
+      std::error_code ignore;
+      std::filesystem::remove(tmp, ignore);
+      return Status(StatusCode::kIoError,
+                    "write failed: " + tmp + tag(write_fp, injected));
+    }
+  }
+  std::error_code ec;
+  const bool injected = WCOJ_FAILPOINT(rename_fp);
+  if (!injected) std::filesystem::rename(tmp, path, ec);
+  if (injected || ec) {
+    std::error_code ignore;
+    std::filesystem::remove(tmp, ignore);
+    return Status(StatusCode::kIoError,
+                  "rename failed: " + path + tag(rename_fp, injected));
+  }
+  return OkStatus();
+}
+
 }  // namespace
 
 // Friend of TrieIndex: reads the private CSR arrays for serialization
@@ -232,15 +278,14 @@ class TrieIndexMapper {
     return index.levels_[depth].child;
   }
 
-  static std::unique_ptr<TrieIndex> Assemble(
-      const FileHeader& h, const std::vector<int>& perm,
-      const std::vector<LevelSection>& secs,
-      std::shared_ptr<MappedFile> file) {
+  static std::unique_ptr<TrieIndex> Assemble(const MappedTrie& trie) {
     std::unique_ptr<TrieIndex> index(
         new TrieIndex());  // wcoj-lint: allow(naked-new) -- private ctor
-    const uint8_t* base = file->data();
+    const FileHeader& h = trie.header;
+    const std::vector<LevelSection>& secs = trie.secs;
+    const uint8_t* base = trie.file->data();
     index->rows_ = h.rows;
-    index->perm_ = perm;
+    index->perm_ = trie.perm;
     index->tier_policy_ = static_cast<TierPolicy>(h.tier_policy);
     index->levels_.resize(h.arity);
     for (uint32_t d = 0; d < h.arity; ++d) {
@@ -263,7 +308,7 @@ class TrieIndexMapper {
             reinterpret_cast<const TrieIndex::Offset*>(base + s.child_off);
       }
     }
-    index->mmap_backing_ = std::move(file);
+    index->mmap_backing_ = trie.file;
     return index;
   }
 };
@@ -344,65 +389,28 @@ Status SaveIndex(const TrieIndex& index, uint64_t fingerprint,
   h.header_checksum = Fnv1a(buf.data(), h.header_bytes);
   std::memcpy(buf.data(), &h, sizeof(h));
 
-  // Write-then-rename so a crash mid-save never leaves a half file
-  // behind the manifest's back. An injected fault behaves like the real
-  // one: the tmp file is removed, `path` is untouched.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    const bool injected = WCOJ_FAILPOINT(WriteFp());
-    if (injected || !out ||
-        !out.write(reinterpret_cast<const char*>(buf.data()), buf.size())) {
-      out.close();
-      std::error_code ignore;
-      std::filesystem::remove(tmp, ignore);
-      return Status(StatusCode::kIoError,
-                    injected ? "write failed: " + tmp +
-                                   " (failpoint persist.write)"
-                             : "write failed: " + tmp);
-    }
-  }
-  std::error_code ec;
-  const bool rename_injected = WCOJ_FAILPOINT(RenameFp());
-  if (!rename_injected) std::filesystem::rename(tmp, path, ec);
-  if (rename_injected || ec) {
-    std::error_code ignore;
-    std::filesystem::remove(tmp, ignore);
-    return Status(StatusCode::kIoError,
-                  rename_injected ? "rename failed: " + path +
-                                        " (failpoint persist.rename)"
-                                  : "rename failed: " + path);
-  }
-  return OkStatus();
+  return WriteThenRename(path, buf.data(), buf.size(), WriteFp(), RenameFp());
 }
 
 namespace {
 
-std::unique_ptr<TrieIndex> OpenImpl(const std::string& path,
-                                    uint64_t expected_fingerprint,
-                                    bool check_fingerprint,
-                                    bool verify_payload, Status* status,
-                                    MemoryBudget* budget) {
+// Maps `path` into *out and validates it (the payload checksum too when
+// `verify_payload`); false with *status naming the rejection. The
+// fingerprint is reported in out->header, not checked: each caller
+// decides what it must match.
+bool OpenImpl(const std::string& path, bool verify_payload, MappedTrie* out,
+              Status* status) {
   std::shared_ptr<MappedFile> file = MappedFile::Map(path, status);
-  if (file == nullptr) return nullptr;
+  if (file == nullptr) return false;
   const uint8_t* base = file->data();
-  auto reject = [&](const std::string& what) -> std::unique_ptr<TrieIndex> {
+  auto reject = [&](const std::string& what) {
     SetStatus(status, StatusCode::kDataLoss, FileReason(path, what));
-    return nullptr;
+    return false;
   };
-
-  // The mapped pages are this open's transient footprint; a budget that
-  // cannot cover the file refuses the open before any validation work.
-  ScopedCharge map_charge(budget);
-  if (!map_charge.TryCharge(file->size())) {
-    SetStatus(status, StatusCode::kBudgetExceeded,
-              FileReason(path, "mapping over memory budget"));
-    return nullptr;
-  }
   if (WCOJ_FAILPOINT(ReadFp())) {
     SetStatus(status, StatusCode::kIoError,
               FileReason(path, "read failed (failpoint persist.read)"));
-    return nullptr;
+    return false;
   }
 
   if (file->size() < sizeof(FileHeader)) return reject("truncated header");
@@ -431,10 +439,6 @@ std::unique_ptr<TrieIndex> OpenImpl(const std::string& path,
   if (Fnv1a(hdr.data(), hdr.size()) != h.header_checksum) {
     return reject("header checksum mismatch");
   }
-  if (check_fingerprint && h.fingerprint != expected_fingerprint) {
-    return reject("stale fingerprint");
-  }
-
   std::vector<int> perm(h.arity);
   std::vector<bool> seen(h.arity, false);
   const int32_t* perm32 =
@@ -494,47 +498,47 @@ std::unique_ptr<TrieIndex> OpenImpl(const std::string& path,
     if (sum != h.payload_checksum) return reject("payload checksum mismatch");
   }
 
-  return TrieIndexMapper::Assemble(h, perm, secs, std::move(file));
+  *out = MappedTrie{h, std::move(perm), std::move(secs), std::move(file)};
+  return true;
 }
 
 }  // namespace
 
 std::unique_ptr<TrieIndex> OpenIndex(const std::string& path,
                                      uint64_t expected_fingerprint,
-                                     Status* status,
-                                     const PersistOptions& opts) {
-  return OpenImpl(path, expected_fingerprint, /*check_fingerprint=*/true,
-                  opts.verify_payload, status, opts.budget);
+                                     Status* status) {
+  MappedTrie trie;
+  if (!OpenImpl(path, /*verify_payload=*/false, &trie, status)) return nullptr;
+  if (trie.header.fingerprint != expected_fingerprint) {
+    SetStatus(status, StatusCode::kDataLoss,
+              FileReason(path, "stale fingerprint"));
+    return nullptr;
+  }
+  return TrieIndexMapper::Assemble(trie);
 }
 
 Status VerifyIndexFile(const std::string& path) {
+  MappedTrie trie;
   Status status;
-  if (OpenImpl(path, 0, /*check_fingerprint=*/false,
-               /*verify_payload=*/true, &status, nullptr) == nullptr) {
-    return status.ok() ? Status(StatusCode::kDataLoss, path + ": rejected")
-                       : status;
-  }
-  return OkStatus();
+  return OpenImpl(path, /*verify_payload=*/true, &trie, &status) ? OkStatus()
+                                                                 : status;
 }
 
 // --- IndexCatalog / Database persistence (declared in catalog.h) ---
 
 namespace {
 
-std::string JoinPerm(const std::vector<int>& perm, char sep) {
-  std::string out;
-  for (size_t i = 0; i < perm.size(); ++i) {
-    if (i > 0) out.push_back(sep);
-    out += std::to_string(perm[i]);
-  }
-  return out;
-}
-
+// A name unique per (contents, permutation, tier policy), so identical
+// indexes share one file and distinct ones never collide. Only SaveTo
+// reads it: OpenFrom trusts the header, never the name.
 std::string IndexFileName(uint64_t fingerprint, const std::vector<int>& perm,
                           TierPolicy policy) {
   std::ostringstream name;
-  name << "trie_" << std::hex << fingerprint << std::dec << "_p"
-       << JoinPerm(perm, '-') << "_" << TierPolicyName(policy) << ".wct";
+  name << "trie_" << std::hex << fingerprint << std::dec << "_p";
+  for (size_t i = 0; i < perm.size(); ++i) {
+    name << (i > 0 ? "-" : "") << perm[i];
+  }
+  name << "_" << TierPolicyName(policy) << ".wct";
   return name.str();
 }
 
@@ -583,40 +587,16 @@ size_t IndexCatalog::SaveTo(const std::string& dir, Status* status) {
       return saved;
     }
     written.push_back(name);
-    std::ostringstream fp_hex;
-    fp_hex << std::hex << fp;
-    manifest << name << " " << fp_hex.str() << " "
-             << TierPolicyName(index->tier_policy()) << " "
-             << index->arity() << " " << index->size() << " "
-             << JoinPerm(index->perm(), ',') << "\n";
+    manifest << name << "\n";
     ++saved;
   }
-  const std::string manifest_path =
-      dir + "/" + std::string(CatalogManifestName());
-  const std::string tmp = manifest_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    const bool injected = WCOJ_FAILPOINT(ManifestWriteFp());
-    if (injected || !out || !(out << manifest.str())) {
-      out.close();
-      std::filesystem::remove(tmp, ec);
-      SetStatus(status, StatusCode::kIoError,
-                injected ? "write failed: " + tmp +
-                               " (failpoint persist.manifest.write)"
-                         : "write failed: " + tmp);
-      return saved;
-    }
-  }
-  const bool commit_injected = WCOJ_FAILPOINT(ManifestCommitFp());
-  ec.clear();
-  if (!commit_injected) std::filesystem::rename(tmp, manifest_path, ec);
-  if (commit_injected || ec) {
-    std::filesystem::remove(tmp, ec);
-    SetStatus(status, StatusCode::kIoError,
-              commit_injected ? "rename failed: " + manifest_path +
-                                    " (failpoint persist.manifest.commit)"
-                              : "rename failed: " + manifest_path);
-  }
+  // The manifest rename is the commit point: until it lands, a reader
+  // sees the previous complete catalog (or none).
+  const std::string bytes = manifest.str();
+  const Status commit = WriteThenRename(
+      dir + "/" + std::string(CatalogManifestName()), bytes.data(),
+      bytes.size(), ManifestWriteFp(), ManifestCommitFp());
+  if (!commit.ok() && status != nullptr) *status = commit;
   return saved;
 }
 
@@ -670,8 +650,8 @@ size_t IndexCatalog::OpenFrom(const std::string& dir,
     return 0;
   }
   // Fingerprint each live relation once; an index file is loadable only
-  // for relations whose current contents still hash to its manifest key
-  // (Resample/Put invalidation shows up here as a mismatch).
+  // over relations whose current contents still hash to its header's
+  // fingerprint (Resample/Put invalidation shows up here as a mismatch).
   std::vector<uint64_t> live_fp(live.size());
   for (size_t i = 0; i < live.size(); ++i) {
     live_fp[i] = RelationFingerprint(*live[i]);
@@ -679,64 +659,40 @@ size_t IndexCatalog::OpenFrom(const std::string& dir,
   const TierPolicy current_policy = DefaultTierPolicy();
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string name, fp_hex, policy_name, perm_csv;
-    uint64_t arity = 0, rows = 0;
-    if (!(fields >> name >> fp_hex >> policy_name >> arity >> rows >>
-          perm_csv)) {
+    // An entry is one file name inside `dir`; anything else (a line
+    // carrying more fields, a path) is skipped and rebuilds on demand.
+    if (line.find_first_of(" \t/") != std::string::npos) {
       skip(manifest_path, "malformed manifest entry '" + line + "'");
-      continue;  // callers rebuild on demand
-    }
-    const std::string path = dir + "/" + name;
-    uint64_t fp = 0;
-    try {
-      fp = std::stoull(fp_hex, nullptr, 16);
-    } catch (...) {
-      skip(path, "unparseable fingerprint");
       continue;
     }
-    TierPolicy policy;
-    if (!ParseTierPolicyName(policy_name.c_str(), &policy)) {
-      skip(path, "unknown tier policy '" + policy_name + "'");
+    const std::string path = dir + "/" + line;
+    MappedTrie trie;
+    Status open_status;
+    if (!OpenImpl(path, /*verify_payload=*/false, &trie, &open_status)) {
+      // Corrupt/truncated/missing file: reject this entry cleanly; the
+      // in-memory build path covers it.
+      skip(path, open_status.ToString());
       continue;
     }
+    const FileHeader& h = trie.header;
     // Tier policy is part of the index identity: files encoded under a
     // different policy than this process would build with are stale.
+    const TierPolicy policy = static_cast<TierPolicy>(h.tier_policy);
     if (policy != current_policy) {
-      skip(path, "tier policy mismatch (file " + policy_name + ")");
+      skip(path, std::string("tier policy mismatch (file ") +
+                     TierPolicyName(policy) + ")");
       continue;
     }
-    std::vector<int> perm;
-    std::istringstream perm_in(perm_csv);
-    std::string col;
-    while (std::getline(perm_in, col, ',')) {
-      try {
-        perm.push_back(std::stoi(col));
-      } catch (...) {
-        perm.clear();
-        break;
-      }
-    }
-    if (perm.size() != arity) {
-      skip(path, "malformed permutation '" + perm_csv + "'");
-      continue;
-    }
+    // One mapping serves every live relation with these contents; each
+    // gets its own index under the permutation the header names.
     bool matched_live = false;
     for (size_t i = 0; i < live.size(); ++i) {
-      if (live_fp[i] != fp ||
-          static_cast<uint64_t>(live[i]->arity()) != arity) {
+      if (live_fp[i] != h.fingerprint ||
+          static_cast<uint32_t>(live[i]->arity()) != h.arity) {
         continue;
       }
       matched_live = true;
-      Status open_status;
-      std::unique_ptr<TrieIndex> index = OpenIndex(path, fp, &open_status);
-      if (index == nullptr) {
-        // Corrupt/truncated/missing file: reject this entry cleanly;
-        // the in-memory build path covers it.
-        skip(path, open_status.ToString());
-        continue;
-      }
-      Install(*live[i], perm, std::move(index));
+      Install(*live[i], trie.perm, TrieIndexMapper::Assemble(trie));
       ++stats->installed;
     }
     if (!matched_live) {

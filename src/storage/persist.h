@@ -36,10 +36,15 @@
 // header region, fingerprint match, and per-section bounds/alignment/
 // size arithmetic — plus one sentinel offset per level. The payload
 // checksum covers the section bytes but is only verified by
-// VerifyIndexFile (or PersistOptions::verify_payload), because checking
-// it at open would fault in the whole file and erase the warm-start win.
-// Every rejection is a clean error return; callers fall back to an
-// in-memory build.
+// VerifyIndexFile, because checking it at open would fault in the whole
+// file and erase the warm-start win. Every rejection is a clean error
+// return; callers fall back to an in-memory build.
+//
+// Identity: the checksummed header is the one record of what a file
+// holds (source fingerprint, arity, tier policy, permutation). The
+// catalog's MANIFEST only lists file names, and the file name is a
+// unique label for the writer, never parsed: IndexCatalog::OpenFrom
+// installs each file under the permutation its header names.
 //
 // Lifetime: a mapped TrieIndex owns its file mapping (a shared_ptr kept
 // inside the index), so the usual catalog contract is unchanged — the
@@ -52,28 +57,16 @@
 
 #include "storage/relation.h"
 #include "storage/trie.h"
-#include "util/mem_budget.h"
 #include "util/status.h"
 
 namespace wcoj {
 
 // Content fingerprint (FNV-1a over arity, row count, and every value in
-// row-major order). The manifest key that detects stale catalog files
-// when the underlying relation changed (e.g. DatasetRelations::Resample
-// drawing new node samples).
+// row-major order). Stored in every index file's header; a catalog open
+// installs a file only over a live relation whose current contents hash
+// to it, so a relation that changed since the save (e.g.
+// DatasetRelations::Resample drawing new node samples) rebuilds instead.
 uint64_t RelationFingerprint(const Relation& rel);
-
-struct PersistOptions {
-  // Verify the payload checksum at open. Faults in the entire file, so
-  // it trades the lazy warm start for cold-storage integrity; tests and
-  // one-shot tools want it, the serving path does not.
-  bool verify_payload = false;
-  // When set, the open strictly charges the file's mapped size for the
-  // duration of the open (the transient governance window); a refusal
-  // rejects the open with kBudgetExceeded and the caller falls back to
-  // the (equally governed) in-memory build path.
-  MemoryBudget* budget = nullptr;
-};
 
 // Writes `index` to `path` (replacing any existing file). `fingerprint`
 // is the source relation's RelationFingerprint, stored in the header
@@ -89,8 +82,7 @@ Status SaveIndex(const TrieIndex& index, uint64_t fingerprint,
 // malformed section table). The returned index owns the mapping.
 std::unique_ptr<TrieIndex> OpenIndex(const std::string& path,
                                      uint64_t expected_fingerprint,
-                                     Status* status = nullptr,
-                                     const PersistOptions& opts = {});
+                                     Status* status = nullptr);
 
 // Full-file validation: everything OpenIndex checks plus the payload
 // checksum. For tests and offline catalog audits.

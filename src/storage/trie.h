@@ -79,8 +79,9 @@ class TrieIndex {
   int arity() const { return static_cast<int>(levels_.size()); }
   size_t size() const { return rows_; }  // leaf count == row count
   const std::vector<int>& perm() const { return perm_; }
-  // The policy this index was built (or persisted) under; part of the
-  // persistent catalog's manifest key.
+  // The policy this index was built (or persisted) under; recorded in
+  // a persisted file's header, and a catalog open skips files whose
+  // policy differs from DefaultTierPolicy().
   TierPolicy tier_policy() const { return tier_policy_; }
   // True when the index is a zero-copy view over a mapped catalog file
   // (storage/persist.h); the mapping is owned by this index and dies

@@ -1,8 +1,10 @@
 // Per-query memory governor.
 //
 // A MemoryBudget is installed on ExecOptions and shared by everything a
-// query allocates: CDS slab arenas, trie builds, materialized
-// intermediates, and mmap'd index payloads. Charging is atomic, so one
+// query allocates: CDS slab arenas, trie builds and materialized
+// intermediates. Mapped catalog files are not charged: their pages are
+// the kernel's page cache, shared across queries and processes, not
+// memory one query allocates. Charging is atomic, so one
 // budget serves all morsels of a partitioned run at once; `peak()` is
 // the high-water mark reported as EngineStats.peak_budget_bytes.
 //
@@ -11,7 +13,7 @@
 //   - TryCharge: strict. The charge is rolled back if it would exceed
 //     the limit and the call site must not allocate. Used where the
 //     caller can abort cleanly BEFORE committing memory (trie builds,
-//     persist mappings, large materializations).
+//     large materializations).
 //
 //   - ForceCharge: soft landing. The charge always lands (the arena has
 //     already decided to grow and a half-allocated slab is worse than a

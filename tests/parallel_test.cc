@@ -123,6 +123,7 @@ TEST_P(PartitionedRunTest, CountsMatchDirectExecution) {
                          granularity);
   EXPECT_EQ(split.count, direct.count)
       << c.engine << " granularity=" << granularity;
+  EXPECT_GT(split.seconds, 0.0) << c.engine;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -504,6 +505,7 @@ TEST(PartitionedRunTest, RangeBlindEnginesRunAsOneMorsel) {
         PartitionedExecute(*engine, bq, ExecOptions{}, /*num_threads=*/3,
                            /*granularity=*/8);
     EXPECT_EQ(split.count, direct.count) << c.engine;
+    EXPECT_GT(split.seconds, 0.0) << c.engine;  // the one-morsel path too
   }
 }
 

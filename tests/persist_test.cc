@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -383,15 +384,36 @@ struct EngineRun {
   EngineStats stats;
 };
 
-EngineRun RunTriangle(const Database& db, const std::string& engine_name) {
-  const Query q = MustParseQuery("edge(a,b), edge(b,c), edge(a,c)");
-  BoundQuery bq = Bind(q, db, {"a", "b", "c"});
+// Runs `text` over `db` with GAO a, b, c; `use_catalog` false runs it
+// trie-private, the answer a catalog state must not change.
+EngineRun RunQuery(const Database& db, const std::string& text,
+                   const std::string& engine_name, bool use_catalog = true) {
+  BoundQuery bq = Bind(MustParseQuery(text), db, {"a", "b", "c"});
+  if (!use_catalog) bq.catalog = nullptr;
   std::unique_ptr<Engine> engine = CreateEngine(engine_name);
   ExecOptions opts;
   opts.collect_tuples = true;
   ExecResult r = engine->Execute(bq, opts);
   std::sort(r.tuples.begin(), r.tuples.end());
   return {r.count, std::move(r.tuples), r.stats};
+}
+
+EngineRun RunTriangle(const Database& db, const std::string& engine_name) {
+  return RunQuery(db, "edge(a,b), edge(b,c), edge(a,c)", engine_name);
+}
+
+// An oriented (a < b) edge relation: its two permutations index
+// different tries, so serving one under the other's key answers wrong.
+Relation OrientedEdges() {
+  Relation edge(2);
+  Rng rng(11);
+  for (int i = 0; i < 400; ++i) {
+    const Value a = static_cast<Value>(rng.NextBounded(60));
+    const Value b = static_cast<Value>(rng.NextBounded(60));
+    if (a < b) edge.Add({a, b});
+  }
+  edge.Build();
+  return edge;
 }
 
 TEST(PersistCatalogTest, WarmStartAnswersWithZeroBuilds) {
@@ -546,6 +568,88 @@ TEST(PersistCatalogTest, SkipReasonsNameFullPathAndErrno) {
   for (const std::string& line : trunc_stats.skip_log) {
     EXPECT_EQ(line.find(dir2 + "/"), 0u) << line;
   }
+}
+
+// The header, not the file name, says which permutation a file holds:
+// swapping the two .wct names of a catalog with both permutations of
+// one relation must still install each trie under its own key.
+TEST(PersistCatalogTest, SwappedFileNamesInstallUnderHeaderPermutation) {
+  const std::string dir = TestDir("swapped");
+  const std::string text = "e(a,b), e(c,b)";  // perms {0,1} and {1,0}
+  const char* engines[] = {"lftj", "ms", "hybrid"};
+  Database cold;
+  cold.Put("e", OrientedEdges());
+  std::vector<EngineRun> want;
+  for (const char* e : engines) {
+    want.push_back(RunQuery(cold, text, e, /*use_catalog=*/false));
+    RunQuery(cold, text, e);  // fills the catalog the save writes
+  }
+  EXPECT_GT(want[0].count, 0u);
+  Status save_status;
+  ASSERT_EQ(cold.SaveCatalog(dir, &save_status), 2u)
+      << save_status.ToString();
+
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".wct") files.push_back(entry.path());
+  }
+  ASSERT_EQ(files.size(), 2u);
+  const std::filesystem::path parked = dir + "/parked";
+  std::filesystem::rename(files[0], parked);
+  std::filesystem::rename(files[1], files[0]);
+  std::filesystem::rename(parked, files[1]);
+
+  Database warm;
+  warm.Put("e", OrientedEdges());
+  CatalogOpenStats open_stats;
+  EXPECT_EQ(warm.LoadCatalog(dir, &open_stats), 2u);
+  EXPECT_TRUE(open_stats.status.ok()) << open_stats.status.ToString();
+  EXPECT_EQ(open_stats.skipped, 0u);
+  for (size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE(engines[i]);
+    const EngineRun got = RunQuery(warm, text, engines[i]);
+    EXPECT_EQ(got.count, want[i].count);
+    EXPECT_EQ(got.tuples, want[i].tuples);
+    EXPECT_EQ(got.stats.index_builds, 0u);
+  }
+}
+
+// A manifest line in the retired format (name followed by fingerprint,
+// policy, arity, rows and permutation columns) is not a file name: it
+// is skipped with a reason naming the manifest, and the query builds.
+TEST(PersistCatalogTest, OldIdentityColumnsLineIsSkipped) {
+  const std::string dir = TestDir("oldmanifest");
+  Database cold;
+  cold.Put("edge", TriangleEdges());
+  const EngineRun want = RunTriangle(cold, "lftj");
+  ASSERT_EQ(cold.SaveCatalog(dir), 1u);
+  const std::string manifest_path =
+      dir + "/" + std::string(CatalogManifestName());
+  std::string manifest = ReadFile(manifest_path);
+  ASSERT_EQ(manifest.back(), '\n');
+  manifest.pop_back();
+  const Relation& edge = *cold.Find("edge");
+  std::ostringstream columns;
+  columns << " " << std::hex << RelationFingerprint(edge) << std::dec
+          << " auto 2 " << edge.size() << " 0,1\n";
+  WriteFile(manifest_path, manifest + columns.str());
+
+  Database warm;
+  warm.Put("edge", TriangleEdges());
+  CatalogOpenStats open_stats;
+  EXPECT_EQ(warm.LoadCatalog(dir, &open_stats), 0u);
+  EXPECT_TRUE(open_stats.status.ok()) << open_stats.status.ToString();
+  EXPECT_EQ(open_stats.skipped, 1u);
+  ASSERT_EQ(open_stats.skip_log.size(), 1u);
+  EXPECT_EQ(open_stats.skip_log[0].find(manifest_path + ": "), 0u)
+      << open_stats.skip_log[0];
+  EXPECT_NE(open_stats.skip_log[0].find("malformed manifest entry"),
+            std::string::npos)
+      << open_stats.skip_log[0];
+  const EngineRun got = RunTriangle(warm, "lftj");
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.tuples, want.tuples);
+  EXPECT_GT(got.stats.index_builds, 0u);
 }
 
 TEST(PersistCatalogTest, MissingManifestIsCleanError) {

@@ -234,10 +234,13 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "%s: count=%llu in %.4fs (seeks=%llu, constraints=%llu, "
+        "free_tuples=%llu, gap_cache_hits=%llu, "
         "cds_alloc=%llu, cds_recycled=%llu, index_builds=%llu)\n",
         engine->name().c_str(), static_cast<unsigned long long>(r.count),
         r.seconds, static_cast<unsigned long long>(r.stats.seeks),
         static_cast<unsigned long long>(r.stats.constraints_inserted),
+        static_cast<unsigned long long>(r.stats.free_tuples),
+        static_cast<unsigned long long>(r.stats.gap_cache_hits),
         static_cast<unsigned long long>(r.stats.cds_nodes_allocated),
         static_cast<unsigned long long>(r.stats.cds_nodes_recycled),
         static_cast<unsigned long long>(r.stats.index_builds));

@@ -10,8 +10,8 @@ namespace wcoj {
 
 namespace {
 
-// Frontier coordinates start below every data value; Minesweeper requires
-// nonnegative domains (node ids), which the engine asserts.
+// Frontier coordinates start below every data value; Minesweeper refuses
+// keys outside [0, kWildcard).
 constexpr Value kFrontierFloor = -1;
 
 }  // namespace
@@ -43,7 +43,7 @@ void Cds::Reset() {
   }
   levels_[0].clear();
   levels_[0].push_back({n(root_), 0});
-  levels_valid_ = 1;
+  InvalidateLevelsFrom(1);  // and nothing is verified
 }
 
 void Cds::Reconfigure(int num_vars, const Options& options) {
@@ -55,6 +55,9 @@ void Cds::Reconfigure(int num_vars, const Options& options) {
 
 void Cds::ResumeRetainingTree() {
   depth_ = 0;
+  // The next search starts from the root: the caller re-seeds the
+  // frontier, and the rotations below restart with it.
+  InvalidateLevelsFrom(1);
   // See the header: in-progress rotations must not survive into a
   // sweep over a different var0 range. Completeness already earned by
   // full within-execution rotations stays — those marks are facts about
@@ -76,12 +79,13 @@ void Cds::SetFrontier(const Tuple& t) {
 bool Cds::InsertConstraint(const Constraint& c) {
   assert(c.depth() < num_vars_);
   assert(c.lo < c.hi);
-  // Precise level-cache maintenance: a node created at depth d+1 (or a
-  // subtree deleted under the final node) only affects cached levels if
-  // its whole path generalizes the current frontier prefix — patterns
-  // that bind a non-frontier equality live outside every level. Most
-  // inserts therefore stale only the levels below their pattern depth,
-  // keeping the shallow gathers warm across engine rounds.
+  // Precise staleness: a node created at depth d+1, or an interval (and
+  // the subtrees its merge deletes) under the final node, only affects
+  // cached levels and verified depths if its whole path generalizes the
+  // current frontier prefix — patterns that bind a non-frontier equality
+  // live outside every level and every chain. Most inserts therefore
+  // stale only the depths from their pattern depth on, keeping the
+  // shallow gathers warm and the next search short.
   bool generalizes = true;
   CdsNode* node = n(root_);
   int d = 0;
@@ -92,13 +96,13 @@ bool Cds::InsertConstraint(const Constraint& c) {
                               : node->EnsureChild(arena_, p, &id_counter_);
     generalizes = generalizes && (p == kWildcard || p == frontier_[d]);
     if (id_counter_ != ids_before && generalizes) {
-      InvalidateLevelsFrom(d + 1);
+      InvalidateLevelsFrom(d + 1, /*node_created=*/true);
     }
     if (next == kCdsNull) return false;  // subsumed along the walk
     node = n(next);
     ++d;
   }
-  if (generalizes) InvalidateLevelsFrom(c.depth() + 1);  // subtree deletes
+  if (generalizes) InvalidateLevelsFrom(c.depth() + 1);
   node->InsertInterval(arena_, c.lo, c.hi);
   ++constraints_inserted_;
   return true;
@@ -158,13 +162,15 @@ Cds::FreeValue Cds::GetFreeValue(Value x, const std::vector<ChainNode>& chain,
     // values; iterate it directly, no ping-pong.
     return {u->FirstEntryGe(x), false};
   }
-  Value y = x;
   // u's pointList is stable for the duration of this loop (recursive
-  // calls insert only into deeper chain members) and y never decreases,
-  // so the probes resume from a galloping position hint.
+  // calls insert only into deeper chain members) and the probes never
+  // decrease, so they resume from a galloping position hint. The first
+  // leaves it at lower_bound(x), the slot the Idea 5 insert below needs.
   uint32_t pos = 0;
+  Value y1 = u->NextFrom(x, &pos);
+  const uint32_t x_pos = pos;
+  Value y;
   for (;;) {
-    const Value y1 = u->NextFrom(y, &pos);
     if (y1 == kPosInf) {
       y = kPosInf;
       break;
@@ -174,13 +180,14 @@ Cds::FreeValue Cds::GetFreeValue(Value x, const std::vector<ChainNode>& chain,
       y = y1;
       break;
     }
-    y = rest.y;  // includes +inf: the next u->Next(+inf) terminates the loop
+    // Includes +inf: NextFrom(+inf) is +inf, which ends the loop.
+    y1 = u->NextFrom(rest.y, &pos);
   }
   // Idea 5 caching: record that [x, y) holds no free value. Sound into any
   // node all of whose co-chain members are generalizations — every node in
   // chain mode, only the dedicated exact-prefix bottom in poset mode.
   if ((chain_mode || i == 0) && x != kNegInf && x - 1 < y) {
-    u->InsertInterval(arena_, x - 1, y);
+    u->InsertInterval(arena_, x - 1, y, x_pos);
   }
   return {y, false};
 }
@@ -203,7 +210,14 @@ void Cds::Truncate(CdsNode* u) {
 }
 
 bool Cds::ComputeFreeTuple(AbortPoll* poll) {
-  depth_ = 0;
+  // Depths [0, verified_) still hold values that are free against the
+  // current tree. Passing one again would gather the same chain, find
+  // its value free, store the unit gap it already stores and leave its
+  // rotation as it is, so the search resumes at the first depth that
+  // may have changed. From here the loop keeps depths [0, depth_) free
+  // itself; nothing counts as verified until it returns a free tuple.
+  depth_ = resume_depth();
+  verified_ = 0;
   std::vector<ChainNode>& chain = chain_;
   for (;;) {
     if (poll != nullptr && poll->Check()) return false;
@@ -287,7 +301,10 @@ bool Cds::ComputeFreeTuple(AbortPoll* poll) {
       }
     }
     frontier_[depth_] = y;
-    if (depth_ == num_vars_ - 1) return true;
+    if (depth_ == num_vars_ - 1) {
+      verified_ = num_vars_;
+      return true;
+    }
     ++depth_;
   }
 }
@@ -304,6 +321,7 @@ uint64_t Cds::DrainCompleteLastLevel(uint64_t required_mask) {
   const uint64_t k = bottom->CountEntriesGe(frontier_[d] + 1);
   counted_outputs_ += k;
   frontier_[d] = kPosInf;  // exhaust the class; next call backtracks
+  InvalidateLevelsFrom(d + 1);
   return k;
 }
 

@@ -26,6 +26,15 @@
 //   completeness is disabled — the expensive general case the paper
 //   describes, used by the "ms-noidea7" ablation).
 //
+// Unlike Algorithm 4, a search does not restart at the root: it resumes
+// at the first depth that may have changed since the last free tuple
+// (resume_depth). Most free tuples move only the last coordinate — Idea
+// 2's step past a reported output, or a gap at the deepest depth — so a
+// search re-gathers and re-probes one depth instead of all of them.
+// Passing a verified depth again would change nothing: its chain and
+// intervals are the same, its value is still free, the Idea 5 unit gap
+// it would store is stored, and its Idea 6 rotation stays as it is.
+//
 // The poset regime can spend unbounded time between free tuples (the
 // paper's "thrashing" cells), so the search checks the run's AbortPoll
 // (core/engine.h) on every step; the Cds keeps no run control of its own.
@@ -35,6 +44,7 @@
 // current prefix class are exactly its finite pointList entries; they are
 // tallied in one scan instead of being enumerated through the frontier.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -107,10 +117,24 @@ class Cds {
   // exhausted. On true, frontier() holds the free tuple; trailing
   // coordinates may be -1 when no constraint restricts them yet. Also
   // returns false, mid-search, once `poll` (if given) fires.
+  //
+  // The search starts at resume_depth(), not at the root. A returned free
+  // tuple leaves every depth verified; afterwards SetFrontier unverifies
+  // from its first changed coordinate, InsertConstraint from its pattern
+  // depth (only when the pattern generalizes the frontier prefix),
+  // DrainCompleteLastLevel the last depth, and Reset, Reconfigure and
+  // ResumeRetainingTree everything. A search that returns false leaves
+  // nothing verified. The frontier, tree and Idea 6 rotations it leaves
+  // are exactly those a search from the root would leave.
   bool ComputeFreeTuple(AbortPoll* poll = nullptr);
 
   const Tuple& frontier() const { return frontier_; }
   void SetFrontier(const Tuple& t);
+
+  // Depth the next ComputeFreeTuple starts its search at. Every depth
+  // above it still holds a value known to be free against the current
+  // tree; see InvalidateLevelsFrom for what lowers it.
+  int resume_depth() const { return std::min(verified_, num_vars_ - 1); }
 
   // #Minesweeper (Idea 8): callable right after the engine verified and
   // reported the frontier tuple at the last depth. If the last depth's
@@ -145,13 +169,21 @@ class Cds {
   // O(depth * |levels|) walk from the root.
   void Gather(int depth, std::vector<ChainNode>* out, bool* is_chain);
 
-  // Marks cached levels >= depth stale (level 0, the root, never is).
-  // Must be called whenever frontier_[depth-1] changes or the node set
-  // reachable at some level >= depth may have changed (node creation by
-  // InsertConstraint/EnsureExactNode, subtree deletion by interval
-  // merges or truncation).
-  void InvalidateLevelsFrom(int depth) {
+  // The one staleness rule of the level cache and the resume depth.
+  // Must be called whenever something at depth - 1 that the search read
+  // may have changed: frontier_[depth-1], or the intervals or children
+  // of a node there whose pattern generalizes the frontier prefix
+  // (interval inserts, subtree deletion by merges or truncation, node
+  // creation by InsertConstraint/EnsureExactNode). Cached levels >= depth
+  // are stale (level 0, the root, never is), and depths >= depth - 1 are
+  // no longer verified — unless the change only created a child
+  // (`node_created`): a new node holds no interval, so it joins no chain
+  // and every verified value stays free.
+  void InvalidateLevelsFrom(int depth, bool node_created = false) {
     if (levels_valid_ > depth) levels_valid_ = depth < 1 ? 1 : depth;
+    if (!node_created && verified_ >= depth) {
+      verified_ = depth < 1 ? 0 : depth - 1;
+    }
   }
 
   // Node whose pattern equals the frontier prefix of length `depth`
@@ -178,6 +210,10 @@ class Cds {
   CdsIndex root_ = kCdsNull;
   Tuple frontier_;
   int depth_ = 0;
+  // Depths [0, verified_) of the frontier hold free values against the
+  // current tree; ComputeFreeTuple resumes there. Between searches it
+  // only drops, through InvalidateLevelsFrom.
+  int verified_ = 0;
   uint64_t constraints_inserted_ = 0;
   uint64_t counted_outputs_ = 0;
   bool complete_shortcut_ok_ = true;  // per-depth gate set by the caller

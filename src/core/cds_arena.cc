@@ -102,15 +102,23 @@ void CdsNode::EraseEntries(CdsArena* arena, size_t b, size_t e) {
   size_ -= static_cast<uint32_t>(e - b);
 }
 
-void CdsNode::InsertInterval(CdsArena* arena, Value l, Value r) {
+void CdsNode::InsertInterval(CdsArena* arena, Value l, Value r,
+                             uint32_t hint) {
   assert(l < r);
-  // One search for l. No entry lies strictly inside a stored interval,
-  // so a stored left endpoint's successor is its right endpoint, and the
-  // entries the merge deletes are exactly those after l's slot that are
-  // below r: one forward walk, which EraseEntries has to make anyway to
-  // free their child subtrees.
-  size_t i = LowerBound(l);
+  // One search for l (none with a hint). No entry lies strictly inside a
+  // stored interval, so a stored left endpoint's successor is its right
+  // endpoint, and the entries the merge deletes are exactly those after
+  // l's slot that are below r: one forward walk, which EraseEntries has
+  // to make anyway to free their child subtrees.
   CdsEntry* d = data();
+  size_t i;
+  if (hint == kNoHint) {
+    i = LowerBound(l);
+  } else {
+    i = hint;
+    if (i > 0 && d[i - 1].v == l) --i;
+  }
+  assert(i == LowerBound(l));
   bool have_l = i < size_ && d[i].v == l;
   if (!have_l && i > 0 && d[i - 1].left) {
     // l is strictly inside (d[i-1], d[i]): the merge starts at d[i-1].

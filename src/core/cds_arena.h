@@ -98,7 +98,14 @@ class CdsNode {
   // interval, whose child subtrees must be freed anyway), plus at most
   // two endpoint upserts. The dominant unit-gap insert (l, l+1) deletes
   // nothing, so it is one search and two upserts.
-  void InsertInterval(CdsArena* arena, Value l, Value r);
+  //
+  // `hint`, when given, is the index of the first entry > l — a caller
+  // whose own probe already found it (GetFreeValue's first NextFrom lands
+  // on lower_bound(l + 1)) saves the search: l then sits at that slot or
+  // the one before it.
+  static constexpr uint32_t kNoHint = UINT32_MAX;
+  void InsertInterval(CdsArena* arena, Value l, Value r,
+                      uint32_t hint = kNoHint);
 
   // Child with equality label v, or kCdsNull.
   CdsIndex Child(Value v) const;

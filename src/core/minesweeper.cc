@@ -46,13 +46,20 @@ class MsRun {
     }
     for (size_t a = 0; a < q.atoms.size(); ++a) {
       atom_vars_.push_back(q.AtomVarsSorted(a));
-      // Nonnegative-domain contract (frontier floor is -1).
-      if (indexes_.at(a)->size() != 0 && indexes_.at(a)->ColMin(0) < 0) {
-        result_->status = Status(
-            StatusCode::kInvalidArgument,
-            "minesweeper requires nonnegative value domains (atom " +
-                std::to_string(a) + " has negative keys)");
-        return;
+      // Domain contract, on every column: the frontier floor is -1, and
+      // constraint patterns read kWildcard (and above) as a wildcard.
+      const TrieIndex& index = *indexes_.at(a);
+      if (index.size() == 0) continue;
+      for (size_t p = 0; p < atom_vars_[a].size(); ++p) {
+        const int col = static_cast<int>(p);
+        if (index.ColMin(col) < 0 || index.ColMax(col) >= kWildcard) {
+          result_->status = Status(
+              StatusCode::kInvalidArgument,
+              "minesweeper requires values in [0, " +
+                  std::to_string(kWildcard) + ") (atom " + std::to_string(a) +
+                  " has keys outside it)");
+          return;
+        }
       }
     }
     skeleton_.assign(q.atoms.size(), true);

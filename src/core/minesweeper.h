@@ -19,9 +19,10 @@
 // filter yields a gap box that advances the frontier (never enters the
 // CDS, mirroring Idea 7's handling of non-skeleton atoms).
 //
-// Contract: Minesweeper requires nonnegative domain values (the frontier
-// floor is -1) and at most Cds::kMaxVars variables; Execute refuses
-// other queries with kInvalidArgument.
+// Contract: Minesweeper requires every key of every atom column in
+// [0, kWildcard) (the frontier floor is -1, and a pattern value of
+// kWildcard reads as a wildcard) and at most Cds::kMaxVars variables;
+// Execute refuses other queries with kInvalidArgument.
 
 #include <string>
 

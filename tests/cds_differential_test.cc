@@ -28,9 +28,14 @@ struct DiffCase {
   bool chain_only;  // chain regime vs §4.8 poset regime
   bool count_mode;  // drain completed classes (Idea 8), or never
   Value domain;
+  // Off-frontier patterns and shallow Idea-7-style jumps: the moves that
+  // unverify only part of the arena Cds's resumed search, against an
+  // oracle that searches from the root every time.
+  bool off_frontier = false;
 };
 
-// 2 regimes x {plain, count-mode} x 30 seeds = 120 seeded runs, plus the
+// 2 regimes x {plain, count-mode} x 30 seeds = 120 seeded runs, 60 more
+// with off-frontier patterns and shallow jumps, plus the
 // engine-level sweep below: comfortably past the 100-run bar.
 class CdsDifferentialTest : public ::testing::TestWithParam<int> {};
 
@@ -41,6 +46,8 @@ TEST_P(CdsDifferentialTest, ArenaMatchesPointerReferenceExactly) {
       {4, /*chain_only=*/true, /*count_mode=*/true, 32},
       {3, /*chain_only=*/false, /*count_mode=*/false, 48},
       {4, /*chain_only=*/false, /*count_mode=*/true, 32},
+      {3, /*chain_only=*/true, /*count_mode=*/false, 48, true},
+      {4, /*chain_only=*/false, /*count_mode=*/true, 32, true},
   };
   for (const DiffCase& c : cases) {
     Cds arena_cds(c.num_vars, Cds::Options{});
@@ -49,20 +56,22 @@ TEST_P(CdsDifferentialTest, ArenaMatchesPointerReferenceExactly) {
     const CdsDrain drain =
         c.count_mode ? CdsDrain::kCountMode : CdsDrain::kNever;
     const uint64_t wseed = 1000003u * seed + c.num_vars +
-                           (c.chain_only ? 7 : 0) + (c.count_mode ? 13 : 0);
+                           (c.chain_only ? 7 : 0) + (c.count_mode ? 13 : 0) +
+                           (c.off_frontier ? 17 : 0);
     const CdsWorkloadResult got = DriveCdsWorkload(
         &arena_cds, c.num_vars, wseed, /*max_free_tuples=*/300, c.chain_only,
-        c.domain, /*collect_frontiers=*/true, drain);
+        c.domain, /*collect_frontiers=*/true, drain, c.off_frontier);
     const CdsWorkloadResult want = DriveCdsWorkload(
         &ref_cds, c.num_vars, wseed, /*max_free_tuples=*/300, c.chain_only,
-        c.domain, /*collect_frontiers=*/true, drain);
+        c.domain, /*collect_frontiers=*/true, drain, c.off_frontier);
 
     ASSERT_EQ(got.frontiers.size(), want.frontiers.size())
         << "seed=" << seed << " chain=" << c.chain_only
-        << " count=" << c.count_mode;
+        << " count=" << c.count_mode << " off=" << c.off_frontier;
     for (size_t i = 0; i < got.frontiers.size(); ++i) {
       ASSERT_EQ(got.frontiers[i], want.frontiers[i])
-          << "seed=" << seed << " step=" << i << " chain=" << c.chain_only;
+          << "seed=" << seed << " step=" << i << " chain=" << c.chain_only
+          << " off=" << c.off_frontier;
     }
     EXPECT_EQ(got.num_frontiers, want.num_frontiers) << "seed=" << seed;
     EXPECT_EQ(got.frontier_hash, want.frontier_hash) << "seed=" << seed;

@@ -471,11 +471,18 @@ enum class CdsDrain {
 // timed region is pure CDS work (the hash still pins the sequence).
 // `drain` picks the output handling (CdsDrain); every mode rolls the
 // same dice, so the random stream does not depend on it.
+// `off_frontier` adds two moves the engine makes and the plain workload
+// does not: some patterns bind a value off the frontier (a gap box whose
+// equality no longer matches the moved prefix, which must not disturb
+// the current search), and some gap rounds end with an Idea-7-style jump
+// that advances a shallow coordinate and resets the deeper ones. Its
+// extra dice are rolled only when it is set, so the plain workload's
+// random stream does not depend on it.
 template <class CdsT>
 CdsWorkloadResult DriveCdsWorkload(CdsT* cds, int num_vars, uint64_t seed,
                                    int max_free_tuples, bool chain_only,
                                    Value domain, bool collect_frontiers,
-                                   CdsDrain drain) {
+                                   CdsDrain drain, bool off_frontier = false) {
   assert(drain != CdsDrain::kCountMode || num_vars >= 3);
   Rng rng(seed);
   CdsWorkloadResult result;
@@ -557,7 +564,21 @@ CdsWorkloadResult DriveCdsWorkload(CdsT* cds, int num_vars, uint64_t seed,
       const Value center = t[depth] < 0 ? 0 : t[depth];
       c.lo = center - 1 - skewed(domain / 16 + 2);
       c.hi = center + 1 + skewed(domain / 16 + 2);
+      if (off_frontier && rng.NextBounded(3) == 0) {
+        // Move one bound equality off the frontier value.
+        const int d = static_cast<int>(rng.NextBounded(depth));
+        if (c.pattern[d] != kWildcard) c.pattern[d] = t[d] + 1 + skewed(4);
+      }
       if (cds->InsertConstraint(c)) ++result.inserted;
+    }
+    if (off_frontier && rng.NextBounded(4) == 0) {
+      // Idea 7: a non-skeleton gap advances a shallow coordinate past
+      // values the CDS never sees, and the deeper ones restart.
+      const int d = static_cast<int>(rng.NextBounded(num_vars - 1));
+      advance = t;
+      advance[d] += 1 + skewed(3);
+      std::fill(advance.begin() + d + 1, advance.end(), Value{-1});
+      cds->SetFrontier(advance);
     }
   }
   assert(result.inserted == cds->constraints_inserted());

@@ -469,6 +469,89 @@ TEST(CdsTest, SharedArenaSequentialCdsInstancesAreIndependent) {
   EXPECT_EQ(first[0], 3);
 }
 
+// Resumed searches (resume_depth): a free tuple leaves every depth
+// verified, and the next search starts at the first depth that may have
+// changed. These pin both directions: a change that reaches a shallow
+// depth must restart the search there, and a change elsewhere must not.
+
+TEST(CdsResumeTest, IntervalOverTheFrontierRestartsItsDepth) {
+  Cds cds(3, Cds::Options{});
+  // A box far from the frontier builds the node the depth-1 pattern
+  // below walks to, so that insert only adds an interval.
+  cds.InsertConstraint(MakeC({2}, 20, 30));
+  cds.SetFrontier({2, 3, 4});
+  ASSERT_TRUE(cds.ComputeFreeTuple());
+  ASSERT_EQ(cds.frontier(), (Tuple{2, 3, 4}));
+  EXPECT_EQ(cds.resume_depth(), 2);
+  // Depth 1's value is covered now, under the frontier's own prefix.
+  cds.InsertConstraint(MakeC({2}, 2, 9));
+  EXPECT_EQ(cds.resume_depth(), 1);
+  ASSERT_TRUE(cds.ComputeFreeTuple());
+  EXPECT_EQ(cds.frontier(), (Tuple{2, 9, -1}));
+  // So is depth 0's: a search resumed below depth 0 would report
+  // (2, 9, -1) again.
+  cds.InsertConstraint(MakeC({}, 1, 6));
+  EXPECT_EQ(cds.resume_depth(), 0);
+  ASSERT_TRUE(cds.ComputeFreeTuple());
+  EXPECT_EQ(cds.frontier(), (Tuple{6, -1, -1}));
+}
+
+TEST(CdsResumeTest, OffPrefixConstraintLeavesTheFreeTupleAlone) {
+  Cds cds(3, Cds::Options{});
+  // Far boxes build the nodes on the frontier path that the patterns
+  // below walk through.
+  cds.InsertConstraint(MakeC({2}, 20, 30));
+  cds.InsertConstraint(MakeC({kWildcard}, 20, 30));
+  cds.SetFrontier({2, 3, 4});
+  ASSERT_TRUE(cds.ComputeFreeTuple());
+  ASSERT_EQ(cds.frontier(), (Tuple{2, 3, 4}));
+  // Patterns that bind a value off the frontier prefix constrain other
+  // prefixes only: the search stays at the last depth and the free tuple
+  // does not move.
+  EXPECT_TRUE(cds.InsertConstraint(MakeC({7}, kNegInf, kPosInf)));
+  EXPECT_TRUE(cds.InsertConstraint(MakeC({2, 8}, 0, 10)));
+  EXPECT_TRUE(cds.InsertConstraint(MakeC({kWildcard, 5}, 0, 10)));
+  EXPECT_EQ(cds.resume_depth(), 2);
+  ASSERT_TRUE(cds.ComputeFreeTuple());
+  EXPECT_EQ(cds.frontier(), (Tuple{2, 3, 4}));
+  // The prefix's own box does move it. The node it creates at depth 2
+  // holds no interval before the box's own, so depth 1 stays verified.
+  EXPECT_TRUE(cds.InsertConstraint(MakeC({2, 3}, 0, 10)));
+  EXPECT_EQ(cds.resume_depth(), 2);
+  ASSERT_TRUE(cds.ComputeFreeTuple());
+  EXPECT_EQ(cds.frontier(), (Tuple{2, 3, 10}));
+}
+
+TEST(CdsResumeTest, ResumeRetainingTreeRestartsFromTheRoot) {
+  CdsArena arena;
+  Cds cds(3, Cds::Options{}, &arena);
+  cds.InsertConstraint(MakeC({kWildcard}, 5, 9));
+  cds.SetFrontier({1, 6, 2});
+  ASSERT_TRUE(cds.ComputeFreeTuple());
+  ASSERT_EQ(cds.frontier(), (Tuple{1, 9, -1}));
+  EXPECT_EQ(cds.resume_depth(), 2);
+  // The next execution re-seeds the same frontier, yet its search must
+  // start at the root: the Idea 6 rotations it re-arms on the way down
+  // are not the previous execution's.
+  cds.ResumeRetainingTree();
+  EXPECT_EQ(cds.resume_depth(), 0);
+  cds.SetFrontier({1, 9, -1});
+  EXPECT_EQ(cds.resume_depth(), 0);
+  ASSERT_TRUE(cds.ComputeFreeTuple());
+  EXPECT_EQ(cds.frontier(), (Tuple{1, 9, -1}));
+  // SetFrontier resumes at its first changed coordinate, Reset at the
+  // root.
+  cds.SetFrontier({1, 9, 0});
+  EXPECT_EQ(cds.resume_depth(), 2);
+  ASSERT_TRUE(cds.ComputeFreeTuple());
+  cds.SetFrontier({1, 10, -1});
+  EXPECT_EQ(cds.resume_depth(), 1);
+  ASSERT_TRUE(cds.ComputeFreeTuple());
+  EXPECT_EQ(cds.frontier(), (Tuple{1, 10, -1}));
+  cds.Reset();
+  EXPECT_EQ(cds.resume_depth(), 0);
+}
+
 // The run's AbortPoll ends a free-tuple search in the §4.8 poset regime
 // (two incomparable patterns constrain the last depth): a requested stop
 // reads as kCancelled, and a budget latched by the CDS arena's own

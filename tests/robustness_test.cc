@@ -142,6 +142,54 @@ TEST(DegenerateInputTest, ReversedFilterAgainstGao) {
   }
 }
 
+// Minesweeper's domain contract: the frontier floor is -1 and constraint
+// patterns read kWildcard as a wildcard, so a key below 0 or at kWildcard
+// and above, in any column of any atom, must be refused rather than
+// answered wrong. LFTJ answers both queries. ms and #ms refuse; the
+// hybrid refuses, or answers exactly when its Minesweeper prefix does not
+// read the offending atom.
+TEST(DegenerateInputTest, MinesweeperRefusesKeysOutsideItsDomain) {
+  struct Case {
+    const char* what;
+    std::vector<Tuple> r, s;
+    uint64_t count;
+  };
+  const Case cases[] = {
+      {"negative key in s's second column",
+       {{1, 5}, {2, 5}},
+       {{5, -5}, {5, 9}},
+       4},
+      {"key equal to kWildcard",
+       {{1, kWildcard}, {2, 5}},
+       {{5, 7}, {kWildcard, 8}},
+       2},
+  };
+  for (const Case& c : cases) {
+    const Relation r = Relation::FromTuples(2, c.r);
+    const Relation s = Relation::FromTuples(2, c.s);
+    const BoundQuery bq = Bind(MustParseQuery("r(a,b), s(b,c)"),
+                               {{"r", &r}, {"s", &s}}, {"a", "b", "c"});
+    const ExecResult lftj = CreateEngine("lftj")->Execute(bq, ExecOptions{});
+    ASSERT_TRUE(lftj.ok()) << c.what << ": " << lftj.status.ToString();
+    EXPECT_EQ(lftj.count, c.count) << c.what;
+    for (const char* name : {"ms", "#ms", "hybrid"}) {
+      for (bool collect : {false, true}) {
+        ExecOptions opts;
+        opts.collect_tuples = collect;
+        const ExecResult got = CreateEngine(name)->Execute(bq, opts);
+        if (got.ok() && std::string(name) == "hybrid") {
+          EXPECT_EQ(got.count, c.count) << c.what;
+          continue;
+        }
+        EXPECT_EQ(got.status.code(), StatusCode::kInvalidArgument)
+            << name << ", " << c.what << ": count " << got.count;
+        EXPECT_EQ(got.count, 0u) << name << ", " << c.what;
+        EXPECT_TRUE(got.tuples.empty()) << name << ", " << c.what;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Wide queries: the CDS keys equality positions by 64-bit masks, so every
 // Minesweeper-based engine refuses a query with more than Cds::kMaxVars

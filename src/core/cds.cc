@@ -19,10 +19,7 @@ constexpr Value kFrontierFloor = -1;
 Cds::Cds(int num_vars, const Options& options, CdsArena* arena)
     : num_vars_(num_vars), options_(options), arena_(arena) {
   assert(num_vars >= 1 && num_vars <= kMaxVars);
-  if (arena_ == nullptr) {
-    owned_arena_ = std::make_unique<CdsArena>();
-    arena_ = owned_arena_.get();
-  }
+  assert(arena_ != nullptr);
   Reset();
 }
 

@@ -14,8 +14,8 @@
 //
 // Storage: nodes and pointList buffers live in a CdsArena
 // (core/cds_arena.h) — slab-allocated, index-linked, recycled through
-// free lists. A Cds either owns a private arena or borrows one from the
-// caller's ExecScratch, in which case repeated runs reuse warm memory
+// free lists. A Cds always borrows its arena from the caller (the
+// engines pass their ExecScratch's), so repeated runs reuse warm memory
 // and a steady-state execution performs no heap allocation at all.
 //
 // ComputeFreeTuple implements Algorithm 4 with:
@@ -46,7 +46,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/cds_arena.h"
@@ -74,12 +73,11 @@ class Cds {
     std::vector<bool> completeness_blocked;
   };
 
-  // Builds on `arena` when given (the per-worker ExecScratch path) after
-  // Reset()ing it — at most one live Cds per arena, and constructing a
-  // new one invalidates the previous tree. Without an arena the Cds owns
-  // a private one.
-  explicit Cds(int num_vars, const Options& options,
-               CdsArena* arena = nullptr);
+  // Builds on `arena` (non-null; the per-worker ExecScratch's on the
+  // engine path) after Reset()ing it — at most one live Cds per arena,
+  // and constructing a new one invalidates the previous tree. The arena
+  // must outlive the Cds.
+  Cds(int num_vars, const Options& options, CdsArena* arena);
 
   // Epoch bump: reclaims the whole tree via CdsArena::Reset and restarts
   // from an empty CDS with the same options. Never walks the tree, and
@@ -205,7 +203,6 @@ class Cds {
   int num_vars_;
   Options options_;
   uint64_t id_counter_ = 0;
-  std::unique_ptr<CdsArena> owned_arena_;  // set when no arena was given
   CdsArena* arena_;
   CdsIndex root_ = kCdsNull;
   Tuple frontier_;

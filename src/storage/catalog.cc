@@ -29,8 +29,7 @@ const TrieIndex* IndexCatalog::GetOrBuild(const Relation& rel,
   bool did_build = false;
   std::call_once(entry->once, [&] {
     auto index =
-        std::make_unique<TrieIndex>(rel, std::move(perm), DefaultTierPolicy(),
-                                    budget);
+        std::make_unique<TrieIndex>(rel, std::move(perm), budget);
     if (index->build_ok()) {
       entry->index = std::move(index);
       entry->ready.store(true, std::memory_order_release);

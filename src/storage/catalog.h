@@ -45,7 +45,7 @@ namespace wcoj {
 // start that loaded everything from one that silently fell back.
 struct CatalogOpenStats {
   size_t installed = 0;
-  size_t skipped = 0;  // stale / corrupt / truncated / policy-mismatched
+  size_t skipped = 0;  // stale / corrupt / truncated
   std::vector<std::string> skip_log;  // one "file: reason" per skip
   Status status;  // manifest-level failure (unreadable dir/manifest)
 };
@@ -92,7 +92,7 @@ class IndexCatalog {
 
   // Writes every resident (fully built) index to `dir` as one versioned
   // binary file each, whose checksummed header records its identity
-  // (relation fingerprint, arity, tier policy, permutation), then
+  // (relation fingerprint, arity, permutation), then
   // commits a MANIFEST listing the file names, one per line, by atomic
   // rename. Returns the number of files written; in-flight builds are
   // skipped. Safe with concurrent GetOrBuild, and serialized against
@@ -104,8 +104,7 @@ class IndexCatalog {
 
   // Maps every file `dir`'s MANIFEST lists and validates its header.
   // Where the header's fingerprint and arity match one of `live`'s
-  // relations and its tier policy matches the current
-  // DefaultTierPolicy, the zero-copy index is installed over that
+  // relations, the zero-copy index is installed over that
   // relation under the permutation the header names (the file name is
   // never trusted). Stale fingerprints, malformed entries and
   // truncated/corrupt files are skipped cleanly — those indexes simply

@@ -122,17 +122,10 @@ uint64_t SpanIntersector::Count(std::span<KeySpan> spans, Value lo, Value hi,
              (tier == KeyTier::kRaw ||
               s.keys->packed_base() == first.packed_base());
   }
-  if (!native) return CountLanes<Value>(spans, 0, work);
-  switch (tier) {
-    case KeyTier::kPacked8:
-      return CountLanes<uint8_t>(spans, first.packed_base(), work);
-    case KeyTier::kPacked16:
-      return CountLanes<uint16_t>(spans, first.packed_base(), work);
-    case KeyTier::kPacked32:
-      return CountLanes<uint32_t>(spans, first.packed_base(), work);
-    default:
-      return CountLanes<Value>(spans, 0, work);
+  if (native && tier == KeyTier::kPacked16) {
+    return CountLanes<uint16_t>(spans, first.packed_base(), work);
   }
+  return CountLanes<Value>(spans, 0, work);
 }
 
 }  // namespace wcoj

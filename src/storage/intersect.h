@@ -19,10 +19,10 @@
 //    so the work — and the probe count below — is the same under every
 //    key tier.
 //  * When every span reads the same tier and the same frame of
-//    reference (raw, or packed with one base — always the case when all
-//    spans come from one LevelKeys, the self-join shape), merges compare
-//    the tier's native lanes with no decoding. Otherwise non-raw spans
-//    are decoded into a reused buffer first.
+//    reference (raw, or packed16 with one base — always the case when
+//    all spans come from one LevelKeys, the self-join shape), merges
+//    compare the tier's native lanes (int64 or uint16) with no decoding.
+//    Otherwise packed16 spans are decoded into a reused buffer first.
 //
 // Buffers are owned by the SpanIntersector and grow only to the
 // longest span they have held, so a run reuses them across calls.
@@ -85,9 +85,7 @@ class SpanIntersector {
   const T* Lanes(const KeySpan& s, int slot);
 
   std::vector<Value> decoded_[2];
-  std::tuple<Candidates<uint8_t>, Candidates<uint16_t>, Candidates<uint32_t>,
-             Candidates<Value>>
-      candidates_;
+  std::tuple<Candidates<uint16_t>, Candidates<Value>> candidates_;
 };
 
 }  // namespace wcoj

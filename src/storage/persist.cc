@@ -25,7 +25,7 @@ namespace wcoj {
 namespace {
 
 constexpr char kMagic[8] = {'W', 'C', 'O', 'J', 'T', 'R', 'I', '1'};
-constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kFormatVersion = 3;
 constexpr uint32_t kEndianTag = 0x01020304;  // reads back 0x04030201 if swapped
 constexpr uint32_t kMaxArity = 64;
 constexpr size_t kSectionAlign = 64;
@@ -43,16 +43,16 @@ struct FileHeader {
   uint64_t payload_checksum;  // FNV-1a over [header_bytes, file_bytes)
   uint64_t fingerprint;       // RelationFingerprint of the source relation
   uint32_t arity;
-  uint32_t tier_policy;
+  uint32_t reserved;          // zero; keeps rows 8-byte aligned
   uint64_t rows;
 };
 static_assert(sizeof(FileHeader) == 72, "on-disk layout is versioned");
 
 struct LevelSection {
-  uint32_t tier;  // KeyTier
+  uint32_t tier;  // KeyTier: 0 raw, 2 packed16
   uint32_t reserved;
   uint64_t key_count;
-  int64_t packed_base;   // kPacked* frame-of-reference base
+  int64_t packed_base;   // kPacked16 frame-of-reference base
   uint64_t keys_off;     // key payload: raw keys / packed lanes
   uint64_t keys_bytes;
   uint64_t child_off;    // CSR child offsets; 0/0 at the deepest level
@@ -80,17 +80,7 @@ size_t HeaderBytes(uint32_t arity) {
 }
 
 size_t TierElemBytes(KeyTier tier) {
-  switch (tier) {
-    case KeyTier::kRaw:
-      return sizeof(Value);
-    case KeyTier::kPacked8:
-      return 1;
-    case KeyTier::kPacked16:
-      return 2;
-    case KeyTier::kPacked32:
-      return 4;
-  }
-  return 0;
+  return tier == KeyTier::kRaw ? sizeof(Value) : sizeof(uint16_t);
 }
 
 // Failpoints covering every syscall class the persistence layer
@@ -286,22 +276,18 @@ class TrieIndexMapper {
     const uint8_t* base = trie.file->data();
     index->rows_ = h.rows;
     index->perm_ = trie.perm;
-    index->tier_policy_ = static_cast<TierPolicy>(h.tier_policy);
     index->levels_.resize(h.arity);
     for (uint32_t d = 0; d < h.arity; ++d) {
       const LevelSection& s = secs[d];
       LevelKeys& keys = index->levels_[d].keys;
-      switch (static_cast<KeyTier>(s.tier)) {
-        case KeyTier::kRaw:
-          keys.BindRawView(reinterpret_cast<const Value*>(base + s.keys_off),
-                           s.key_count);
-          break;
-        case KeyTier::kPacked8:
-        case KeyTier::kPacked16:
-        case KeyTier::kPacked32:
-          keys.BindPackedView(static_cast<KeyTier>(s.tier), s.packed_base,
-                              base + s.keys_off, s.key_count);
-          break;
+      if (static_cast<KeyTier>(s.tier) == KeyTier::kRaw) {
+        keys.BindRawView(reinterpret_cast<const Value*>(base + s.keys_off),
+                         s.key_count);
+      } else {
+        keys.BindPackedView(
+            s.packed_base,
+            reinterpret_cast<const uint16_t*>(base + s.keys_off),
+            s.key_count);
       }
       if (d + 1 < h.arity) {
         index->levels_[d].child =
@@ -337,7 +323,6 @@ Status SaveIndex(const TrieIndex& index, uint64_t fingerprint,
   h.header_bytes = HeaderBytes(arity);
   h.fingerprint = fingerprint;
   h.arity = static_cast<uint32_t>(arity);
-  h.tier_policy = static_cast<uint32_t>(index.tier_policy());
   h.rows = index.size();
 
   // Lay out the sections, then assemble the whole file in memory: index
@@ -428,9 +413,6 @@ bool OpenImpl(const std::string& path, bool verify_payload, MappedTrie* out,
     return reject("header size mismatch");
   }
   if (h.file_bytes != file->size()) return reject("truncated or padded file");
-  if (h.tier_policy > static_cast<uint32_t>(TierPolicy::kForcePacked)) {
-    return reject("unknown tier policy");
-  }
 
   // Header checksum: the stored bytes with the checksum field zeroed.
   std::vector<uint8_t> hdr(base, base + h.header_bytes);
@@ -458,7 +440,8 @@ bool OpenImpl(const std::string& path, bool verify_payload, MappedTrie* out,
               h.arity * sizeof(LevelSection));
   for (uint32_t d = 0; d < h.arity; ++d) {
     const LevelSection& s = secs[d];
-    if (s.tier > static_cast<uint32_t>(KeyTier::kPacked32)) {
+    if (s.tier != static_cast<uint32_t>(KeyTier::kRaw) &&
+        s.tier != static_cast<uint32_t>(KeyTier::kPacked16)) {
       return reject("unknown key tier");
     }
     const KeyTier tier = static_cast<KeyTier>(s.tier);
@@ -528,17 +511,16 @@ Status VerifyIndexFile(const std::string& path) {
 
 namespace {
 
-// A name unique per (contents, permutation, tier policy), so identical
-// indexes share one file and distinct ones never collide. Only SaveTo
-// reads it: OpenFrom trusts the header, never the name.
-std::string IndexFileName(uint64_t fingerprint, const std::vector<int>& perm,
-                          TierPolicy policy) {
+// A name unique per (contents, permutation), so identical indexes
+// share one file and distinct ones never collide. Only SaveTo reads it:
+// OpenFrom trusts the header, never the name.
+std::string IndexFileName(uint64_t fingerprint, const std::vector<int>& perm) {
   std::ostringstream name;
   name << "trie_" << std::hex << fingerprint << std::dec << "_p";
   for (size_t i = 0; i < perm.size(); ++i) {
     name << (i > 0 ? "-" : "") << perm[i];
   }
-  name << "_" << TierPolicyName(policy) << ".wct";
+  name << ".wct";
   return name.str();
 }
 
@@ -570,8 +552,7 @@ size_t IndexCatalog::SaveTo(const std::string& dir, Status* status) {
     if (!entry->ready.load(std::memory_order_acquire)) continue;  // in-flight
     const TrieIndex* index = entry->index.get();
     const uint64_t fp = RelationFingerprint(*key.rel);
-    const std::string name = IndexFileName(fp, index->perm(),
-                                           index->tier_policy());
+    const std::string name = IndexFileName(fp, index->perm());
     // Two relations with identical contents share a fingerprint and
     // would serialize to identical files; write once.
     bool dup = false;
@@ -656,7 +637,6 @@ size_t IndexCatalog::OpenFrom(const std::string& dir,
   for (size_t i = 0; i < live.size(); ++i) {
     live_fp[i] = RelationFingerprint(*live[i]);
   }
-  const TierPolicy current_policy = DefaultTierPolicy();
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     // An entry is one file name inside `dir`; anything else (a line
@@ -675,14 +655,6 @@ size_t IndexCatalog::OpenFrom(const std::string& dir,
       continue;
     }
     const FileHeader& h = trie.header;
-    // Tier policy is part of the index identity: files encoded under a
-    // different policy than this process would build with are stale.
-    const TierPolicy policy = static_cast<TierPolicy>(h.tier_policy);
-    if (policy != current_policy) {
-      skip(path, std::string("tier policy mismatch (file ") +
-                     TierPolicyName(policy) + ")");
-      continue;
-    }
     // One mapping serves every live relation with these contents; each
     // gets its own index under the permutation the header names.
     bool matched_live = false;

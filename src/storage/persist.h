@@ -6,7 +6,7 @@
 // deserialization.
 //
 // The CSR trie (storage/trie.h) is already flat-array data: per level,
-// one encoded key payload (raw int64 or FoR-packed u8/u16/u32, see
+// one encoded key payload (raw int64 or FoR-packed u16, see
 // storage/level_keys.h) plus a u32 child-offset array. The
 // file format writes those arrays verbatim behind a self-describing
 // header, each section 64-byte aligned, so OpenIndex can mmap the file
@@ -15,13 +15,13 @@
 // which is what makes a warm start orders of magnitude cheaper than a
 // rebuild.
 //
-// File layout (all little-endian, version 2):
+// File layout (all little-endian, version 3):
 //
 //   +--------------------------------------------------------------+
 //   | FileHeader   magic "WCOJTRI1", version, endian tag,          |
 //   |              header/file byte counts, header checksum,       |
 //   |              payload checksum, relation fingerprint,         |
-//   |              arity, tier policy, rows                        |
+//   |              arity, rows                                     |
 //   | int32_t      perm[arity]                                     |
 //   | LevelSection sections[arity]  (tier, key count, packed base, |
 //   |              keys/child offset+bytes)                        |
@@ -41,10 +41,14 @@
 // return; callers fall back to an in-memory build.
 //
 // Identity: the checksummed header is the one record of what a file
-// holds (source fingerprint, arity, tier policy, permutation). The
-// catalog's MANIFEST only lists file names, and the file name is a
-// unique label for the writer, never parsed: IndexCatalog::OpenFrom
-// installs each file under the permutation its header names.
+// holds (source fingerprint, arity, permutation). A level's tier tag
+// records how its bytes are encoded, not a choice: the tier follows
+// from the keys (storage/level_keys.h), so a rebuild would write the
+// same bytes. The catalog's MANIFEST only lists file names, and the
+// file name is a unique label for the writer, never parsed:
+// IndexCatalog::OpenFrom installs each file under the permutation its
+// header names. Files of an older version (1 or 2) are refused by the
+// version check and rebuild in memory.
 //
 // Lifetime: a mapped TrieIndex owns its file mapping (a shared_ptr kept
 // inside the index), so the usual catalog contract is unchanged — the

@@ -6,8 +6,8 @@ namespace {
 
 // Once the gallop has bracketed the answer, bisect only while the
 // bracket is wider than this; below it, counting the whole bracket beats
-// the remaining data-dependent branches. The cut is the same for every
-// lane width: wider (SIMD-sized) cuts measured slower on the engines.
+// the remaining data-dependent branches. The cut is the same for both
+// lane widths: wider (SIMD-sized) cuts measured slower on the engines.
 constexpr size_t kBlockCut = 16;
 
 }  // namespace
@@ -43,8 +43,6 @@ size_t KernelLowerBound(const T* a, size_t lo, size_t hi, T v) {
 }
 
 template size_t KernelLowerBound(const int64_t*, size_t, size_t, int64_t);
-template size_t KernelLowerBound(const uint32_t*, size_t, size_t, uint32_t);
 template size_t KernelLowerBound(const uint16_t*, size_t, size_t, uint16_t);
-template size_t KernelLowerBound(const uint8_t*, size_t, size_t, uint8_t);
 
 }  // namespace wcoj

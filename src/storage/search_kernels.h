@@ -12,12 +12,12 @@
 // branch-free count ("how many elements compare before v", which in a
 // sorted block *is* the answer index) instead of the last log2 steps.
 //
-// It is instantiated for the element types the key tiers store: raw
-// int64 keys and the unsigned 8/16/32-bit lanes of the packed tiers
+// It is instantiated for the element types the two key tiers store:
+// raw int64 keys and the unsigned 16-bit lanes of the packed16 tier
 // (storage/level_keys.h). An upper bound is the lower bound of v + 1
 // (LevelKeys::UpperBound). There is one portable path on every CPU;
 // tests/kernel_differential_test.cc pins it against std::lower_bound
-// for every element type.
+// for both element types.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,7 +35,7 @@ KernelKind ActiveSearchKernel();
 
 // Least index in [lo, hi) with a[i] >= v, galloping from lo; [lo, hi)
 // must be sorted ascending. Returns hi when no such element exists.
-// Defined for T = int64_t, uint32_t, uint16_t and uint8_t.
+// Defined for T = int64_t and uint16_t.
 template <typename T>
 size_t KernelLowerBound(const T* a, size_t lo, size_t hi, T v);
 

@@ -1,7 +1,6 @@
 #include "storage/trie.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <limits>
 
@@ -9,23 +8,9 @@
 
 namespace wcoj {
 
-namespace {
-
-std::atomic<TierPolicy> g_default_tier_policy{TierPolicy::kAuto};
-
-}  // namespace
-
-TierPolicy SetDefaultTierPolicy(TierPolicy policy) {
-  return g_default_tier_policy.exchange(policy, std::memory_order_relaxed);
-}
-
-TierPolicy DefaultTierPolicy() {
-  return g_default_tier_policy.load(std::memory_order_relaxed);
-}
-
 TrieIndex::TrieIndex(const Relation& rel, std::vector<int> perm,
-                     TierPolicy tier_policy, MemoryBudget* budget)
-    : perm_(std::move(perm)), tier_policy_(tier_policy) {
+                     MemoryBudget* budget)
+    : perm_(std::move(perm)) {
   assert(rel.built());
   const int arity = rel.arity();
   if (perm_.empty()) {
@@ -115,11 +100,10 @@ TrieIndex::TrieIndex(const Relation& rel, std::vector<int> perm,
 
   // Per-level tier selection. Degenerate shapes — empty tries and
   // arity-1 relations (leaf-only probe structures whose every read is a
-  // decode, and the morsel scheduler's SplitPoints input) — never pick
-  // a compressed tier, whatever the policy.
+  // decode, and the morsel scheduler's SplitPoints input) — stay raw.
   const bool compressible = rows_ > 0 && arity > 1;
   for (int d = 0; d < arity; ++d) {
-    levels_[d].keys.Build(std::move(raw_keys[d]), tier_policy, compressible);
+    levels_[d].keys.Build(std::move(raw_keys[d]), compressible);
     if (d + 1 < arity) levels_[d].child = levels_[d].child_store.data();
   }
 }

@@ -14,10 +14,10 @@
 // touches full cache lines of keys and hardware prefetch engages.
 //
 // Each level's key array lives behind a LevelKeys tier
-// (storage/level_keys.h): raw int64 or fixed-width packed offsets,
-// chosen per level at build time. Seeks run through the one bound
-// search (storage/search_kernels.h) in the tier's native lane width;
-// iterators and engines stay layout-blind.
+// (storage/level_keys.h): raw int64 or 16-bit packed offsets, decided
+// per level by its keys alone at build time. Seeks run through the one
+// bound search (storage/search_kernels.h) in the tier's native lane
+// width; iterators and engines stay layout-blind.
 //
 // The layout is built in a single pass over the (permutation-sorted)
 // rows of the source relation — no intermediate permuted Relation copy
@@ -48,26 +48,18 @@
 
 namespace wcoj {
 
-// Process-wide tier policy used by TrieIndex builds that don't pass an
-// explicit one (the IndexCatalog path). Returns the previous policy.
-// A setup/test knob, not a mid-query switch; indexes already built
-// keep the tiers they were built with.
-TierPolicy SetDefaultTierPolicy(TierPolicy policy);
-TierPolicy DefaultTierPolicy();
-
 class TrieIndex {
  public:
   // `perm[i]` = column of `rel` exposed at trie depth i. Identity if
-  // empty; otherwise must be a full permutation of rel's columns.
-  // `tier_policy` governs per-level key compression; the default arg
-  // reads the process-wide policy at call time. `budget`, when set, is
-  // charged (strictly, for the build's duration) with the build's
-  // estimated peak footprint before any staging allocation happens; a
-  // refusal — or the "trie.build" failpoint — aborts the build, leaving
-  // an empty index whose build_status() is non-OK. Callers must check
-  // build_ok() before installing or probing a governed build.
+  // empty; otherwise must be a full permutation of rel's columns. Each
+  // level's key tier follows from its keys (LevelKeys::Build).
+  // `budget`, when set, is charged (strictly, for the build's duration)
+  // with the build's estimated peak footprint before any staging
+  // allocation happens; a refusal — or the "trie.build" failpoint —
+  // aborts the build, leaving an empty index whose build_status() is
+  // non-OK. Callers must check build_ok() before installing or probing
+  // a governed build.
   TrieIndex(const Relation& rel, std::vector<int> perm = {},
-            TierPolicy tier_policy = DefaultTierPolicy(),
             MemoryBudget* budget = nullptr);
 
   // OK unless the build was aborted (budget refusal or injected
@@ -79,10 +71,6 @@ class TrieIndex {
   int arity() const { return static_cast<int>(levels_.size()); }
   size_t size() const { return rows_; }  // leaf count == row count
   const std::vector<int>& perm() const { return perm_; }
-  // The policy this index was built (or persisted) under; recorded in
-  // a persisted file's header, and a catalog open skips files whose
-  // policy differs from DefaultTierPolicy().
-  TierPolicy tier_policy() const { return tier_policy_; }
   // True when the index is a zero-copy view over a mapped catalog file
   // (storage/persist.h); the mapping is owned by this index and dies
   // with it.
@@ -185,7 +173,6 @@ class TrieIndex {
   std::vector<Level> levels_;  // levels_[d] = trie depth d
   size_t rows_ = 0;
   std::vector<int> perm_;
-  TierPolicy tier_policy_ = TierPolicy::kAuto;
   Status build_status_;  // non-OK iff the build was aborted
   // Keeps the mapped file alive for view-backed indexes (type-erased so
   // this header does not depend on storage/persist.h).

@@ -50,7 +50,8 @@ TEST_P(CdsDifferentialTest, ArenaMatchesPointerReferenceExactly) {
       {4, /*chain_only=*/false, /*count_mode=*/true, 32, true},
   };
   for (const DiffCase& c : cases) {
-    Cds arena_cds(c.num_vars, Cds::Options{});
+    CdsArena arena;
+    Cds arena_cds(c.num_vars, Cds::Options{}, &arena);
     cdsref::Cds ref_cds(c.num_vars, cdsref::Cds::Options{});
 
     const CdsDrain drain =

@@ -330,13 +330,15 @@ Constraint MakeC(std::vector<Value> pattern, Value lo, Value hi) {
 }
 
 TEST(CdsTest, EmptyCdsReturnsFrontierAsFree) {
-  Cds cds(3, Cds::Options{});
+  CdsArena arena;
+  Cds cds(3, Cds::Options{}, &arena);
   ASSERT_TRUE(cds.ComputeFreeTuple());
   EXPECT_EQ(cds.frontier(), (Tuple{-1, -1, -1}));
 }
 
 TEST(CdsTest, RootIntervalAdvancesFirstCoordinate) {
-  Cds cds(2, Cds::Options{});
+  CdsArena arena;
+  Cds cds(2, Cds::Options{}, &arena);
   cds.InsertConstraint(MakeC({}, kNegInf, 4));
   ASSERT_TRUE(cds.ComputeFreeTuple());
   EXPECT_EQ(cds.frontier(), (Tuple{4, -1}));
@@ -345,7 +347,8 @@ TEST(CdsTest, RootIntervalAdvancesFirstCoordinate) {
 TEST(CdsTest, WildcardConstraintAppliesToEveryPrefix) {
   // Figure 2 top-left: <*,*,(5,7)> — any tuple's third coordinate must
   // avoid (5,7).
-  Cds cds(3, Cds::Options{});
+  CdsArena arena;
+  Cds cds(3, Cds::Options{}, &arena);
   cds.InsertConstraint(MakeC({kWildcard, kWildcard}, 5, 7));
   cds.SetFrontier({1, 2, 6});
   ASSERT_TRUE(cds.ComputeFreeTuple());
@@ -354,7 +357,8 @@ TEST(CdsTest, WildcardConstraintAppliesToEveryPrefix) {
 
 TEST(CdsTest, PatternConstraintAppliesOnlyWhenPatternMatches) {
   // Figure 2 top-right: <*,*,7,*,(4,9)>.
-  Cds cds(5, Cds::Options{});
+  CdsArena arena;
+  Cds cds(5, Cds::Options{}, &arena);
   cds.InsertConstraint(MakeC({kWildcard, kWildcard, 7, kWildcard}, 4, 9));
   cds.SetFrontier({0, 0, 7, 0, 5});
   ASSERT_TRUE(cds.ComputeFreeTuple());
@@ -366,7 +370,8 @@ TEST(CdsTest, PatternConstraintAppliesOnlyWhenPatternMatches) {
 }
 
 TEST(CdsTest, ExhaustedCoordinateBacktracks) {
-  Cds cds(2, Cds::Options{});
+  CdsArena arena;
+  Cds cds(2, Cds::Options{}, &arena);
   // Second coordinate fully dead under first == 3.
   cds.InsertConstraint(MakeC({3}, kNegInf, kPosInf));
   cds.SetFrontier({3, -1});
@@ -376,20 +381,23 @@ TEST(CdsTest, ExhaustedCoordinateBacktracks) {
 }
 
 TEST(CdsTest, FullSpaceCoverageReturnsFalse) {
-  Cds cds(2, Cds::Options{});
+  CdsArena arena;
+  Cds cds(2, Cds::Options{}, &arena);
   cds.InsertConstraint(MakeC({}, kNegInf, kPosInf));
   EXPECT_FALSE(cds.ComputeFreeTuple());
 }
 
 TEST(CdsTest, WildcardDeathExhaustsWholeSpace) {
   // <*,(-inf,+inf)>: no second coordinate anywhere -> no tuples at all.
-  Cds cds(2, Cds::Options{});
+  CdsArena arena;
+  Cds cds(2, Cds::Options{}, &arena);
   cds.InsertConstraint(MakeC({kWildcard}, kNegInf, kPosInf));
   EXPECT_FALSE(cds.ComputeFreeTuple());
 }
 
 TEST(CdsTest, MovingFrontierSkipsReportedOutputs) {
-  Cds cds(2, Cds::Options{});
+  CdsArena arena;
+  Cds cds(2, Cds::Options{}, &arena);
   ASSERT_TRUE(cds.ComputeFreeTuple());
   const Tuple t = cds.frontier();
   Tuple next = t;
@@ -401,7 +409,8 @@ TEST(CdsTest, MovingFrontierSkipsReportedOutputs) {
 
 TEST(CdsTest, EnumeratesExactlyTheFreeLattice) {
   // 1-D: constraints rule out (-inf,2), (4,7), (9,+inf): free = {2,3,4,7,8,9}.
-  Cds cds(1, Cds::Options{});
+  CdsArena arena;
+  Cds cds(1, Cds::Options{}, &arena);
   cds.InsertConstraint(MakeC({}, kNegInf, 2));
   cds.InsertConstraint(MakeC({}, 4, 7));
   cds.InsertConstraint(MakeC({}, 9, kPosInf));
@@ -416,7 +425,8 @@ TEST(CdsTest, EnumeratesExactlyTheFreeLattice) {
 }
 
 TEST(CdsTest, SubsumedConstraintIsRejected) {
-  Cds cds(2, Cds::Options{});
+  CdsArena arena;
+  Cds cds(2, Cds::Options{}, &arena);
   cds.InsertConstraint(MakeC({}, 2, 9));
   // Pattern value 5 is interior to (2,9): the branch cannot exist.
   EXPECT_FALSE(cds.InsertConstraint(MakeC({5}, 0, 3)));
@@ -475,7 +485,8 @@ TEST(CdsTest, SharedArenaSequentialCdsInstancesAreIndependent) {
 // depth must restart the search there, and a change elsewhere must not.
 
 TEST(CdsResumeTest, IntervalOverTheFrontierRestartsItsDepth) {
-  Cds cds(3, Cds::Options{});
+  CdsArena arena;
+  Cds cds(3, Cds::Options{}, &arena);
   // A box far from the frontier builds the node the depth-1 pattern
   // below walks to, so that insert only adds an interval.
   cds.InsertConstraint(MakeC({2}, 20, 30));
@@ -497,7 +508,8 @@ TEST(CdsResumeTest, IntervalOverTheFrontierRestartsItsDepth) {
 }
 
 TEST(CdsResumeTest, OffPrefixConstraintLeavesTheFreeTupleAlone) {
-  Cds cds(3, Cds::Options{});
+  CdsArena arena;
+  Cds cds(3, Cds::Options{}, &arena);
   // Far boxes build the nodes on the frontier path that the patterns
   // below walk through.
   cds.InsertConstraint(MakeC({2}, 20, 30));
@@ -563,7 +575,8 @@ TEST(CdsTest, AbortPollEndsAPosetRegimeSearch) {
     cds->SetFrontier({1, 2, 4});
   };
   {
-    Cds cds(3, Cds::Options{});
+    CdsArena arena;
+    Cds cds(3, Cds::Options{}, &arena);
     load_poset(&cds);
     const ExecOptions ungoverned;
     AbortPoll idle(ungoverned);
@@ -572,7 +585,8 @@ TEST(CdsTest, AbortPollEndsAPosetRegimeSearch) {
     EXPECT_TRUE(idle.status().ok());
   }
   {
-    Cds cds(3, Cds::Options{});
+    CdsArena arena;
+    Cds cds(3, Cds::Options{}, &arena);
     load_poset(&cds);
     StopToken stop;
     stop.RequestStop();

@@ -1,22 +1,25 @@
-// Differential test harness for the bound search and the compressed key
-// tiers.
+// Differential test harness for the bound search and the key tiers.
 //
 // Layer 1 pins the search against a std::lower_bound oracle on
 // thousands of seeded arrays per element type (int64 keys and the
-// unsigned 8/16/32-bit lanes the packed tiers store), over the
-// adversarial shape classes the trie produces: empty, single,
-// all-duplicate, dense runs, clustered gaps, and int64-extreme domains
-// (the PR 5 overflow class). It also pins LevelKeys::LowerBound and
-// UpperBound on every tier against std::lower_bound / std::upper_bound
-// over the decoded keys, at the probes where the tier translation and
-// the upper-bound-as-(v + 1) rewrite could slip.
+// unsigned 16-bit lanes of the packed16 tier), over the adversarial
+// shape classes the trie produces: empty, single, all-duplicate, dense
+// runs, clustered gaps, and int64-extreme domains (the PR 5 overflow
+// class). It also pins LevelKeys::LowerBound and UpperBound on both
+// tiers against std::lower_bound / std::upper_bound over the decoded
+// keys, at the probes where the tier translation and the
+// upper-bound-as-(v + 1) rewrite could slip. (The TrieIndex-level walk,
+// Seek and SeekGap checks against a naive row-scan reference live in
+// storage_test's TrieCsrPropertyTest.)
 //
-// Layer 2 pins every tier at the TrieIndex level: walk, Seek, and
-// SeekGap results must be bit-identical to the raw-tier oracle on
-// randomized relations.
+// Layer 2 pins span intersection counting against a
+// std::set_intersection oracle on native packed16, native raw and mixed
+// (decoded) spans.
 //
-// Layer 3 sweeps full engines (lftj, ms, hybrid) across tier policies
-// and asserts bit-identical query results and seek counters.
+// Layer 3 runs full engines (lftj, ms, hybrid) on a graph whose trie
+// levels are packed16 and on a copy with every node id scaled by 2^33,
+// whose levels are raw, and checks every count against a brute-force
+// oracle and every engine's tuples against lftj's.
 
 #include <gtest/gtest.h>
 
@@ -35,21 +38,11 @@
 #include "storage/level_keys.h"
 #include "storage/search_kernels.h"
 #include "storage/trie.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace wcoj {
 namespace {
-
-// Restores the previous tier policy on scope exit so no test leaks a
-// forced configuration into the rest of the suite.
-struct TierPolicyGuard {
-  TierPolicy prev_policy;
-  TierPolicyGuard() : prev_policy(DefaultTierPolicy()) {}
-  ~TierPolicyGuard() { SetDefaultTierPolicy(prev_policy); }
-};
-
-constexpr TierPolicy kSweepPolicies[] = {TierPolicy::kRawOnly,
-                                         TierPolicy::kForcePacked};
 
 // --- Layer 1: the bound search vs the standard-library oracle ---
 
@@ -139,7 +132,7 @@ std::vector<T> ProbesFor(const std::vector<T>& a, Rng* rng) {
 template <typename T>
 void RunPrimitiveDifferential(uint64_t seed) {
   const std::vector<std::vector<T>> corpus = BuildCorpus<T>(seed);
-  ASSERT_GT(corpus.size(), 400u);  // "thousands" across the 4 types
+  ASSERT_GT(corpus.size(), 400u);  // "thousands" across the 2 types
   Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
   for (const std::vector<T>& a : corpus) {
     const size_t n = a.size();
@@ -162,44 +155,35 @@ TEST(KernelPrimitiveTest, Int64MatchesStdLowerBound) {
   RunPrimitiveDifferential<int64_t>(11);
 }
 
-TEST(KernelPrimitiveTest, U32MatchesStdLowerBound) {
-  RunPrimitiveDifferential<uint32_t>(12);
-}
-
 TEST(KernelPrimitiveTest, U16MatchesStdLowerBound) {
   RunPrimitiveDifferential<uint16_t>(13);
 }
 
-TEST(KernelPrimitiveTest, U8MatchesStdLowerBound) {
-  RunPrimitiveDifferential<uint8_t>(14);
-}
-
-// LevelKeys bounds on every tier vs std::lower_bound / std::upper_bound
-// over the decoded keys. Each level spans exactly its lane maximum (or
-// more, for raw), so base - 1, base, base + lane max and base + lane
-// max + 1 sit on both sides of the packed translation's cut-offs; levels
-// hugging INT64_MIN and INT64_MAX put the upper bound's v + 1 at the
-// domain edge.
+// LevelKeys bounds on both tiers vs std::lower_bound / std::upper_bound
+// over the decoded keys. Each level spans exactly `span`, so base - 1,
+// base, base + span and base + span + 1 sit on both sides of the packed
+// translation's cut-offs; levels hugging INT64_MIN and INT64_MAX put the
+// upper bound's v + 1 at the domain edge. The tier follows from the
+// keys: packed16 at >= kAutoMinKeys keys with a span within 16 bits,
+// raw below that size or beyond that span.
 TEST(KernelPrimitiveTest, LevelKeysBoundsMatchStdOracleOnEveryTier) {
   struct Level {
-    KeyTier tier;
     Value base;
     uint64_t span;  // last key - base
   };
+  const uint64_t kU16Max = UINT16_MAX;
   const uint64_t kU32Max = UINT32_MAX;
   const Level levels[] = {
-      {KeyTier::kPacked8, -1000, UINT8_MAX},
-      {KeyTier::kPacked8, kNegInf, UINT8_MAX},
-      {KeyTier::kPacked8, kPosInf - UINT8_MAX, UINT8_MAX},
-      {KeyTier::kPacked16, 77, UINT16_MAX},
-      {KeyTier::kPacked16, kNegInf, UINT16_MAX},
-      {KeyTier::kPacked16, kPosInf - UINT16_MAX, UINT16_MAX},
-      {KeyTier::kPacked32, -(Value{1} << 31), kU32Max},
-      {KeyTier::kPacked32, kNegInf, kU32Max},
-      {KeyTier::kPacked32, kPosInf - static_cast<Value>(kU32Max), kU32Max},
-      {KeyTier::kRaw, -5, kU32Max + 1},
-      {KeyTier::kRaw, kNegInf, UINT64_MAX},
+      {-1000, UINT8_MAX},
+      {77, kU16Max},
+      {kNegInf, kU16Max},
+      {kPosInf - static_cast<Value>(kU16Max), kU16Max},
+      {-5, kU16Max + 1},
+      {-(Value{1} << 31), kU32Max},
+      {kPosInf - static_cast<Value>(kU32Max), kU32Max},
+      {kNegInf, UINT64_MAX},
   };
+  bool saw[2] = {false, false};  // raw, packed16
   // Probes are computed wide and kept when they fit a Value.
   auto add_probe = [](__int128 v, std::vector<Value>* probes) {
     if (v >= kNegInf && v <= kPosInf) {
@@ -208,7 +192,7 @@ TEST(KernelPrimitiveTest, LevelKeysBoundsMatchStdOracleOnEveryTier) {
   };
   Rng rng(15);
   for (const Level& spec : levels) {
-    for (const size_t n : {2, 3, 17, 40, 300}) {
+    for (const size_t n : {2, 3, 17, 40, 63, 64, 65, 300}) {
       std::vector<Value> keys = {spec.base,
                                  static_cast<Value>(
                                      static_cast<uint64_t>(spec.base) +
@@ -224,9 +208,13 @@ TEST(KernelPrimitiveTest, LevelKeysBoundsMatchStdOracleOnEveryTier) {
       }
       std::sort(keys.begin(), keys.end());
       LevelKeys level;
-      level.Build(keys, TierPolicy::kForcePacked, /*compressible=*/true);
-      ASSERT_EQ(level.tier(), spec.tier)
-          << TierName(spec.tier) << " n=" << n;
+      level.Build(keys, /*compressible=*/true);
+      const KeyTier tier =
+          n >= LevelKeys::kAutoMinKeys && spec.span <= kU16Max
+              ? KeyTier::kPacked16
+              : KeyTier::kRaw;
+      ASSERT_EQ(level.tier(), tier) << "span=" << spec.span << " n=" << n;
+      saw[tier == KeyTier::kPacked16] = true;
       std::vector<Value> decoded;
       for (size_t i = 0; i < n; ++i) decoded.push_back(level.At(i));
       ASSERT_EQ(decoded, keys);
@@ -255,175 +243,19 @@ TEST(KernelPrimitiveTest, LevelKeysBoundsMatchStdOracleOnEveryTier) {
           const size_t ub =
               std::upper_bound(first, last, v) - decoded.begin();
           ASSERT_EQ(level.LowerBound(lo, hi, v), lb)
-              << TierName(spec.tier) << " base=" << spec.base << " n=" << n
+              << TierName(tier) << " base=" << spec.base << " n=" << n
               << " lo=" << lo << " hi=" << hi << " v=" << v;
           ASSERT_EQ(level.UpperBound(lo, hi, v), ub)
-              << TierName(spec.tier) << " base=" << spec.base << " n=" << n
+              << TierName(tier) << " base=" << spec.base << " n=" << n
               << " lo=" << lo << " hi=" << hi << " v=" << v;
         }
       }
     }
   }
+  EXPECT_TRUE(saw[0] && saw[1]);
 }
 
-// --- Layer 2: every tier vs the raw oracle index ---
-
-// Everything observable through the trie's probe interfaces, collected
-// deterministically so configurations compare with one EXPECT each.
-struct TrieObservations {
-  std::vector<Tuple> walk;
-  std::vector<Value> seeks;  // flattened (key-or-sentinel) per probe
-  std::vector<int64_t> gaps;  // flattened SeekGap fields per probe
-  std::vector<Value> splits;
-  Tuple col_stats;
-
-  bool operator==(const TrieObservations& o) const = default;
-};
-
-void EnumerateTrie(TrieIterator* it, int arity, Tuple* prefix,
-                   std::vector<Tuple>* out) {
-  it->Open();
-  while (!it->AtEnd()) {
-    prefix->push_back(it->Key());
-    if (static_cast<int>(prefix->size()) == arity) {
-      out->push_back(*prefix);
-    } else {
-      EnumerateTrie(it, arity, prefix, out);
-    }
-    prefix->pop_back();
-    it->Next();
-  }
-  it->Up();
-}
-
-TrieObservations Observe(const TrieIndex& index,
-                         const std::vector<Tuple>& probes) {
-  TrieObservations obs;
-  const int arity = index.arity();
-  Tuple prefix;
-  TrieIterator walk_it(&index);
-  EnumerateTrie(&walk_it, arity, &prefix, &obs.walk);
-  for (const Tuple& t : probes) {
-    const auto gap = index.SeekGap(t);
-    obs.gaps.push_back(gap.found);
-    obs.gaps.push_back(gap.fail_pos);
-    obs.gaps.push_back(gap.glb);
-    obs.gaps.push_back(gap.lub);
-    // Seek down the probe's prefix for as long as it stays resident,
-    // recording the landed key (or kPosInf at end) at each depth.
-    TrieIterator it(&index);
-    it.Open();
-    for (int d = 0; d < arity; ++d) {
-      it.Seek(t[d]);
-      if (it.AtEnd()) {
-        obs.seeks.push_back(kPosInf);
-        break;
-      }
-      obs.seeks.push_back(it.Key());
-      if (it.Key() != t[d] || d + 1 == arity) break;
-      it.Open();
-    }
-  }
-  obs.splits = index.SplitPoints(7);
-  for (int c = 0; c < arity; ++c) {
-    obs.col_stats.push_back(index.ColMin(c));
-    obs.col_stats.push_back(index.ColMax(c));
-  }
-  return obs;
-}
-
-Relation RandomRelation(int arity, int rows, int klass, Rng* rng) {
-  Relation r(arity);
-  for (int i = 0; i < rows; ++i) {
-    Tuple t(arity);
-    for (int c = 0; c < arity; ++c) {
-      switch (klass) {
-        case 0:  // tiny domain: long duplicate runs, packed8 territory
-          t[c] = static_cast<Value>(rng->NextBounded(5));
-          break;
-        case 1:  // medium domain
-          t[c] = static_cast<Value>(rng->NextBounded(2000));
-          break;
-        case 2:  // wide domain: beyond every packed width, stays raw
-          t[c] = static_cast<Value>(rng->NextBounded(1ull << 40));
-          break;
-        default:  // int64-extreme: must never compress, must stay exact
-          t[c] = rng->NextBounded(2) == 0
-                     ? kNegInf + 1 +
-                           static_cast<Value>(rng->NextBounded(1000))
-                     : kPosInf - 1 -
-                           static_cast<Value>(rng->NextBounded(1000));
-          break;
-      }
-    }
-    r.Add(t);
-  }
-  r.Build();
-  return r;
-}
-
-TEST(KernelTierDifferentialTest, TrieMatchesRawOracle) {
-  bool saw_packed = false;
-  for (int trial = 0; trial < 48; ++trial) {
-    Rng rng(4000 + trial);
-    const int arity = 1 + trial % 4;
-    const int klass = trial % 4;
-    const int rows =
-        trial % 11 == 10 ? 0 : 1 + static_cast<int>(rng.NextBounded(220));
-    const Relation rel = RandomRelation(arity, rows, klass, &rng);
-    // Probe mix: resident tuples, near-misses, random, domain extremes.
-    std::vector<Tuple> probes;
-    for (int i = 0; i < 60; ++i) {
-      Tuple t(arity);
-      if (rel.size() > 0 && i % 3 == 0) {
-        t = rel.RowTuple(rng.NextBounded(rel.size()));
-        if (i % 6 == 0) t[rng.NextBounded(arity)] += 1;
-      } else {
-        for (int c = 0; c < arity; ++c) {
-          switch (i % 4) {
-            case 0:
-              t[c] = static_cast<Value>(rng.NextBounded(2000)) - 1000;
-              break;
-            case 1:
-              t[c] = kNegInf + static_cast<Value>(rng.NextBounded(3));
-              break;
-            case 2:
-              t[c] = kPosInf - static_cast<Value>(rng.NextBounded(3));
-              break;
-            default:
-              t[c] = static_cast<Value>(rng.NextBounded(1ull << 40));
-              break;
-          }
-        }
-      }
-      probes.push_back(std::move(t));
-    }
-
-    const TrieIndex oracle_index(rel, {}, TierPolicy::kRawOnly);
-    const TrieObservations oracle = Observe(oracle_index, probes);
-
-    for (const TierPolicy policy : kSweepPolicies) {
-      const TrieIndex index(rel, {}, policy);
-      for (int d = 0; d < index.arity(); ++d) {
-        saw_packed |= index.LevelTier(d) == KeyTier::kPacked8 ||
-                      index.LevelTier(d) == KeyTier::kPacked16 ||
-                      index.LevelTier(d) == KeyTier::kPacked32;
-        if (arity == 1 || rel.size() == 0) {
-          // Degenerate guard: unary and empty tries never compress.
-          EXPECT_EQ(index.LevelTier(d), KeyTier::kRaw)
-              << "trial " << trial << " policy "
-              << TierPolicyName(policy);
-        }
-      }
-      EXPECT_EQ(Observe(index, probes), oracle)
-          << "trial " << trial << " tier policy " << TierPolicyName(policy);
-    }
-  }
-  // The sweep must actually have exercised compressed layouts.
-  EXPECT_TRUE(saw_packed);
-}
-
-// --- Layer 2b: span intersection counting vs a std::set_intersection oracle ---
+// --- Layer 2: span intersection counting vs a std::set_intersection oracle ---
 
 // The keys of one span, decoded one At() at a time — independent of the
 // intersector's lane and bulk-decode paths.
@@ -453,33 +285,44 @@ uint64_t OracleIntersectCount(const std::vector<KeySpan>& spans, Value lo,
 // key) draw from one shared value pool, so spans from either index
 // intersect. Group sizes are skewed — a few hub groups hold most rows —
 // so both the merge and the gallop strategy fire. `stride` spaces the
-// pool: 1 packs into 8/16 bits, 37 into 16/32, 2^30 never packs.
-Relation GroupedRelation(Value stride, uint64_t seed) {
+// pool: 1 and 37 keep each level-1 span within 16 bits (packed16),
+// 2^30 does not (raw). Children draw from pool slots [first, 400), so a
+// nonzero `first` moves the packed16 base. The draws do not depend on
+// the stride, so every stride builds the same relation up to an
+// order-preserving scaling.
+Relation GroupedRelation(Value stride, uint64_t seed, Value first) {
   Rng rng(seed);
   Relation r(2);
   for (int i = 0; i < 3000; ++i) {
     const Value parent =
         static_cast<Value>(rng.NextBounded(1 + rng.NextBounded(24)));
-    const Value child = static_cast<Value>(rng.NextBounded(400)) * stride;
+    const Value child =
+        (first + static_cast<Value>(rng.NextBounded(400 - first))) * stride;
     r.Add({parent, child});
   }
   r.Build();
   return r;
 }
 
-// Spans come from two tries built under the swept policy (one
-// LevelKeys shared by many spans: the native-lane path) and from a
-// standalone raw level (mixed with packed spans: the decode path).
+// Spans come from two tries (one LevelKeys shared by many spans: the
+// native-lane path, packed16 or raw by stride) and from a standalone
+// raw level. Mixing it with packed16 spans, or mixing the two tries'
+// packed16 levels, whose bases differ, takes the decode path.
 TEST(SpanIntersectTest, CountMatchesOracleOnEveryTier) {
   struct Call {
     // (source, parent key); source 2 is the whole standalone level.
     std::vector<std::pair<int, Value>> spans;
     Value lo, hi;
   };
+  // (count, probes) per call of the first stride; every stride must
+  // reproduce it, since counts and probe counts alike are tier-blind.
+  std::vector<std::pair<uint64_t, uint64_t>> first;
   for (const Value stride : {Value{1}, Value{37}, Value{1} << 30}) {
-    const Relation rels[2] = {GroupedRelation(stride, 5 + stride),
-                              GroupedRelation(stride, 6 + stride)};
-    Rng rng(static_cast<uint64_t>(stride));
+    const Relation rels[2] = {GroupedRelation(stride, 5, 0),
+                              GroupedRelation(stride, 6, 1)};
+    const KeyTier tier =
+        399 * stride <= Value{UINT16_MAX} ? KeyTier::kPacked16 : KeyTier::kRaw;
+    Rng rng(3);
     std::vector<Value> pool_subset;
     for (Value v = 0; v < 400; ++v) {
       if (rng.NextBounded(3) == 0) pool_subset.push_back(v * stride);
@@ -513,75 +356,94 @@ TEST(SpanIntersectTest, CountMatchesOracleOnEveryTier) {
       calls.push_back(std::move(c));
     }
 
-    // Runs every call against indexes built under `policy`, checking
-    // each count against the oracle; returns (count, probes) per call.
-    auto run = [&](TierPolicy policy, const std::string& config) {
-      const TrieIndex indexes[2] = {TrieIndex(rels[0], {}, policy),
-                                    TrieIndex(rels[1], {}, policy)};
-      LevelKeys standalone;
-      standalone.Build(pool_subset, TierPolicy::kRawOnly,
-                       /*compressible=*/true);
-      SpanIntersector intersector;
-      std::vector<std::pair<uint64_t, uint64_t>> out;
-      for (const Call& c : calls) {
-        std::vector<KeySpan> spans;
-        for (const auto& [which, parent] : c.spans) {
-          if (which == 2) {
-            spans.push_back({&standalone, 0, standalone.size()});
-            continue;
-          }
-          const TrieIndex& index = indexes[which];
-          const size_t p = index.LowerBound(0, 0, index.LevelSize(0), parent);
-          if (p == index.LevelSize(0) || index.KeyAt(0, p) != parent) {
-            spans.push_back({&index.Keys(1), 0, 0});  // absent: empty span
-          } else {
-            spans.push_back({&index.Keys(1), index.ChildBegin(0, p),
-                             index.ChildEnd(0, p)});
-          }
+    const TrieIndex indexes[2] = {TrieIndex(rels[0]), TrieIndex(rels[1])};
+    ASSERT_EQ(indexes[0].LevelTier(1), tier) << "stride " << stride;
+    ASSERT_EQ(indexes[1].LevelTier(1), tier) << "stride " << stride;
+    if (tier == KeyTier::kPacked16) {
+      ASSERT_NE(indexes[0].Keys(1).packed_base(),
+                indexes[1].Keys(1).packed_base());
+    }
+    LevelKeys standalone;
+    standalone.Build(pool_subset, /*compressible=*/false);
+    ASSERT_EQ(standalone.tier(), KeyTier::kRaw);
+    SpanIntersector intersector;
+    std::vector<std::pair<uint64_t, uint64_t>> out;
+    for (const Call& c : calls) {
+      std::vector<KeySpan> spans;
+      for (const auto& [which, parent] : c.spans) {
+        if (which == 2) {
+          spans.push_back({&standalone, 0, standalone.size()});
+          continue;
         }
-        const uint64_t expected = OracleIntersectCount(spans, c.lo, c.hi);
-        IntersectWork work;
-        const uint64_t got = intersector.Count(spans, c.lo, c.hi, &work);
-        EXPECT_EQ(got, expected) << config << " stride " << stride;
-        out.push_back({got, work.probes});
+        const TrieIndex& index = indexes[which];
+        const size_t p = index.LowerBound(0, 0, index.LevelSize(0), parent);
+        if (p == index.LevelSize(0) || index.KeyAt(0, p) != parent) {
+          spans.push_back({&index.Keys(1), 0, 0});  // absent: empty span
+        } else {
+          spans.push_back({&index.Keys(1), index.ChildBegin(0, p),
+                           index.ChildEnd(0, p)});
+        }
       }
-      return out;
-    };
-
-    const auto oracle = run(TierPolicy::kRawOnly, "raw-only");
-    for (const TierPolicy policy :
-         {TierPolicy::kAuto, TierPolicy::kForcePacked}) {
-      const std::string config = TierPolicyName(policy);
-      // Counts and probe counts alike are tier-blind.
-      EXPECT_EQ(run(policy, config), oracle) << config << " stride "
-                                             << stride;
+      const uint64_t expected = OracleIntersectCount(spans, c.lo, c.hi);
+      IntersectWork work;
+      const uint64_t got = intersector.Count(spans, c.lo, c.hi, &work);
+      EXPECT_EQ(got, expected) << "stride " << stride;
+      out.push_back({got, work.probes});
+    }
+    if (first.empty()) {
+      first = std::move(out);
+    } else {
+      EXPECT_EQ(out, first) << "stride " << stride;
     }
   }
 }
 
-// --- Layer 3: full-engine sweep, bit-identical results across configs ---
+// --- Layer 3: full engines on packed16 and raw copies of one graph ---
 
-// Every engine answers each query per tier policy collecting tuples,
-// which must match the raw-tier oracle bit for bit. The
+// `rel` with every value multiplied by `scale`: order-preserving, so
+// every join answer scales with it.
+Relation Scaled(const Relation& rel, Value scale) {
+  Relation out(rel.arity());
+  for (size_t r = 0; r < rel.size(); ++r) {
+    Tuple t = rel.RowTuple(r);
+    for (Value& v : t) v *= scale;
+    out.Add(t);
+  }
+  out.Build();
+  return out;
+}
+
+// Every engine answers each query collecting tuples, on the graph as
+// given (its trie levels are packed16) and on a copy whose node ids are
+// scaled by 2^33 (spans beyond 16 bits: raw levels; still below
+// kWildcard, so Minesweeper's domain check passes). Each count must
+// match a brute-force oracle and each engine's tuples lftj's. The
 // engines built on LFTJ (lftj, and hybrid's suffix joins) answer again
 // count-only — the run shape every paper table and served query takes,
 // where LFTJ counts its last GAO variable with one span intersection
-// instead of binding it: that count must match the oracle too, and its
-// seek counter must not move with the tier.
+// instead of binding it. LFTJ only compares keys, so its count-only
+// seek counter must be the same on both copies.
 TEST(KernelTierDifferentialTest, EngineResultsIdenticalAcrossTiers) {
-  TierPolicyGuard guard;
   Graph g = ErdosRenyi(/*num_nodes=*/220, /*num_edges=*/1100, /*seed=*/21);
-  const Relation edge = g.EdgeRelationSymmetric();
-  const Relation edge_lt = g.EdgeRelationOriented();
-  const Relation node = g.NodeRelation();
   Relation third(1);  // every third node: a second unary atom
   for (Value v = 0; v < 220; v += 3) third.Add({v});
   third.Build();
-  auto put_relations = [&](Database* db) {
-    db->Put("edge", edge);
-    db->Put("edge_lt", edge_lt);
-    db->Put("node", node);
-    db->Put("third", third);
+  const Relation packed[] = {g.EdgeRelationSymmetric(),
+                             g.EdgeRelationOriented(), g.NodeRelation(),
+                             third};
+  const Value kScale = Value{1} << 33;
+  const Relation raw[] = {Scaled(packed[0], kScale), Scaled(packed[1], kScale),
+                          Scaled(packed[2], kScale), Scaled(packed[3], kScale)};
+  // The binary relations' levels land on the tier each copy stands for.
+  for (int d = 0; d < 2; ++d) {
+    EXPECT_EQ(TrieIndex(packed[0]).LevelTier(d), KeyTier::kPacked16);
+    EXPECT_EQ(TrieIndex(raw[0]).LevelTier(d), KeyTier::kRaw);
+  }
+  auto put_relations = [](Database* db, const Relation (&rels)[4]) {
+    db->Put("edge", rels[0]);
+    db->Put("edge_lt", rels[1]);
+    db->Put("node", rels[2]);
+    db->Put("third", rels[3]);
   };
   const struct {
     const char* text;
@@ -607,69 +469,51 @@ TEST(KernelTierDifferentialTest, EngineResultsIdenticalAcrossTiers) {
       // One variable: the first depth is the last one.
       {"node(a), third(a)", {"a"}},
   };
+  ExecOptions collect;
+  collect.collect_tuples = true;
+  const ExecOptions count_only;
   for (const auto& spec : queries) {
     const Query q = MustParseQuery(spec.text);
-    for (const char* engine_name : {"lftj", "ms", "hybrid"}) {
-      const auto engine = CreateEngine(engine_name);
-      ASSERT_NE(engine, nullptr);
-      const bool runs_lftj = std::string(engine_name) != "ms";
-      ExecOptions collect;
-      collect.collect_tuples = true;
-      const ExecOptions count_only;
-
-      // Oracle: raw tier.
-      SetDefaultTierPolicy(TierPolicy::kRawOnly);
-      uint64_t oracle_count;
-      std::vector<Tuple> oracle_tuples;
-      uint64_t oracle_seeks = 0;
-      {
-        Database db;
-        put_relations(&db);
-        ExecResult r = engine->Execute(Bind(q, db, spec.gao), collect);
-        oracle_count = r.count;
-        oracle_tuples = std::move(r.tuples);
-        std::sort(oracle_tuples.begin(), oracle_tuples.end());
-        if (runs_lftj) {
-          const ExecResult c =
-              engine->Execute(Bind(q, db, spec.gao), count_only);
-          EXPECT_EQ(c.count, oracle_count)
-              << engine_name << " " << spec.text;
-          oracle_seeks = c.stats.seeks;
-        }
-      }
-      ASSERT_GT(oracle_count, 0u) << spec.text;
-      EXPECT_EQ(oracle_tuples.size(), oracle_count) << spec.text;
-
-      for (const TierPolicy policy :
-           {TierPolicy::kAuto, TierPolicy::kRawOnly,
-            TierPolicy::kForcePacked}) {
-        SetDefaultTierPolicy(policy);
-        const std::string config = std::string(engine_name) + " " +
-                                   spec.text + " " + TierPolicyName(policy);
-        Database db;  // fresh catalog: indexes rebuilt under `policy`
-        put_relations(&db);
-        const BoundQuery bq = Bind(q, db, spec.gao);
+    uint64_t expected = 0;  // the brute-force count; scaling keeps it
+    uint64_t lftj_seeks[2] = {0, 0};
+    for (const int copy : {0, 1}) {
+      const char* tier = copy == 0 ? "packed16" : "raw";
+      Database db;
+      put_relations(&db, copy == 0 ? packed : raw);
+      const BoundQuery bq = Bind(q, db, spec.gao);
+      if (copy == 0) expected = BruteForceCount(bq);
+      ASSERT_GT(expected, 0u) << spec.text;
+      std::vector<Tuple> lftj_tuples;
+      for (const char* engine_name : {"lftj", "ms", "hybrid"}) {
+        const std::string config =
+            std::string(engine_name) + " " + spec.text + " " + tier;
+        const auto engine = CreateEngine(engine_name);
+        ASSERT_NE(engine, nullptr);
         ExecResult r = engine->Execute(bq, collect);
         std::sort(r.tuples.begin(), r.tuples.end());
-        EXPECT_EQ(r.count, oracle_count) << config;
-        EXPECT_EQ(r.tuples, oracle_tuples) << config;
-
-        if (!runs_lftj) continue;
-        const ExecResult c = engine->Execute(bq, count_only);
-        EXPECT_EQ(c.count, oracle_count) << config;
-        EXPECT_EQ(c.stats.seeks, oracle_seeks) << config;
-
+        EXPECT_EQ(r.count, expected) << config;
+        EXPECT_EQ(r.tuples.size(), expected) << config;
         if (std::string(engine_name) == "lftj") {
-          // Morsels restrict the first variable to [var0_min,
-          // var0_max]; on the one-variable query that range is the
-          // counted window itself.
-          const ExecResult p = PartitionedExecute(
-              *engine, bq, count_only, /*num_threads=*/2,
-              /*granularity=*/4);
-          EXPECT_EQ(p.count, oracle_count) << config << " partitioned";
+          lftj_tuples = std::move(r.tuples);
+        } else {
+          EXPECT_EQ(r.tuples, lftj_tuples) << config;
         }
+
+        if (std::string(engine_name) == "ms") continue;
+        const ExecResult c = engine->Execute(bq, count_only);
+        EXPECT_EQ(c.count, expected) << config;
+        if (std::string(engine_name) != "lftj") continue;
+        lftj_seeks[copy] = c.stats.seeks;
+        // Morsels restrict the first variable to [var0_min, var0_max];
+        // on the one-variable query that range is the counted window
+        // itself.
+        const ExecResult p =
+            PartitionedExecute(*engine, bq, count_only, /*num_threads=*/2,
+                               /*granularity=*/4);
+        EXPECT_EQ(p.count, expected) << config << " partitioned";
       }
     }
+    EXPECT_EQ(lftj_seeks[0], lftj_seeks[1]) << spec.text;
   }
 }
 

@@ -91,7 +91,9 @@ std::vector<Shape> Shapes() {
     extreme.tuples.push_back({a, a / 2});
   }
   shapes.push_back(std::move(extreme));
-  Shape dense{"dense_triple", 3, {}};  // small spans: the packed tiers
+  // Level 0 has < 64 keys (raw), level 1 spans 200 values (packed16),
+  // level 2 spans up to 100000 (raw).
+  Shape dense{"dense_triple", 3, {}};
   Rng rng(42);
   for (int i = 0; i < 500; ++i) {
     dense.tuples.push_back({static_cast<Value>(rng.NextBounded(40)),
@@ -102,81 +104,78 @@ std::vector<Shape> Shapes() {
   return shapes;
 }
 
-const std::vector<TierPolicy> kAllPolicies = {
-    TierPolicy::kAuto, TierPolicy::kRawOnly, TierPolicy::kForcePacked};
-
-TEST(PersistRoundTripTest, BitIdenticalAcrossPoliciesAndShapes) {
+TEST(PersistRoundTripTest, BitIdenticalAcrossShapes) {
   const std::string dir = TestDir("roundtrip");
+  bool saw_packed16 = false;
   for (const Shape& shape : Shapes()) {
     Relation rel = Relation::FromTuples(shape.arity, shape.tuples);
     const uint64_t fp = RelationFingerprint(rel);
-    for (const TierPolicy policy : kAllPolicies) {
-      SCOPED_TRACE(std::string(shape.name) + "/" + TierPolicyName(policy));
-      TrieIndex built(rel, {}, policy);
-      const std::string path = dir + "/" + shape.name + "_" +
-                               TierPolicyName(policy) + ".wct";
-      const Status save_status = SaveIndex(built, fp, path);
-      ASSERT_TRUE(save_status.ok()) << save_status.ToString();
-      const Status verify_status = VerifyIndexFile(path);
-      ASSERT_TRUE(verify_status.ok()) << verify_status.ToString();
-      Status open_status;
-      std::unique_ptr<TrieIndex> mapped = OpenIndex(path, fp, &open_status);
-      ASSERT_NE(mapped, nullptr) << open_status.ToString();
+    SCOPED_TRACE(shape.name);
+    TrieIndex built(rel);
+    const std::string path = dir + "/" + shape.name + ".wct";
+    const Status save_status = SaveIndex(built, fp, path);
+    ASSERT_TRUE(save_status.ok()) << save_status.ToString();
+    const Status verify_status = VerifyIndexFile(path);
+    ASSERT_TRUE(verify_status.ok()) << verify_status.ToString();
+    Status open_status;
+    std::unique_ptr<TrieIndex> mapped = OpenIndex(path, fp, &open_status);
+    ASSERT_NE(mapped, nullptr) << open_status.ToString();
 
-      EXPECT_TRUE(mapped->mapped());
-      EXPECT_FALSE(built.mapped());
-      EXPECT_EQ(mapped->arity(), built.arity());
-      EXPECT_EQ(mapped->size(), built.size());
-      EXPECT_EQ(mapped->perm(), built.perm());
-      EXPECT_EQ(mapped->tier_policy(), built.tier_policy());
-      for (int d = 0; d < built.arity(); ++d) {
-        EXPECT_EQ(mapped->LevelTier(d), built.LevelTier(d)) << "level " << d;
-        EXPECT_EQ(mapped->LevelSize(d), built.LevelSize(d)) << "level " << d;
-        // View-backed levels own no heap memory.
-        EXPECT_EQ(mapped->LevelKeyBytes(d), 0u);
-        EXPECT_TRUE(mapped->Keys(d).is_view());
+    EXPECT_TRUE(mapped->mapped());
+    EXPECT_FALSE(built.mapped());
+    EXPECT_EQ(mapped->arity(), built.arity());
+    EXPECT_EQ(mapped->size(), built.size());
+    EXPECT_EQ(mapped->perm(), built.perm());
+    for (int d = 0; d < built.arity(); ++d) {
+      EXPECT_EQ(mapped->LevelTier(d), built.LevelTier(d)) << "level " << d;
+      saw_packed16 |= built.LevelTier(d) == KeyTier::kPacked16;
+      EXPECT_EQ(mapped->LevelSize(d), built.LevelSize(d)) << "level " << d;
+      // View-backed levels own no heap memory.
+      EXPECT_EQ(mapped->LevelKeyBytes(d), 0u);
+      EXPECT_TRUE(mapped->Keys(d).is_view());
+    }
+    EXPECT_EQ(Walk(*mapped), Walk(built));
+
+    // Seek parity at every level boundary value +- 1.
+    if (built.size() > 0) {
+      const size_t n0 = built.LevelSize(0);
+      for (size_t i = 0; i < n0; ++i) {
+        const Value k = built.KeyAt(0, i);
+        for (const Value probe : {k, k == kNegInf + 1 ? k : k - 1,
+                                  k == kPosInf - 1 ? k : k + 1}) {
+          EXPECT_EQ(mapped->LowerBound(0, 0, n0, probe),
+                    built.LowerBound(0, 0, n0, probe));
+          EXPECT_EQ(mapped->UpperBound(0, 0, n0, probe),
+                    built.UpperBound(0, 0, n0, probe));
+        }
       }
-      EXPECT_EQ(Walk(*mapped), Walk(built));
-
-      // Seek parity at every level boundary value +- 1.
-      if (built.size() > 0) {
-        const size_t n0 = built.LevelSize(0);
-        for (size_t i = 0; i < n0; ++i) {
-          const Value k = built.KeyAt(0, i);
-          for (const Value probe : {k, k == kNegInf + 1 ? k : k - 1,
-                                    k == kPosInf - 1 ? k : k + 1}) {
-            EXPECT_EQ(mapped->LowerBound(0, 0, n0, probe),
-                      built.LowerBound(0, 0, n0, probe));
-            EXPECT_EQ(mapped->UpperBound(0, 0, n0, probe),
-                      built.UpperBound(0, 0, n0, probe));
+      // SeekGap parity on present and perturbed tuples.
+      for (const Tuple& t : shape.tuples) {
+        for (int jitter = -1; jitter <= 1; ++jitter) {
+          Tuple probe = t;
+          // int64_extreme places kPosInf itself in the last column.
+          if ((jitter > 0 && probe.back() == kPosInf) ||
+              (jitter < 0 && probe.back() == kNegInf)) {
+            continue;
           }
+          probe.back() += jitter;
+          const auto a = built.SeekGap(probe);
+          const auto b = mapped->SeekGap(probe);
+          EXPECT_EQ(a.found, b.found);
+          EXPECT_EQ(a.fail_pos, b.fail_pos);
+          EXPECT_EQ(a.glb, b.glb);
+          EXPECT_EQ(a.lub, b.lub);
         }
-        // SeekGap parity on present and perturbed tuples.
-        for (const Tuple& t : shape.tuples) {
-          for (int jitter = -1; jitter <= 1; ++jitter) {
-            Tuple probe = t;
-            // int64_extreme places kPosInf itself in the last column.
-            if ((jitter > 0 && probe.back() == kPosInf) ||
-                (jitter < 0 && probe.back() == kNegInf)) {
-              continue;
-            }
-            probe.back() += jitter;
-            const auto a = built.SeekGap(probe);
-            const auto b = mapped->SeekGap(probe);
-            EXPECT_EQ(a.found, b.found);
-            EXPECT_EQ(a.fail_pos, b.fail_pos);
-            EXPECT_EQ(a.glb, b.glb);
-            EXPECT_EQ(a.lub, b.lub);
-          }
-        }
-        EXPECT_EQ(mapped->SplitPoints(8), built.SplitPoints(8));
-        for (int c = 0; c < built.arity(); ++c) {
-          EXPECT_EQ(mapped->ColMin(c), built.ColMin(c));
-          EXPECT_EQ(mapped->ColMax(c), built.ColMax(c));
-        }
+      }
+      EXPECT_EQ(mapped->SplitPoints(8), built.SplitPoints(8));
+      for (int c = 0; c < built.arity(); ++c) {
+        EXPECT_EQ(mapped->ColMin(c), built.ColMin(c));
+        EXPECT_EQ(mapped->ColMax(c), built.ColMax(c));
       }
     }
   }
+  // The shapes cover both tiers (the raw ones trivially).
+  EXPECT_TRUE(saw_packed16);
 }
 
 TEST(PersistRoundTripTest, NonIdentityPermutationSurvives) {
@@ -204,7 +203,7 @@ constexpr size_t kVersionOff = 8;
 constexpr size_t kHeaderBytesOff = 16;
 constexpr size_t kHeaderChecksumOff = 32;
 constexpr size_t kArityOff = 56;
-constexpr size_t kTierPolicyOff = 60;
+constexpr size_t kRowsOff = 64;
 constexpr size_t kFileHeaderBytes = 72;
 
 // The format's checksum: 64-bit FNV-1a.
@@ -294,7 +293,9 @@ TEST_F(PersistCorruptionTest, FlippedChecksumByteRejected) {
 
 TEST_F(PersistCorruptionTest, FlippedHeaderByteRejected) {
   std::string corrupt = bytes_;
-  corrupt[kTierPolicyOff] ^= 0x01;  // still a valid policy: checksum's job
+  // rows is checked against the leaf count only after the checksum, so
+  // the flip is the checksum's to catch.
+  corrupt[kRowsOff] ^= 0x01;
   WriteFile(path_, corrupt);
   ExpectRejected("flipped header byte");
 }
@@ -344,22 +345,23 @@ TEST_F(PersistCorruptionTest, RetiredKeyTierTagRejected) {
   WriteResealed(tier_off, Load<uint32_t>(bytes_, tier_off));
   Status status;
   ASSERT_NE(OpenIndex(path_, fp_, &status), nullptr) << status.ToString();
-  // Tag 4 named the retired delta tier.
-  WriteResealed(tier_off, 4);
-  ExpectRejectedWith("unknown key tier");
+  // Tags 1, 3 and 4 named the retired packed8, packed32 and delta
+  // tiers.
+  for (const uint32_t tag : {1u, 3u, 4u}) {
+    WriteResealed(tier_off, tag);
+    ExpectRejectedWith("unknown key tier");
+  }
 }
 
-TEST_F(PersistCorruptionTest, RetiredTierPolicyRejected) {
-  // Policy 3 named the retired policy that forced the delta tier.
-  WriteResealed(kTierPolicyOff, 3);
-  ExpectRejectedWith("unknown tier policy");
-}
-
-TEST_F(PersistCorruptionTest, VersionOneFileRejected) {
-  // Version 1 files carried a per-level aux section that version 2
-  // dropped; the catalog rebuilds such indexes in memory.
-  WriteResealed(kVersionOff, 1);
-  ExpectRejectedWith("unsupported format version 1");
+TEST_F(PersistCorruptionTest, RetiredVersionsRejected) {
+  // Version 1 files carried a per-level aux section, version 2 files a
+  // tier policy in the header; the catalog rebuilds such indexes in
+  // memory.
+  for (const uint32_t version : {1u, 2u}) {
+    WriteResealed(kVersionOff, version);
+    ExpectRejectedWith("unsupported format version " +
+                       std::to_string(version));
+  }
 }
 
 // --- Catalog-level save / open ---

@@ -150,7 +150,7 @@ TEST(StatsTest, IntersectCountsGallopProbesNotMergedKeys) {
     std::vector<Value> keys;
     for (Value v = 0; v < n; ++v) keys.push_back(v * step);
     LevelKeys k;
-    k.Build(std::move(keys), TierPolicy::kRawOnly, /*compressible=*/true);
+    k.Build(std::move(keys), /*compressible=*/false);
     return k;
   };
   const LevelKeys short_keys = level(10, 3);  // 0, 3, ..., 27

@@ -327,22 +327,40 @@ void EnumerateTrie(TrieIterator* it, int arity, Tuple* prefix,
   it->Up();
 }
 
+// A key of domain class `klass`: tiny (long shared-prefix runs), medium
+// (mostly singleton nodes, spans within 16 bits), wide (spans beyond 16
+// bits) and int64-extreme (the PR 5 overflow class; kept one away from
+// the ends so probes may step past a key).
+Value DrawKey(int klass, Rng* rng) {
+  switch (klass) {
+    case 0:
+      return static_cast<Value>(rng->NextBounded(4));
+    case 1:
+      return static_cast<Value>(rng->NextBounded(1000));
+    case 2:
+      return static_cast<Value>(rng->NextBounded(Value{1} << 40));
+    default:
+      return rng->NextBounded(2) == 0
+                 ? kNegInf + 2 + static_cast<Value>(rng->NextBounded(1000))
+                 : kPosInf - 2 - static_cast<Value>(rng->NextBounded(1000));
+  }
+}
+
 TEST(TrieCsrPropertyTest, MatchesNaiveReferenceOnRandomRelations) {
+  // Levels of >= kAutoMinKeys keys seen per tier: raw, packed16.
+  int tier_levels[2] = {0, 0};
   for (int trial = 0; trial < 100; ++trial) {
     Rng rng(1000 + trial);
     const int arity = 1 + trial % 4;
-    // Alternate duplicates-heavy (tiny domain => long shared-prefix
-    // runs) and sparse (wide domain => mostly singleton nodes), with a
-    // few empty relations mixed in.
-    const Value domain = trial % 2 == 0 ? 4 : 1000;
+    const int klass = trial / 4 % 4;
+    // Up to 400 rows, so medium-domain levels reach the packed16 tier's
+    // minimum size; a few empty relations are mixed in.
     const int n = trial % 10 == 9 ? 0 : 1 + static_cast<int>(
-                                             rng.NextBounded(120));
+                                             rng.NextBounded(400));
     Relation base(arity);
     for (int i = 0; i < n; ++i) {
       Tuple t(arity);
-      for (int c = 0; c < arity; ++c) {
-        t[c] = static_cast<Value>(rng.NextBounded(domain));
-      }
+      for (int c = 0; c < arity; ++c) t[c] = DrawKey(klass, &rng);
       base.Add(t);
     }
     base.Build();
@@ -353,138 +371,177 @@ TEST(TrieCsrPropertyTest, MatchesNaiveReferenceOnRandomRelations) {
       std::swap(perm[i], perm[rng.NextBounded(i + 1)]);
     }
     const Relation sorted = base.Permuted(perm);
-    // Every key tier must reproduce the naive reference identically —
-    // the layout is an invisible storage detail.
-    for (const TierPolicy policy :
-         {TierPolicy::kRawOnly, TierPolicy::kForcePacked}) {
-      const char* tier_tag = TierPolicyName(policy);
-      TrieIndex index(base, perm, policy);
-      ASSERT_EQ(index.size(), sorted.size())
-          << "trial " << trial << " " << tier_tag;
-      Rng probe_rng(9000 + trial);
-
-      // (1) A full iterator walk reproduces the sorted relation exactly.
-      std::vector<Tuple> walked;
-      Tuple prefix;
-      TrieIterator it(&index);
-      EnumerateTrie(&it, arity, &prefix, &walked);
-      ASSERT_EQ(walked.size(), sorted.size())
-          << "trial " << trial << " " << tier_tag;
-      for (size_t r = 0; r < sorted.size(); ++r) {
-        EXPECT_EQ(walked[r], sorted.RowTuple(r))
-            << "trial " << trial << " " << tier_tag;
-      }
-
-      // (2) SeekGap agrees with the naive row-scan reference on random
-      // probes (mix of present rows and arbitrary tuples).
-      for (int probe_i = 0; probe_i < 50; ++probe_i) {
-        Tuple t(arity);
-        if (sorted.size() > 0 && probe_i % 3 == 0) {
-          t = sorted.RowTuple(probe_rng.NextBounded(sorted.size()));
-          if (probe_i % 6 == 0) {
-            t[probe_rng.NextBounded(arity)] += 1;  // perturb near real data
-          }
-        } else {
-          for (int c = 0; c < arity; ++c) {
-            t[c] = static_cast<Value>(probe_rng.NextBounded(domain + 2)) - 1;
-          }
-        }
-        const auto expect = NaiveSeekGap(sorted, t);
-        const auto got = index.SeekGap(t);
-        EXPECT_EQ(got.found, expect.found)
-            << "trial " << trial << " " << tier_tag;
-        EXPECT_EQ(got.fail_pos, expect.fail_pos)
-            << "trial " << trial << " " << tier_tag;
-        EXPECT_EQ(got.glb, expect.glb)
-            << "trial " << trial << " " << tier_tag;
-        EXPECT_EQ(got.lub, expect.lub)
-            << "trial " << trial << " " << tier_tag;
-      }
-
-      // (3) Seek at a random depth matches a linear scan over the rows
-      // sharing the prefix of a randomly chosen existing row.
-      for (int probe_i = 0; probe_i < 20 && sorted.size() > 0; ++probe_i) {
-        const size_t row = probe_rng.NextBounded(sorted.size());
-        const int depth = static_cast<int>(probe_rng.NextBounded(arity));
-        const Value v =
-            static_cast<Value>(probe_rng.NextBounded(domain + 2)) - 1;
-        TrieIterator seek_it(&index);
-        seek_it.Open();
-        for (int d = 0; d < depth; ++d) {
-          seek_it.Seek(sorted.At(row, d));
-          ASSERT_FALSE(seek_it.AtEnd());
-          ASSERT_EQ(seek_it.Key(), sorted.At(row, d));
-          seek_it.Open();
-        }
-        seek_it.Seek(v);
-        // Reference: the prefix group's rows, scanned linearly.
-        Value expected = kPosInf;
-        for (size_t r = 0; r < sorted.size(); ++r) {
-          bool same_group = true;
-          for (int d = 0; d < depth; ++d) {
-            same_group &= sorted.At(r, d) == sorted.At(row, d);
-          }
-          if (same_group && sorted.At(r, depth) >= v) {
-            expected = std::min(expected, sorted.At(r, depth));
-          }
-        }
-        if (expected == kPosInf) {
-          EXPECT_TRUE(seek_it.AtEnd())
-              << "trial " << trial << " " << tier_tag;
-        } else {
-          ASSERT_FALSE(seek_it.AtEnd())
-              << "trial " << trial << " " << tier_tag;
-          EXPECT_EQ(seek_it.Key(), expected)
-              << "trial " << trial << " " << tier_tag;
-        }
+    // Whatever tier each level lands on, the trie must reproduce the
+    // naive reference identically: the layout is an invisible storage
+    // detail.
+    TrieIndex index(base, perm);
+    ASSERT_EQ(index.size(), sorted.size()) << "trial " << trial;
+    for (int d = 0; d < arity; ++d) {
+      if (index.LevelSize(d) >= LevelKeys::kAutoMinKeys) {
+        ++tier_levels[index.LevelTier(d) == KeyTier::kPacked16];
       }
     }
+    Rng probe_rng(9000 + trial);
+    // A probe value near the data: a key of the class, stepped by -1, 0
+    // or +1.
+    auto probe_value = [&] {
+      return DrawKey(klass, &probe_rng) +
+             static_cast<Value>(probe_rng.NextBounded(3)) - 1;
+    };
+
+    // (1) A full iterator walk reproduces the sorted relation exactly.
+    std::vector<Tuple> walked;
+    Tuple prefix;
+    TrieIterator it(&index);
+    EnumerateTrie(&it, arity, &prefix, &walked);
+    ASSERT_EQ(walked.size(), sorted.size()) << "trial " << trial;
+    for (size_t r = 0; r < sorted.size(); ++r) {
+      EXPECT_EQ(walked[r], sorted.RowTuple(r)) << "trial " << trial;
+    }
+
+    // (2) SeekGap agrees with the naive row-scan reference on random
+    // probes (mix of present rows, arbitrary tuples and the domain
+    // ends).
+    for (int probe_i = 0; probe_i < 50; ++probe_i) {
+      Tuple t(arity);
+      if (sorted.size() > 0 && probe_i % 3 == 0) {
+        t = sorted.RowTuple(probe_rng.NextBounded(sorted.size()));
+        if (probe_i % 6 == 0) {
+          t[probe_rng.NextBounded(arity)] += 1;  // perturb near real data
+        }
+      } else {
+        for (int c = 0; c < arity; ++c) {
+          t[c] = probe_i % 10 == 1   ? kNegInf
+                 : probe_i % 10 == 2 ? kPosInf
+                                     : probe_value();
+        }
+      }
+      const auto expect = NaiveSeekGap(sorted, t);
+      const auto got = index.SeekGap(t);
+      EXPECT_EQ(got.found, expect.found) << "trial " << trial;
+      EXPECT_EQ(got.fail_pos, expect.fail_pos) << "trial " << trial;
+      EXPECT_EQ(got.glb, expect.glb) << "trial " << trial;
+      EXPECT_EQ(got.lub, expect.lub) << "trial " << trial;
+    }
+
+    // (3) Seek at a random depth matches a linear scan over the rows
+    // sharing the prefix of a randomly chosen existing row.
+    for (int probe_i = 0; probe_i < 20 && sorted.size() > 0; ++probe_i) {
+      const size_t row = probe_rng.NextBounded(sorted.size());
+      const int depth = static_cast<int>(probe_rng.NextBounded(arity));
+      const Value v = probe_value();
+      TrieIterator seek_it(&index);
+      seek_it.Open();
+      for (int d = 0; d < depth; ++d) {
+        seek_it.Seek(sorted.At(row, d));
+        ASSERT_FALSE(seek_it.AtEnd());
+        ASSERT_EQ(seek_it.Key(), sorted.At(row, d));
+        seek_it.Open();
+      }
+      seek_it.Seek(v);
+      // Reference: the prefix group's rows, scanned linearly.
+      Value expected = kPosInf;
+      for (size_t r = 0; r < sorted.size(); ++r) {
+        bool same_group = true;
+        for (int d = 0; d < depth; ++d) {
+          same_group &= sorted.At(r, d) == sorted.At(row, d);
+        }
+        if (same_group && sorted.At(r, depth) >= v) {
+          expected = std::min(expected, sorted.At(r, depth));
+        }
+      }
+      if (expected == kPosInf) {
+        EXPECT_TRUE(seek_it.AtEnd()) << "trial " << trial;
+      } else {
+        ASSERT_FALSE(seek_it.AtEnd()) << "trial " << trial;
+        EXPECT_EQ(seek_it.Key(), expected) << "trial " << trial;
+      }
+    }
+
+    // (4) Column metadata matches a scan of the relation.
+    for (int c = 0; c < arity && sorted.size() > 0; ++c) {
+      Value lo = kPosInf, hi = kNegInf;
+      for (size_t r = 0; r < sorted.size(); ++r) {
+        lo = std::min(lo, sorted.At(r, c));
+        hi = std::max(hi, sorted.At(r, c));
+      }
+      EXPECT_EQ(index.ColMin(c), lo) << "trial " << trial;
+      EXPECT_EQ(index.ColMax(c), hi) << "trial " << trial;
+    }
   }
+  // Both tiers must actually have been exercised.
+  EXPECT_GT(tier_levels[0], 0);
+  EXPECT_GT(tier_levels[1], 0);
 }
 
 // --- Key-tier selection: heuristics and degenerate-shape guards ---
 
 TEST(KeyTierTest, AutoCompressesDenseLevelsAndKeepsSmallOnesRaw) {
   // A dense two-column relation: level-1 keys are plentiful and narrow,
-  // so kAuto must pick a packed tier there. Level 0 has < kAutoMinKeys
-  // distinct keys and stays raw — compression below the threshold cannot
-  // pay for its decode cost.
+  // so the level is packed16. Level 0 has < kAutoMinKeys distinct keys
+  // and stays raw — compression below the threshold cannot pay for its
+  // decode cost.
   Relation r(2);
   for (Value a = 0; a < 16; ++a) {
     for (Value b = 0; b < 50; ++b) r.Add({a, b * 3});
   }
   r.Build();
-  TrieIndex index(r, {}, TierPolicy::kAuto);
+  TrieIndex index(r);
   EXPECT_EQ(index.LevelTier(0), KeyTier::kRaw);
-  EXPECT_NE(index.LevelTier(1), KeyTier::kRaw);
+  EXPECT_EQ(index.LevelTier(1), KeyTier::kPacked16);
   EXPECT_LT(index.LevelKeyBytes(1), 16u * 50u * sizeof(Value));
 }
 
+// A level's tier follows from its keys alone: a 64-key level of a
+// binary relation (the second column, under one first-column key).
+KeyTier SecondLevelTier(Value span) {
+  Relation r(2);
+  for (Value i = 0; i < 64; ++i) {
+    r.Add({0, i == 63 ? span : i});
+  }
+  r.Build();
+  const TrieIndex index(r);
+  EXPECT_EQ(index.LevelSize(1), 64u);
+  return index.LevelTier(1);
+}
+
+TEST(KeyTierTest, SixteenBitSpansPackAndWiderSpansStayRaw) {
+  // A span within 8 bits packs into the same 16-bit lanes.
+  EXPECT_EQ(SecondLevelTier(255), KeyTier::kPacked16);
+  EXPECT_EQ(SecondLevelTier(UINT16_MAX), KeyTier::kPacked16);
+  // Spans in (2^16 - 1, 2^32) are raw.
+  EXPECT_EQ(SecondLevelTier(Value{UINT16_MAX} + 1), KeyTier::kRaw);
+  EXPECT_EQ(SecondLevelTier(Value{UINT32_MAX}), KeyTier::kRaw);
+  // Below kAutoMinKeys keys a level stays raw whatever its span.
+  LevelKeys small;
+  std::vector<Value> keys(LevelKeys::kAutoMinKeys - 1);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<Value>(i);
+  small.Build(keys, /*compressible=*/true);
+  EXPECT_EQ(small.tier(), KeyTier::kRaw);
+}
+
 TEST(KeyTierTest, DegenerateShapesNeverCompress) {
-  // Empty, arity-1, and single-key-per-level relations must stay raw
-  // under every policy, including the force policy.
+  // Empty, arity-1, and single-key-per-level relations stay raw, even
+  // where the keys alone would pack.
   Relation empty(2);
   empty.Build();
   Relation unary(1);
   for (Value v = 0; v < 300; ++v) unary.Add({v});
   unary.Build();
   Relation single = Relation::FromTuples(2, {{7, 7}});
-  for (const TierPolicy policy :
-       {TierPolicy::kAuto, TierPolicy::kForcePacked}) {
-    TrieIndex e(empty, {}, policy);
-    EXPECT_EQ(e.LevelTier(0), KeyTier::kRaw) << TierPolicyName(policy);
-    EXPECT_EQ(e.LevelTier(1), KeyTier::kRaw) << TierPolicyName(policy);
-    TrieIndex u(unary, {}, policy);
-    EXPECT_EQ(u.LevelTier(0), KeyTier::kRaw) << TierPolicyName(policy);
-    TrieIndex s(single, {}, policy);
-    EXPECT_EQ(s.LevelTier(0), KeyTier::kRaw) << TierPolicyName(policy);
-    EXPECT_EQ(s.LevelTier(1), KeyTier::kRaw) << TierPolicyName(policy);
-  }
+  TrieIndex e(empty);
+  EXPECT_EQ(e.LevelTier(0), KeyTier::kRaw);
+  EXPECT_EQ(e.LevelTier(1), KeyTier::kRaw);
+  TrieIndex u(unary);
+  EXPECT_EQ(u.LevelTier(0), KeyTier::kRaw);
+  TrieIndex s(single);
+  EXPECT_EQ(s.LevelTier(0), KeyTier::kRaw);
+  EXPECT_EQ(s.LevelTier(1), KeyTier::kRaw);
 }
 
-TEST(KeyTierTest, Int64ExtremeDomainsStayRawUnderAuto) {
-  // Spans beyond 32 bits — including the full-int64 spans that overflow
-  // naive subtraction — are ineligible for every packed width.
+TEST(KeyTierTest, Int64ExtremeDomainsStayRaw) {
+  // Spans beyond 16 bits — including the full-int64 spans that overflow
+  // naive subtraction — are ineligible for packing.
   Relation r(2);
   Rng rng(77);
   for (int i = 0; i < 200; ++i) {
@@ -495,38 +552,45 @@ TEST(KeyTierTest, Int64ExtremeDomainsStayRawUnderAuto) {
   }
   r.Build();
   // Two dense 64-key clusters 2^40 apart: every 64-key block is narrow,
-  // but the level as a whole spans more than 32 bits.
+  // but the level as a whole spans more than 16 bits.
   Relation clusters(2);
   for (Value b = 0; b < 64; ++b) {
     clusters.Add({0, b});
     clusters.Add({0, (Value{1} << 40) + b});
   }
   clusters.Build();
-  for (const TierPolicy policy :
-       {TierPolicy::kAuto, TierPolicy::kForcePacked}) {
-    TrieIndex index(r, {}, policy);
-    EXPECT_EQ(index.LevelTier(1), KeyTier::kRaw) << TierPolicyName(policy);
-    TrieIndex clustered(clusters, {}, policy);
-    ASSERT_GE(clustered.Keys(1).size(), LevelKeys::kAutoMinKeys);
-    EXPECT_EQ(clustered.LevelTier(1), KeyTier::kRaw)
-        << TierPolicyName(policy);
-  }
+  TrieIndex index(r);
+  ASSERT_GE(index.Keys(1).size(), LevelKeys::kAutoMinKeys);
+  EXPECT_EQ(index.LevelTier(1), KeyTier::kRaw);
+  TrieIndex clustered(clusters);
+  ASSERT_GE(clustered.Keys(1).size(), LevelKeys::kAutoMinKeys);
+  EXPECT_EQ(clustered.LevelTier(1), KeyTier::kRaw);
 }
 
 TEST(KeyTierTest, SplitPointsIdenticalAcrossTiers) {
-  // The morsel partitioner consumes SplitPoints; the choice of key tier
-  // must not perturb it.
+  // The morsel partitioner consumes SplitPoints; the key tier must not
+  // perturb it. Scaling every value by 2^33 preserves order and turns
+  // the packed16 levels raw, so the split points scale with it.
   Rng rng(121);
   Relation r(2);
+  Relation scaled(2);
+  const Value kScale = Value{1} << 33;
   for (int i = 0; i < 400; ++i) {
-    r.Add({static_cast<Value>(rng.NextBounded(90)),
-           static_cast<Value>(rng.NextBounded(90))});
+    const Value a = static_cast<Value>(rng.NextBounded(90));
+    const Value b = static_cast<Value>(rng.NextBounded(90));
+    r.Add({a, b});
+    scaled.Add({a * kScale, b * kScale});
   }
   r.Build();
-  const TrieIndex raw(r, {}, TierPolicy::kRawOnly);
-  const TrieIndex packed(r, {}, TierPolicy::kForcePacked);
+  scaled.Build();
+  const TrieIndex packed(r);
+  const TrieIndex raw(scaled);
+  ASSERT_EQ(packed.LevelTier(0), KeyTier::kPacked16);
+  ASSERT_EQ(raw.LevelTier(0), KeyTier::kRaw);
   for (int k : {2, 3, 7, 16}) {
-    EXPECT_EQ(raw.SplitPoints(k), packed.SplitPoints(k)) << "k=" << k;
+    std::vector<Value> want = packed.SplitPoints(k);
+    for (Value& v : want) v *= kScale;
+    EXPECT_EQ(raw.SplitPoints(k), want) << "k=" << k;
   }
 }
 

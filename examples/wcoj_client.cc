@@ -21,10 +21,12 @@
 // sends M requests each (RunLoad, server/client.h), and prints an
 // aggregate line whose latencies and qps cover OK replies only:
 //
-//   load: sent=N ok=N shed=N err=N p50_ms=X p99_ms=X qps=X
+//   load: sent=N ok=N shed=N err=N count=N counts_agree=0|1 p50_ms=X
+//         p99_ms=X qps=X
 //
-// exiting 0 iff every request got an OK or shed reply (sheds count as
-// answered — that is the contract under overload).
+// where count is the first OK reply's count. It exits 0 iff every
+// request got an OK or shed reply (sheds count as answered — that is
+// the contract under overload) and every OK reply carried that count.
 //
 //   $ ./wcoj_client --port 43211 "edge(a,b), edge(b,c)"
 //   $ ./wcoj_client --port 43211 --deadline-ms 1 "..."   ; echo $?  # 4
@@ -133,13 +135,15 @@ int main(int argc, char** argv) {
 
   const LoadResult load = RunLoad(port, request_line, static_cast<int>(clients),
                                   static_cast<int>(repeat));
-  std::printf("load: sent=%llu ok=%llu shed=%llu err=%llu p50_ms=%.2f "
-              "p99_ms=%.2f qps=%.1f\n",
+  std::printf("load: sent=%llu ok=%llu shed=%llu err=%llu count=%llu "
+              "counts_agree=%d p50_ms=%.2f p99_ms=%.2f qps=%.1f\n",
               static_cast<unsigned long long>(clients * repeat),
               static_cast<unsigned long long>(load.ok),
               static_cast<unsigned long long>(load.shed),
               static_cast<unsigned long long>(load.err),
-              Percentile(load.ok_ms, 0.50), Percentile(load.ok_ms, 0.99),
+              static_cast<unsigned long long>(load.count),
+              load.counts_agree ? 1 : 0, Percentile(load.ok_ms, 0.50),
+              Percentile(load.ok_ms, 0.99),
               load.wall_seconds > 0 ? load.ok / load.wall_seconds : 0.0);
-  return load.err == 0 ? 0 : 1;
+  return load.err == 0 && load.counts_agree ? 0 : 1;
 }

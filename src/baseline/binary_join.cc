@@ -300,17 +300,9 @@ class BinaryJoinRun {
 ExecResult BinaryJoinEngine::Execute(const BoundQuery& q,
                                      const ExecOptions& opts) const {
   ExecResult result;
-  BinaryJoinRun run(q, opts,
-                    flavor_ == BinaryJoinFlavor::kRowStore
-                        ? PlanStrategy::kDynamicProgramming
-                        : PlanStrategy::kGreedySmallest,
-                    &result);
+  BinaryJoinRun run(q, opts, strategy_, &result);
   run.Run();
   FinalizeExecStatus(&result, opts);
-  if (!result.ok()) {
-    result.count = 0;
-    result.tuples.clear();
-  }
   return result;
 }
 

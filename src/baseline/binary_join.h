@@ -8,21 +8,20 @@
 // Ω(sqrt(N)) factor the paper attributes to all pairwise optimizers, which
 // is exactly the behaviour the comparison needs.
 
+#include "baseline/planner.h"
 #include "core/engine.h"
 
 namespace wcoj {
 
-enum class BinaryJoinFlavor {
-  kRowStore,     // "psql": DP-optimized left-deep plan
-  kColumnStore,  // "monetdb": greedy smallest-first plan
-};
-
+// "psql" plans with kDynamicProgramming (DP-optimized left-deep plan),
+// "monetdb" with kGreedySmallest (greedy smallest-first plan).
 class BinaryJoinEngine : public Engine {
  public:
-  explicit BinaryJoinEngine(BinaryJoinFlavor flavor) : flavor_(flavor) {}
+  explicit BinaryJoinEngine(PlanStrategy strategy) : strategy_(strategy) {}
 
   std::string name() const override {
-    return flavor_ == BinaryJoinFlavor::kRowStore ? "psql" : "monetdb";
+    return strategy_ == PlanStrategy::kDynamicProgramming ? "psql"
+                                                          : "monetdb";
   }
   ExecResult Execute(const BoundQuery& q,
                      const ExecOptions& opts) const override;
@@ -32,7 +31,7 @@ class BinaryJoinEngine : public Engine {
   }
 
  private:
-  BinaryJoinFlavor flavor_;
+  PlanStrategy strategy_;
 };
 
 }  // namespace wcoj

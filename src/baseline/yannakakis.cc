@@ -13,8 +13,8 @@ namespace wcoj {
 namespace {
 
 // R <- R semijoin S on their shared variables. Returns true if R shrank.
-bool Semijoin(const BoundQuery& q, Relation* r, const std::vector<int>& r_vars,
-              const Relation& s, const std::vector<int>& s_vars) {
+bool Semijoin(Relation* r, const std::vector<int>& r_vars, const Relation& s,
+              const std::vector<int>& s_vars) {
   std::vector<int> r_cols, s_cols;
   for (size_t i = 0; i < r_vars.size(); ++i) {
     for (size_t j = 0; j < s_vars.size(); ++j) {
@@ -24,7 +24,6 @@ bool Semijoin(const BoundQuery& q, Relation* r, const std::vector<int>& r_vars,
       }
     }
   }
-  (void)q;
   if (r_cols.empty()) return false;
   std::set<Tuple> keys;
   for (size_t row = 0; row < s.size(); ++row) {
@@ -81,7 +80,7 @@ ExecResult YannakakisEngine::Execute(const BoundQuery& q,
     for (size_t i = 0; i < m; ++i) {
       for (size_t j = 0; j < m; ++j) {
         if (i == j) continue;
-        changed |= Semijoin(q, &reduced[i], q.atoms[i].vars, reduced[j],
+        changed |= Semijoin(&reduced[i], q.atoms[i].vars, reduced[j],
                             q.atoms[j].vars);
         if (poll.Check(reduced[i].size() + reduced[j].size())) {
           result.status = poll.status();
@@ -100,10 +99,9 @@ ExecResult YannakakisEngine::Execute(const BoundQuery& q,
   BoundQuery rq = q;
   rq.catalog = nullptr;
   for (size_t i = 0; i < m; ++i) rq.atoms[i].relation = &reduced[i];
-  BinaryJoinEngine join(BinaryJoinFlavor::kRowStore);
+  BinaryJoinEngine join(PlanStrategy::kDynamicProgramming);
   ExecResult joined = join.Execute(rq, opts);
   joined.stats.intermediate_tuples += result.stats.intermediate_tuples;
-  FinalizeExecStatus(&joined, opts);
   return joined;
 }
 

@@ -48,10 +48,11 @@ std::unique_ptr<Engine> CreateEngine(const std::string& name) {
   }
   if (name == "hybrid") return std::make_unique<HybridEngine>();
   if (name == "psql") {
-    return std::make_unique<BinaryJoinEngine>(BinaryJoinFlavor::kRowStore);
+    return std::make_unique<BinaryJoinEngine>(
+        PlanStrategy::kDynamicProgramming);
   }
   if (name == "monetdb") {
-    return std::make_unique<BinaryJoinEngine>(BinaryJoinFlavor::kColumnStore);
+    return std::make_unique<BinaryJoinEngine>(PlanStrategy::kGreedySmallest);
   }
   if (name == "yannakakis") return std::make_unique<YannakakisEngine>();
   if (name == "clique") return std::make_unique<CliqueEngine>();

@@ -223,8 +223,8 @@ struct ExecResult {
   double seconds = 0.0;  // filled by RunTimed and PartitionedExecute
   // The one record of how the run ended. OK means count/tuples are the
   // exact answer; any other code means the run failed closed (cancel,
-  // deadline, budget, bad input, internal fault) and partial output
-  // must not be trusted.
+  // deadline, budget, bad input, internal fault), and the result then
+  // carries no count or tuples (FinalizeExecStatus clears them).
   Status status;
 
   bool ok() const { return status.ok(); }
@@ -235,13 +235,19 @@ struct ExecResult {
 // when the budget latched — even if the engine raced past its poll and
 // finished (deterministic fail-closed). A status the engine already set
 // (its AbortStatus at wind-down, bad input, a stall, an alloc failure)
-// always wins.
+// always wins. A failed run leaves here with no count and no tuples, so
+// no caller can mistake a partial answer for the answer.
 inline void FinalizeExecStatus(ExecResult* result, const ExecOptions& opts) {
-  if (opts.budget == nullptr) return;
-  result->stats.peak_budget_bytes =
-      std::max(result->stats.peak_budget_bytes, opts.budget->peak());
-  if (result->status.ok() && opts.budget->exceeded()) {
-    result->status = opts.AbortStatus();
+  if (opts.budget != nullptr) {
+    result->stats.peak_budget_bytes =
+        std::max(result->stats.peak_budget_bytes, opts.budget->peak());
+    if (result->status.ok() && opts.budget->exceeded()) {
+      result->status = opts.AbortStatus();
+    }
+  }
+  if (!result->status.ok()) {
+    result->count = 0;
+    result->tuples.clear();
   }
 }
 

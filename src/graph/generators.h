@@ -2,7 +2,7 @@
 #define WCOJ_GRAPH_GENERATORS_H_
 
 // Synthetic graph generators standing in for the SNAP datasets (offline
-// environment; see DESIGN.md substitution table).
+// environment; see the mirror table in graph/datasets.h).
 //
 //  * ErdosRenyi: uniform random — mirrors the Gnutella p2p graphs (low
 //    clustering, few triangles).

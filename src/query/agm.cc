@@ -1,18 +1,21 @@
 #include "query/agm.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "util/simplex.h"
 
 namespace wcoj {
 
-AgmResult AgmBoundWithSizes(const BoundQuery& q,
-                            const std::vector<double>& sizes) {
-  assert(sizes.size() == q.atoms.size());
+AgmResult AgmBound(const BoundQuery& q) {
   AgmResult result;
   const size_t m = q.atoms.size();
+  std::vector<double> sizes;
+  for (const auto& atom : q.atoms) {
+    sizes.push_back(static_cast<double>(atom.relation->size()));
+  }
 
   // Empty relation: the join is empty, bound is 0 (log2 -> -inf; report 0).
   for (double s : sizes) {
@@ -52,14 +55,6 @@ AgmResult AgmBoundWithSizes(const BoundQuery& q,
   result.bound = std::exp2(lp.objective);
   result.cover = lp.x;
   return result;
-}
-
-AgmResult AgmBound(const BoundQuery& q) {
-  std::vector<double> sizes;
-  for (const auto& atom : q.atoms) {
-    sizes.push_back(static_cast<double>(atom.relation->size()));
-  }
-  return AgmBoundWithSizes(q, sizes);
 }
 
 }  // namespace wcoj

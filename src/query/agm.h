@@ -26,10 +26,6 @@ struct AgmResult {
 
 AgmResult AgmBound(const BoundQuery& q);
 
-// Same LP with explicit per-atom sizes (for what-if analyses in benches).
-AgmResult AgmBoundWithSizes(const BoundQuery& q,
-                            const std::vector<double>& sizes);
-
 }  // namespace wcoj
 
 #endif  // WCOJ_QUERY_AGM_H_

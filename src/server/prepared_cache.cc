@@ -31,8 +31,6 @@ std::shared_ptr<PreparedQuery> PreparedQueryCache::Build(
   *status = CheckBindable(parsed.query, relations_);
   if (!status->ok()) return nullptr;
   auto prepared = std::make_shared<PreparedQuery>();
-  prepared->engine_name = engine_name;
-  prepared->text = text;
   prepared->engine = std::move(engine);
   prepared->bound =
       Bind(parsed.query, relations_, parsed.query.Variables());

@@ -34,8 +34,6 @@
 namespace wcoj {
 
 struct PreparedQuery {
-  std::string engine_name;
-  std::string text;
   std::unique_ptr<Engine> engine;
   BoundQuery bound;
   QueryClass cls = QueryClass::kCheap;

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <utility>
 
-#include "parallel/partitioned_run.h"
 #include "server/client.h"
 #include "util/failpoint.h"
 
@@ -65,9 +64,9 @@ Status Server::Start() {
   socklen_t len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
-  slots_.reserve(config_.max_concurrency);
+  slot_scratch_.reserve(config_.max_concurrency);
   for (int s = 0; s < config_.max_concurrency; ++s) {
-    slots_.push_back(std::make_unique<Slot>());
+    slot_scratch_.push_back(std::make_unique<ExecScratch>());
   }
   started_.store(true, std::memory_order_relaxed);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
@@ -229,7 +228,6 @@ std::string Server::HandleQuery(Connection* conn, const ServerRequest& req) {
       break;
   }
   inflight_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = *slots_[admit.slot];
   // Request-scoped cancellation: chained off the connection token (which
   // chains off the drain-cancel root), so client disconnect, drain
   // expiry, and this request's own wind-down each cancel exactly their
@@ -242,19 +240,8 @@ std::string Server::HandleQuery(Connection* conn, const ServerRequest& req) {
   opts.deadline = deadline;
   opts.stop = &req_token;
   if (budget_mb > 0) opts.budget = &budget;
-  ExecResult r;
-  if (config_.threads_per_query > 1) {
-    if (slot.pool == nullptr) {
-      slot.pool = std::make_unique<WorkerPool>(config_.threads_per_query);
-    }
-    r = PartitionedExecute(*prepared->engine, prepared->bound, opts,
-                           config_.threads_per_query, /*granularity=*/8,
-                           &slot.scratch, slot.pool.get());
-  } else {
-    slot.scratch.Reserve(1);
-    opts.scratch = slot.scratch.ForWorker(0);
-    r = RunTimed(*prepared->engine, prepared->bound, opts);
-  }
+  opts.scratch = slot_scratch_[admit.slot].get();
+  const ExecResult r = RunTimed(*prepared->engine, prepared->bound, opts);
   inflight_.fetch_sub(1, std::memory_order_relaxed);
   admission_.Release(admit.slot);
   const bool draining = draining_.load(std::memory_order_relaxed);

@@ -14,8 +14,8 @@
 //   admission: slot free? queue? full → ERR RETRY_AFTER (shed)
 //        │ admitted (slot s)
 //        ▼
-//   ExecOptions{deadline, budget, stop = request token} ──► execute on
-//   slot s's warm WorkerPool/ExecScratchPool ──► one-line reply
+//   ExecOptions{deadline, budget, stop = request token} ──► RunTimed on
+//   slot s's warm ExecScratch ──► one-line reply
 //
 // Cancellation chain: drain-cancel token ◄─ connection token ◄─ request
 // token (StopToken parents). A client disconnect fires the connection
@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "parallel/worker_pool.h"
 #include "server/admission.h"
 #include "server/prepared_cache.h"
 #include "server/protocol.h"
@@ -65,7 +64,6 @@ struct ServerConfig {
   int port = 0;  // 0 = ephemeral; see Server::port() after Start()
   int max_concurrency = 4;
   int max_queue = 16;  // per class (cheap / heavy)
-  int threads_per_query = 1;
   int64_t default_deadline_ms = 60000;
   int64_t default_budget_mb = 0;  // 0 = ungoverned by default
   int64_t drain_deadline_ms = 2000;
@@ -137,15 +135,6 @@ class Server {
     explicit Connection(const StopToken* parent) : token(parent) {}
   };
 
-  // Per-admission-slot warm execution resources: slot s always reuses
-  // the same scratch arenas (and worker pool when threads_per_query >
-  // 1), so the steady state is allocation-free per slot — the serving
-  // analogue of query_runner --repeat.
-  struct Slot {
-    std::unique_ptr<WorkerPool> pool;  // null when threads_per_query == 1
-    ExecScratchPool scratch;
-  };
-
   void AcceptLoop();
   void WatchdogLoop();
   void ServeConnection(Connection* conn);
@@ -163,7 +152,10 @@ class Server {
 
   AdmissionController admission_;
   PreparedQueryCache cache_;
-  std::vector<std::unique_ptr<Slot>> slots_;
+  // One warm ExecScratch per admission slot: slot s always reuses the
+  // same CDS arena, so the steady state is allocation-free per slot —
+  // the serving analogue of query_runner --repeat.
+  std::vector<std::unique_ptr<ExecScratch>> slot_scratch_;
 
   int listen_fd_ = -1;
   int port_ = 0;

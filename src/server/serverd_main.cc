@@ -42,9 +42,9 @@ void Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--port N] [--max-concurrency N] [--queue-depth N]\n"
-      "          [--threads-per-query N] [--default-deadline-ms N]\n"
-      "          [--default-budget-mb N] [--drain-deadline-ms N]\n"
-      "          [--heavy-log2 X] [--load-catalog DIR] [--save-catalog DIR]\n"
+      "          [--default-deadline-ms N] [--default-budget-mb N]\n"
+      "          [--drain-deadline-ms N] [--heavy-log2 X]\n"
+      "          [--load-catalog DIR] [--save-catalog DIR]\n"
       "\n"
       "Serves the query_runner dataset over TCP on 127.0.0.1 (port 0 =\n"
       "ephemeral; the bound port is printed on stdout as port=N).\n"
@@ -72,8 +72,6 @@ int main(int argc, char** argv) {
       config.max_concurrency = static_cast<int>(v);
     } else if (long_flag(&i, "--queue-depth", &v) && v >= 0) {
       config.max_queue = static_cast<int>(v);
-    } else if (long_flag(&i, "--threads-per-query", &v) && v >= 1) {
-      config.threads_per_query = static_cast<int>(v);
     } else if (long_flag(&i, "--default-deadline-ms", &v) && v >= 1) {
       config.default_deadline_ms = v;
     } else if (long_flag(&i, "--default-budget-mb", &v) && v >= 0) {

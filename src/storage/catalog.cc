@@ -67,11 +67,6 @@ void IndexCatalog::Invalidate(const Relation* rel) {
   }
 }
 
-void IndexCatalog::Clear() {
-  MutexLock lock(mu_);
-  entries_.clear();
-}
-
 size_t IndexCatalog::size() const {
   MutexLock lock(mu_);
   return entries_.size();

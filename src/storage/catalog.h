@@ -19,7 +19,7 @@
 //
 // Lifetime contract: the catalog hands out raw TrieIndex pointers; the
 // relations an index was built over, and the catalog itself, must
-// outlive every user of those pointers. Invalidate/Clear must not race
+// outlive every user of those pointers. Invalidate must not race
 // with GetOrBuild callers still holding returned indexes.
 
 #include <atomic>
@@ -123,7 +123,6 @@ class IndexCatalog {
   // Drops every cached index built over `rel`. Use after replacing a
   // relation's contents in place; see the lifetime contract above.
   void Invalidate(const Relation* rel);
-  void Clear();
 
   size_t size() const;      // distinct indexes currently resident
   uint64_t builds() const { return builds_.load(std::memory_order_relaxed); }

@@ -47,7 +47,6 @@ bool FailPoint::Evaluate() {
     }
     if (t == 1) armed_.store(false, std::memory_order_relaxed);
   }
-  fired_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -115,29 +114,12 @@ uint64_t FailPoints::Hits(const std::string& name) {
   return it == r.points.end() ? 0 : it->second->hits();
 }
 
-uint64_t FailPoints::Fired(const std::string& name) {
-  Registry& r = GetRegistry();
-  MutexLock lock(r.mu);
-  auto it = r.points.find(name);
-  return it == r.points.end() ? 0 : it->second->fired();
-}
-
 void FailPoints::ResetCounters() {
   Registry& r = GetRegistry();
   MutexLock lock(r.mu);
   for (auto& [name, p] : r.points) {
     p->hits_.store(0, std::memory_order_relaxed);
-    p->fired_.store(0, std::memory_order_relaxed);
   }
-}
-
-std::vector<std::string> FailPoints::Names() {
-  Registry& r = GetRegistry();
-  MutexLock lock(r.mu);
-  std::vector<std::string> out;
-  out.reserve(r.points.size());
-  for (const auto& [name, p] : r.points) out.push_back(name);
-  return out;
 }
 
 int FailPoints::ArmFromEnv() {

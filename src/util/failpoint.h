@@ -31,7 +31,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace wcoj {
 
@@ -47,14 +46,12 @@ class FailPoint {
   bool Evaluate();
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t fired() const { return fired_.load(std::memory_order_relaxed); }
 
  private:
   friend class FailPoints;
 
   const std::string name_;
   std::atomic<uint64_t> hits_{0};     // evaluations since last reset
-  std::atomic<uint64_t> fired_{0};    // faults actually injected
   std::atomic<bool> armed_{false};
   std::atomic<uint64_t> fire_at_{0};  // 1-based hit index that fires
   std::atomic<int64_t> times_{0};     // remaining fires; -1 = unbounded
@@ -81,10 +78,7 @@ class FailPoints {
   // Hits recorded for `name` since the last ResetCounters (0 if never
   // registered).
   static uint64_t Hits(const std::string& name);
-  static uint64_t Fired(const std::string& name);
   static void ResetCounters();
-
-  static std::vector<std::string> Names();
 
   // Parses WCOJ_FAILPOINTS="name=k[,name=k...]" (k fires once) and arms
   // each entry. Returns the number of points armed.

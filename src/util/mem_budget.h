@@ -119,12 +119,6 @@ class ScopedCharge {
     return true;
   }
 
-  void ForceCharge(uint64_t bytes) {
-    if (budget_ == nullptr) return;
-    budget_->ForceCharge(bytes);
-    charged_ += bytes;
-  }
-
   // Re-targets the running total to `bytes` (release-then-charge): for
   // call sites whose live footprint is replaced step by step, e.g. the
   // materialized intermediate of a binary-join pipeline.

@@ -98,9 +98,6 @@ class WCOJ_CAPABILITY("mutex") Mutex {
 
   void Lock() WCOJ_ACQUIRE() { mu_.lock(); }
   void Unlock() WCOJ_RELEASE() { mu_.unlock(); }
-  bool TryLock() WCOJ_THREAD_ANNOTATION_(try_acquire_capability(true)) {
-    return mu_.try_lock();
-  }
 
  private:
   friend class CondVar;

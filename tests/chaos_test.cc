@@ -100,6 +100,8 @@ class ChaosTest : public testing::Test {
   void CheckOutcome(const ExecResult& r, const std::string& what) {
     if (r.ok()) {
       EXPECT_EQ(r.count, expected_) << what;
+    } else {
+      EXPECT_EQ(r.count, 0u) << what << ": a failed run carries no answer";
     }
     ++g_schedules;
   }
@@ -418,6 +420,9 @@ TEST_F(ChaosTest, WorkerJobFaultSweepPartitionedRun) {
     FailPoints::Disarm("worker.job");
     EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.status.ToString();
     EXPECT_NE(r.status.message().find("worker job"), std::string::npos);
+    // The morsels that ran before the fault must not leak a partial
+    // count: a failed run carries no answer.
+    EXPECT_EQ(r.count, 0u);
     ++g_schedules;
     const ExecResult clean = run();
     CheckOutcome(clean, "clean rerun after worker fault");

@@ -758,6 +758,24 @@ TEST_F(ServerTest, ConcurrentStormAnswersEveryRequestExactly) {
       WaitFor([&] { return server->stats().connections_open == 0; }));
 }
 
+// RunLoad, the client's storm driver, against one slot and a queue of
+// one: every request is answered OK or shed, and the OK replies agree
+// on the serial answer.
+TEST_F(ServerTest, RunLoadRepliesAgreeOnTheSerialCount) {
+  auto server = StartServer(SmallConfig());
+  constexpr int kClients = 4;
+  constexpr int kRepeat = 5;
+  const LoadResult load = RunLoad(
+      server->port(), QueryLine(kTriangleQuery, "lftj"), kClients, kRepeat);
+  EXPECT_EQ(load.ok + load.shed + load.err,
+            static_cast<uint64_t>(kClients * kRepeat));
+  EXPECT_EQ(load.err, 0u);
+  ASSERT_GT(load.ok, 0u);
+  EXPECT_TRUE(load.counts_agree);
+  EXPECT_EQ(load.count, triangle_count_);
+  EXPECT_EQ(load.ok_ms.size(), load.ok);
+}
+
 // ---------------------------------------------------------------------
 // Failpoint chaos sweeps (satellite: server.accept/read/write/enqueue)
 

@@ -15,12 +15,13 @@
 // later iteration reports cds_alloc=0 — zero CDS heap allocations on
 // warm memory. The closing line prints the largest cds_alloc of the warm
 // iterations; under --threads it need not be 0, because which morsels a
-// worker's warm arena has seen depends on work stealing.
+// worker's warm arena has seen depends on which worker claims which
+// morsel.
 //
 // --threads N (N > 1) runs each iteration through the morsel scheduler:
-// skew-aware var0 morsels executed by a persistent work-stealing
-// WorkerPool, with per-worker scratch arenas that stay warm across the
-// repeats. A 60s deadline per iteration demonstrates the cancellation
+// skew-aware var0 morsels claimed from one shared cursor by a
+// persistent WorkerPool, with per-worker scratch arenas that stay warm
+// across the repeats. A 60s deadline per iteration demonstrates the cancellation
 // contract — one timed-out morsel stops the whole run.
 //
 // --load-catalog DIR mmaps a previously saved index catalog before the
@@ -202,7 +203,7 @@ int main(int argc, char** argv) {
   ExecOptions opts;
   opts.scratch = &scratch;
   if (mem_budget_mb > 0) opts.budget = &budget;
-  // Morsel mode: persistent work-stealing pool + per-worker scratch
+  // Morsel mode: persistent worker pool + per-worker scratch
   // slots, both warm across the repeats (opts.scratch is ignored by
   // PartitionedExecute — concurrent jobs cannot share one scratch).
   WorkerPool pool(static_cast<int>(threads));

@@ -19,7 +19,8 @@ struct CellRun {
   std::string name;  // engine, GAO ("abcde") or granularity ("f=4")
   ExecResult result;
   // Partitioned runs do not repeat their work counters (which morsels a
-  // worker's warm CDS has seen depends on stealing): count only.
+  // worker's warm CDS has seen depends on which worker claims which
+  // morsel): count only.
   bool repeatable_counters = true;
 };
 

@@ -98,7 +98,7 @@ class Cds {
   // re-deriving them (ExecScratch::AcquireCds's token-matched path).
   // Only the search depth and the Idea 6 rotation trackers are cleared:
   // a rotation validated in one morsel and exhausted in a later,
-  // possibly non-adjacent (work-stolen) one would claim a contiguous
+  // possibly non-adjacent one would claim a contiguous
   // floor-to-exhaustion sweep that never happened, so rotations —
   // unlike the completeness marks they earn, which are per-pattern
   // facts — must not span executions. The caller re-seeds the frontier

@@ -106,9 +106,10 @@ struct ExecScratch {
   uint64_t cds_run_token = 0;
 };
 
-// Stable per-worker scratch slots for multi-threaded drivers: worker w
-// always gets the same ExecScratch, which stays warm across runs when
-// the pool outlives them (PartitionedExecute accepts a caller pool).
+// Stable per-worker scratch slots for multi-threaded drivers (pool
+// workers, the server's admission slots): worker w always gets the same
+// ExecScratch, which stays warm across runs when the pool outlives them
+// (PartitionedExecute accepts a caller pool).
 class ExecScratchPool {
  public:
   // Ensures workers [0, n) exist. Not thread-safe: size the pool before

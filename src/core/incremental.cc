@@ -70,15 +70,6 @@ IncrementalCountView::IncrementalCountView(const BoundQuery& q,
   Run(q_, &count_);
 }
 
-IncrementalCountView::IncrementalCountView(const BoundQuery& q,
-                                           std::vector<int> mutable_atoms)
-    : IncrementalCountView(q, std::move(mutable_atoms), Options{}) {}
-
-IncrementalCountView IncrementalCountView::ForRelation(const BoundQuery& q,
-                                                       const Relation* rel) {
-  return ForRelation(q, rel, Options{});
-}
-
 IncrementalCountView IncrementalCountView::ForRelation(const BoundQuery& q,
                                                        const Relation* rel,
                                                        Options options) {

@@ -40,6 +40,10 @@ namespace wcoj {
 class IncrementalCountView {
  public:
   struct Options {
+    // User-provided, so ForRelation can default an Options argument
+    // inside this class: an implicit constructor would need the member
+    // initializers below before the enclosing class is complete.
+    Options() {}
     // Engine used for the materialization and every delta term; any
     // CreateEngine name. The Minesweeper flavors pair naturally with
     // `scratch`: one update telescopes into several counting runs, all
@@ -56,18 +60,15 @@ class IncrementalCountView {
   // Relation object, whose contents this view snapshots). The static
   // relations must keep their contents for the view's lifetime: their
   // indexes are built once into the view's own catalog, which replaces
-  // `q.catalog` in the view's copy of the query. The options-free
-  // overloads use Options' defaults (LFTJ, no scratch).
+  // `q.catalog` in the view's copy of the query.
   IncrementalCountView(const BoundQuery& q, std::vector<int> mutable_atoms,
                        Options options);
-  IncrementalCountView(const BoundQuery& q, std::vector<int> mutable_atoms);
 
-  // Convenience: treat every atom bound to `rel` as mutable.
+  // Convenience: treat every atom bound to `rel` as mutable. Options'
+  // defaults are LFTJ with no scratch.
   static IncrementalCountView ForRelation(const BoundQuery& q,
                                           const Relation* rel,
-                                          Options options);
-  static IncrementalCountView ForRelation(const BoundQuery& q,
-                                          const Relation* rel);
+                                          Options options = {});
 
   uint64_t count() const { return count_; }
   // The mutable relation's current version. The reference is only good

@@ -57,10 +57,10 @@ EngineStats WarmQueryIndexesParallel(const BoundQuery& q, WorkerPool& pool,
   // distinct keys build concurrently.
   std::vector<EngineStats> atom_stats(q.atoms.size());
   std::vector<Status> atom_status(q.atoms.size());
-  std::vector<std::function<void()>> jobs;
+  std::vector<std::function<void(int)>> jobs;
   jobs.reserve(q.atoms.size());
   for (size_t a = 0; a < q.atoms.size(); ++a) {
-    jobs.push_back([&, a]() {
+    jobs.push_back([&, a](int) {
       const BoundAtom& atom = q.atoms[a];
       const TrieIndex* index = q.catalog->GetOrBuildCounted(
           *atom.relation, GaoConsistentPerm(atom.vars),
@@ -96,8 +96,8 @@ ExecResult RunPartitioned(const Engine& engine, const BoundQuery& q,
     FinalizeExecStatus(&total, opts);
     return total;
   }
-  // A caller-provided pool dictates the worker count (its deques and
-  // scratch slots are per-worker).
+  // A caller-provided pool dictates the worker count (worker ids index
+  // the scratch slots).
   const int threads =
       worker_pool != nullptr ? worker_pool->num_threads()
                              : std::max(1, num_threads);

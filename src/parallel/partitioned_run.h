@@ -27,12 +27,14 @@
 // are governed by opts.budget; a refused build fails the run closed
 // before any morsel runs.
 //
-// Morsels run on a work-stealing WorkerPool (persistent threads,
-// per-worker deques, steal-half); pass `worker_pool` to reuse one
-// pool's threads across many queries, else a per-call pool is used.
-// A supplied pool's own thread count wins — `num_threads` is ignored
-// (worker ids, deques, and scratch slots are per-pool-worker), so cap
-// concurrency by sizing the pool, not the argument.
+// Morsels run on a WorkerPool (persistent threads claiming morsels from
+// one shared cursor); pass `worker_pool` to reuse one pool's threads
+// across many queries, else a per-call pool is used. A supplied pool's
+// own thread count wins — `num_threads` is ignored (worker ids and
+// scratch slots are per-pool-worker), so cap concurrency by sizing the
+// pool, not the argument. Which worker runs which morsel varies from
+// run to run, so the counts stay exact while per-run counters (CDS
+// reuse across a worker's morsels) vary with the schedule.
 //
 // Cancellation: every morsel polls one run-scoped StopToken, chained
 // to the caller's ExecOptions::stop when set. A morsel that times out

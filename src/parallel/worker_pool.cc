@@ -1,16 +1,11 @@
 #include "parallel/worker_pool.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace wcoj {
 
 WorkerPool::WorkerPool(int num_threads)
     : num_threads_(std::max(1, num_threads)) {
-  deques_.reserve(num_threads_);
-  for (int w = 0; w < num_threads_; ++w) {
-    deques_.push_back(std::make_unique<WorkerDeque>());
-  }
   if (num_threads_ == 1) return;  // inline-only pool: no threads to park
   threads_.reserve(num_threads_);
   for (int w = 0; w < num_threads_; ++w) {
@@ -27,42 +22,25 @@ WorkerPool::~WorkerPool() {
   for (auto& t : threads_) t.join();
 }
 
-void WorkerPool::Run(const std::vector<std::function<void(int)>>& jobs) {
-  RunBatch(jobs.size(), [&jobs](size_t i, int w) { jobs[i](w); });
-}
-
-void WorkerPool::Run(const std::vector<std::function<void()>>& jobs) {
-  RunBatch(jobs.size(), [&jobs](size_t i, int) { jobs[i](); });
-}
-
-void WorkerPool::RunBatch(size_t count,
-                          const std::function<void(size_t, int)>& invoke) {
-  if (count == 0) return;
-  if (threads_.empty() || count == 1) {
+void WorkerPool::Run(const Batch& jobs) {
+  if (jobs.empty()) return;
+  if (threads_.empty() || jobs.size() == 1) {
     // Degenerate batch: run inline, in order, on the calling thread.
-    for (size_t i = 0; i < count; ++i) invoke(i, 0);
+    for (const auto& job : jobs) job(0);
     return;
   }
   {
     MutexLock lock(mu_);
-    // Deal contiguous index runs: morsel i and i+1 cover adjacent var0
-    // ranges, so a worker's initial share is one coherent slice of the
-    // key space and steal-half migrates coherent tails.
-    for (int w = 0; w < num_threads_; ++w) {
-      const size_t lo = count * static_cast<size_t>(w) / num_threads_;
-      const size_t hi = count * (static_cast<size_t>(w) + 1) / num_threads_;
-      MutexLock dlock(deques_[w]->mu);
-      deques_[w]->jobs.clear();
-      for (size_t i = lo; i < hi; ++i) deques_[w]->jobs.push_back(i);
-    }
-    batch_ = &invoke;
-    pending_.store(count, std::memory_order_release);
+    cursor_.store(0);
+    batch_ = &jobs;
     ++generation_;
   }
   work_cv_.NotifyAll();
+  // Every job index was claimed once the cursor is past the count, and
+  // a claimed job runs inside its worker's active span, so no active
+  // worker means every job has finished.
   MutexLock lock(mu_);
-  while (pending_.load(std::memory_order_acquire) != 0 ||
-         active_workers_ != 0) {
+  while (cursor_.load() < jobs.size() || active_workers_ != 0) {
     done_cv_.Wait(mu_);
   }
   batch_ = nullptr;
@@ -71,7 +49,7 @@ void WorkerPool::RunBatch(size_t count,
 void WorkerPool::WorkerLoop(int w) {
   uint64_t seen_generation = 0;
   for (;;) {
-    const std::function<void(size_t, int)>* batch;
+    const Batch* batch;
     {
       MutexLock lock(mu_);
       while (!shutdown_ && generation_ == seen_generation) {
@@ -80,88 +58,19 @@ void WorkerPool::WorkerLoop(int w) {
       if (shutdown_) return;
       seen_generation = generation_;
       batch = batch_;
-      // A late wake for a batch other workers already drained (Run()
-      // has cleared batch_ and may be gone): there is nothing safe to
-      // pop — a job found in our deque now could belong to the *next*
-      // batch, whose distribution does not wait for parked workers.
-      // Park again; a live batch re-notifies after bumping generation_.
+      // A late wake for a batch the other workers already drained:
+      // Run() has cleared batch_ and may have returned, taking the jobs
+      // with it. Park again; the next batch bumps generation_.
       if (batch == nullptr) continue;
       ++active_workers_;
     }
-    for (;;) {
-      size_t job;
-      if (PopOwn(w, &job) || StealHalf(w, &job)) {
-        (*batch)(job, w);
-        FinishJob();
-        continue;
-      }
-      if (pending_.load(std::memory_order_acquire) == 0) break;
-      // Nothing stealable, but jobs are still in flight elsewhere.
-      // The timeout is load-bearing, not belt-and-braces: the steal
-      // scan above runs without mu_, so a surplus deposited (and
-      // notified) between our failed scan and the wait below is a
-      // missed wakeup — the timeout bounds that stall. 50ms keeps the
-      // idle churn negligible on oversubscribed hosts.
-      MutexLock lock(mu_);
-      if (pending_.load(std::memory_order_acquire) == 0) break;
-      idle_cv_.WaitFor(mu_, std::chrono::milliseconds(50));
+    for (size_t i = cursor_.fetch_add(1); i < batch->size();
+         i = cursor_.fetch_add(1)) {
+      (*batch)[i](w);
     }
-    {
-      MutexLock lock(mu_);
-      if (--active_workers_ == 0) done_cv_.NotifyAll();
-    }
-  }
-}
-
-void WorkerPool::FinishJob() {
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last job of the batch: release the Run() caller and every parked
-    // idle worker. Lock so the notify cannot race the waiters'
-    // predicate checks.
     MutexLock lock(mu_);
-    done_cv_.NotifyAll();
-    idle_cv_.NotifyAll();
+    if (--active_workers_ == 0) done_cv_.NotifyAll();
   }
-}
-
-bool WorkerPool::PopOwn(int w, size_t* job) {
-  WorkerDeque& d = *deques_[w];
-  MutexLock lock(d.mu);
-  if (d.jobs.empty()) return false;
-  *job = d.jobs.front();
-  d.jobs.pop_front();
-  return true;
-}
-
-bool WorkerPool::StealHalf(int w, size_t* job) {
-  for (int delta = 1; delta < num_threads_; ++delta) {
-    const int v = (w + delta) % num_threads_;
-    WorkerDeque& victim = *deques_[v];
-    std::vector<size_t> grabbed;
-    {
-      MutexLock vlock(victim.mu);
-      const size_t n = victim.jobs.size();
-      if (n == 0) continue;
-      const size_t take = (n + 1) / 2;
-      grabbed.assign(victim.jobs.end() - static_cast<long>(take),
-                     victim.jobs.end());
-      victim.jobs.erase(victim.jobs.end() - static_cast<long>(take),
-                        victim.jobs.end());
-    }
-    *job = grabbed.front();
-    if (grabbed.size() > 1) {
-      {
-        MutexLock olock(deques_[w]->mu);
-        deques_[w]->jobs.assign(grabbed.begin() + 1, grabbed.end());
-      }
-      // Surplus is now stealable from us. Lock so the notify cannot
-      // slip between an idle worker's last failed scan and its wait.
-      MutexLock lock(mu_);
-      idle_cv_.NotifyAll();
-    }
-    return true;
-  }
-  return false;
 }
 
 }  // namespace wcoj

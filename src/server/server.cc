@@ -64,10 +64,7 @@ Status Server::Start() {
   socklen_t len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
-  slot_scratch_.reserve(config_.max_concurrency);
-  for (int s = 0; s < config_.max_concurrency; ++s) {
-    slot_scratch_.push_back(std::make_unique<ExecScratch>());
-  }
+  slot_scratch_.Reserve(config_.max_concurrency);
   started_.store(true, std::memory_order_relaxed);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   watchdog_thread_ = std::thread([this] { WatchdogLoop(); });
@@ -240,7 +237,7 @@ std::string Server::HandleQuery(Connection* conn, const ServerRequest& req) {
   opts.deadline = deadline;
   opts.stop = &req_token;
   if (budget_mb > 0) opts.budget = &budget;
-  opts.scratch = slot_scratch_[admit.slot].get();
+  opts.scratch = slot_scratch_.ForWorker(admit.slot);
   const ExecResult r = RunTimed(*prepared->engine, prepared->bound, opts);
   inflight_.fetch_sub(1, std::memory_order_relaxed);
   admission_.Release(admit.slot);

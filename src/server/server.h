@@ -155,7 +155,7 @@ class Server {
   // One warm ExecScratch per admission slot: slot s always reuses the
   // same CDS arena, so the steady state is allocation-free per slot —
   // the serving analogue of query_runner --repeat.
-  std::vector<std::unique_ptr<ExecScratch>> slot_scratch_;
+  ExecScratchPool slot_scratch_;
 
   int listen_fd_ = -1;
   int port_ = 0;

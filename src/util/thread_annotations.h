@@ -28,10 +28,6 @@
 // std::condition_variable to Mutex (waiters re-assert the capability
 // through WCOJ_REQUIRES). No fairness, timing, or spin behavior
 // changes relative to the std types they wrap.
-//
-// Lock-ordering note: annotate ordering with WCOJ_ACQUIRED_AFTER /
-// _BEFORE where two capabilities nest (WorkerPool's batch mutex vs its
-// per-worker deque mutexes is the one such pair today).
 
 #ifndef WCOJ_UTIL_THREAD_ANNOTATIONS_H_
 #define WCOJ_UTIL_THREAD_ANNOTATIONS_H_
@@ -48,41 +44,20 @@
 
 // A field or variable protected by the given capability.
 #define WCOJ_GUARDED_BY(x) WCOJ_THREAD_ANNOTATION_(guarded_by(x))
-// A pointer whose *pointee* is protected by the capability.
-#define WCOJ_PT_GUARDED_BY(x) WCOJ_THREAD_ANNOTATION_(pt_guarded_by(x))
 
 // Function-level contracts.
 #define WCOJ_REQUIRES(...) \
   WCOJ_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-#define WCOJ_REQUIRES_SHARED(...) \
-  WCOJ_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 #define WCOJ_ACQUIRE(...) \
   WCOJ_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-#define WCOJ_ACQUIRE_SHARED(...) \
-  WCOJ_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 #define WCOJ_RELEASE(...) \
   WCOJ_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define WCOJ_RELEASE_SHARED(...) \
-  WCOJ_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
 #define WCOJ_EXCLUDES(...) WCOJ_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
-#define WCOJ_RETURN_CAPABILITY(x) WCOJ_THREAD_ANNOTATION_(lock_returned(x))
 
 // Type-level attributes for the wrappers below (and any future
 // capability, e.g. a shared_mutex wrapper).
 #define WCOJ_CAPABILITY(x) WCOJ_THREAD_ANNOTATION_(capability(x))
 #define WCOJ_SCOPED_CAPABILITY WCOJ_THREAD_ANNOTATION_(scoped_lockable)
-
-// Documented lock ordering (checked by the analysis when both sides
-// are annotated).
-#define WCOJ_ACQUIRED_AFTER(...) \
-  WCOJ_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
-#define WCOJ_ACQUIRED_BEFORE(...) \
-  WCOJ_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
-
-// Escape hatch for functions the analysis cannot follow (e.g. locking
-// through a container of mutexes). Each use needs a comment saying why.
-#define WCOJ_NO_THREAD_SAFETY_ANALYSIS \
-  WCOJ_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
 namespace wcoj {
 
@@ -134,13 +109,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // caller's MutexLock still owns the mutex
-  }
-
-  template <typename Predicate>
-  void Wait(Mutex& mu, Predicate pred) WCOJ_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    cv_.wait(lock, std::move(pred));
-    lock.release();
   }
 
   template <typename Rep, typename Period>

@@ -27,11 +27,13 @@
 namespace wcoj {
 namespace {
 
-// --- WorkerPool: persistent threads, per-worker deques, steal-half ---
+// --- WorkerPool: persistent threads, one shared job cursor ---
 
-// Steal correctness under load: every job of every batch runs exactly
-// once, across several batches reusing one pool's threads, with uneven
-// job durations so work actually migrates between deques.
+// Dispatch correctness under load: every job of every batch runs
+// exactly once, across several batches reusing one pool's threads, with
+// uneven job durations so fast workers claim more jobs than slow ones.
+// Each worker claims from the shared cursor, so its job indices rise
+// strictly within a batch.
 TEST(WorkerPoolTest, StressEveryJobRunsExactlyOncePerBatch) {
   constexpr int kThreads = 8;
   constexpr int kJobs = 400;
@@ -42,13 +44,21 @@ TEST(WorkerPoolTest, StressEveryJobRunsExactlyOncePerBatch) {
     std::vector<std::atomic<int>> hits(kJobs);
     for (auto& h : hits) h = 0;
     std::atomic<int> bad_worker{0};
+    std::atomic<int> backwards_claims{0};
+    // Last job index each worker ran; only worker w touches last[w].
+    std::vector<int> last(kThreads, -1);
     std::vector<std::function<void(int)>> jobs;
     jobs.reserve(kJobs);
     for (int i = 0; i < kJobs; ++i) {
       jobs.push_back([&, i](int worker) {
-        if (worker < 0 || worker >= kThreads) ++bad_worker;
-        // Skew the initial deal: the first worker's contiguous share is
-        // slow, so the other workers must steal it to finish.
+        if (worker < 0 || worker >= kThreads) {
+          ++bad_worker;
+        } else {
+          if (i <= last[worker]) ++backwards_claims;
+          last[worker] = i;
+        }
+        // Skew the durations: the first eighth of the jobs is slow, so
+        // the workers holding them fall behind and the rest claim more.
         if (i < kJobs / kThreads) {
           std::this_thread::sleep_for(std::chrono::microseconds(200));
         }
@@ -57,6 +67,7 @@ TEST(WorkerPoolTest, StressEveryJobRunsExactlyOncePerBatch) {
     }
     pool.Run(jobs);
     EXPECT_EQ(bad_worker.load(), 0) << "batch " << batch;
+    EXPECT_EQ(backwards_claims.load(), 0) << "batch " << batch;
     for (int i = 0; i < kJobs; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "batch " << batch << " job " << i;
     }
@@ -69,9 +80,15 @@ TEST(WorkerPoolTest, DegenerateBatchesRunInlineInOrder) {
   WorkerPool serial(1);
   std::vector<int> order;
   std::vector<std::thread::id> seen;
-  serial.Run(std::vector<std::function<void()>>{
-      [&]() { order.push_back(0); seen.push_back(std::this_thread::get_id()); },
-      [&]() { order.push_back(1); seen.push_back(std::this_thread::get_id()); },
+  serial.Run(std::vector<std::function<void(int)>>{
+      [&](int) {
+        order.push_back(0);
+        seen.push_back(std::this_thread::get_id());
+      },
+      [&](int) {
+        order.push_back(1);
+        seen.push_back(std::this_thread::get_id());
+      },
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
   EXPECT_EQ(seen[0], caller);
@@ -82,7 +99,7 @@ TEST(WorkerPoolTest, DegenerateBatchesRunInlineInOrder) {
   threaded.Run(std::vector<std::function<void(int)>>{
       [&](int w) { worker_seen = w; }});
   EXPECT_EQ(worker_seen.load(), 0);
-  threaded.Run(std::vector<std::function<void()>>{});  // empty batch: no-op
+  threaded.Run(std::vector<std::function<void(int)>>{});  // empty: no-op
 }
 
 // Partitioned execution must produce identical counts to a direct run for
@@ -149,9 +166,9 @@ TEST(IndexCatalogTest, ConcurrentGetOrBuildBuildsOncePerKey) {
   IndexCatalog catalog;
   std::vector<std::vector<const TrieIndex*>> seen(
       kJobs, std::vector<const TrieIndex*>(keys.size()));
-  std::vector<std::function<void()>> jobs;
+  std::vector<std::function<void(int)>> jobs;
   for (int j = 0; j < kJobs; ++j) {
-    jobs.push_back([&, j]() {
+    jobs.push_back([&, j](int) {
       for (size_t k = 0; k < keys.size(); ++k) {
         seen[j][k] = catalog.GetOrBuild(*keys[k].first, keys[k].second);
       }

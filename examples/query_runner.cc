@@ -61,10 +61,9 @@
 
 #include "bench_util/workloads.h"
 #include "core/engine.h"
-#include "graph/generators.h"
 #include "parallel/partitioned_run.h"
 #include "parallel/worker_pool.h"
-#include "query/parser.h"
+#include "query/query.h"
 #include "util/failpoint.h"
 #include "util/mem_budget.h"
 #include "util/stopwatch.h"
@@ -136,11 +135,6 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  const ParseResult parsed = ParseQuery(args[0]);
-  if (!parsed.ok) {
-    std::fprintf(stderr, "parse error: %s\n", parsed.error.c_str());
-    return 2;
-  }
   const std::string engine_name = args.size() > 1 ? args[1] : "ms";
   std::unique_ptr<Engine> engine = CreateEngine(engine_name);
   if (engine == nullptr) {
@@ -151,27 +145,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const Graph g = Rmat(/*scale=*/12, /*num_edges=*/40000, 0.45, 0.2, 0.2,
-                       /*seed=*/7);
-  DatasetRelations rels(g);
-  rels.Resample(/*selectivity=*/10.0, /*seed=*/1);
-
-  // Bind() trusts its input (in-process callers), so vet the query here
-  // at the untrusted CLI boundary.
-  const auto rel_map = rels.Map();
-  const Status vetted = CheckBindable(parsed.query, rel_map);
-  if (!vetted.ok()) {
-    std::fprintf(stderr, "%s", vetted.message().c_str());
-    if (vetted.message().rfind("unknown relation", 0) == 0) {
-      std::fprintf(stderr, "; known:");
-      for (const auto& [name, rel] : rel_map)
-        std::fprintf(stderr, " %s/%d", name.c_str(), rel->arity());
-    }
-    std::fprintf(stderr, "\n");
+  ToolsDataset data;
+  StatusOr<BoundQuery> bound =
+      BindText(args[0], data.rels.Map(), data.rels.catalog());
+  if (!bound.ok()) {
+    std::fprintf(stderr, "%s\n", bound.status().message().c_str());
     return 2;
   }
-  BoundQuery bq = Bind(parsed.query, rel_map, parsed.query.Variables());
-  bq.catalog = rels.catalog();  // execute over shared resident indexes
+  const BoundQuery bq = bound.take();
 
   // Fault-injection drills: arm named failpoints from the environment
   // ("name=k[,name=k]" — fire on the k-th pass through each point).
@@ -181,22 +162,9 @@ int main(int argc, char** argv) {
   if (armed > 0) std::printf("failpoints armed: %d\n", armed);
 
   if (!load_catalog_dir.empty()) {
-    CatalogOpenStats open_stats;
-    const size_t n = rels.LoadCatalog(load_catalog_dir, &open_stats);
-    if (!open_stats.status.ok()) {
-      std::fprintf(stderr, "load-catalog: %s\n",
-                   open_stats.status.ToString().c_str());
-      return CliExitCode(open_stats.status);
-    }
-    std::printf(
-        "loaded catalog: %zu mmap-backed indexes from %s "
-        "(catalog_open_skipped=%zu)\n",
-        n, load_catalog_dir.c_str(), open_stats.skipped);
-    for (const std::string& line : open_stats.skip_log) {
-      std::fprintf(stderr, "load-catalog skip: %s\n", line.c_str());
-    }
+    const Status loaded = LoadCatalogReported(&data.rels, load_catalog_dir);
+    if (!loaded.ok()) return CliExitCode(loaded);
   }
-
 
   ExecScratch scratch;  // warm CDS arena shared across the repeats
   MemoryBudget budget(static_cast<uint64_t>(mem_budget_mb) * 1024 * 1024);
@@ -258,7 +226,7 @@ int main(int argc, char** argv) {
   }
   if (!save_catalog_dir.empty()) {
     Status save_status;
-    const size_t n = rels.SaveCatalog(save_catalog_dir, &save_status);
+    const size_t n = data.rels.SaveCatalog(save_catalog_dir, &save_status);
     if (!save_status.ok()) {
       std::fprintf(stderr, "save-catalog: %s\n",
                    save_status.ToString().c_str());

@@ -38,7 +38,8 @@ class BinaryJoinRun {
         poll_(opts) {}
 
   void Run() {
-    const JoinPlan plan = PlanJoin(q_, strategy_);
+    const JoinPlan plan = PlanJoin(q_, strategy_, poll_);
+    if (Expired()) return;
     // `bound[v]` = column of the intermediate holding variable v, or -1.
     std::vector<int> bound(q_.num_vars, -1);
     std::vector<Tuple> inter;  // current materialized intermediate

@@ -1,7 +1,6 @@
 #include "baseline/planner.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -52,9 +51,9 @@ double EstimateJoinSize(const BoundQuery& q,
 namespace {
 
 JoinPlan PlanDp(const BoundQuery& q,
-                const std::vector<std::vector<double>>& distinct) {
+                const std::vector<std::vector<double>>& distinct,
+                AbortPoll& poll) {
   const int m = static_cast<int>(q.atoms.size());
-  assert(m <= 16);
   const int full = (1 << m) - 1;
   // Left-deep DP: best[S] = (cost, last atom, predecessor subset).
   std::vector<double> best(full + 1, std::numeric_limits<double>::infinity());
@@ -81,6 +80,7 @@ JoinPlan PlanDp(const BoundQuery& q,
 
   for (int a = 0; a < m; ++a) best[1 << a] = 0.0;
   for (int s = 1; s <= full; ++s) {
+    if (poll.Check(m)) return {};
     if (best[s] == std::numeric_limits<double>::infinity()) continue;
     const double sub_size = EstimateJoinSize(q, distinct, subset_atoms(s));
     for (int a = 0; a < m; ++a) {
@@ -113,7 +113,8 @@ JoinPlan PlanDp(const BoundQuery& q,
 }
 
 JoinPlan PlanGreedy(const BoundQuery& q,
-                    const std::vector<std::vector<double>>& distinct) {
+                    const std::vector<std::vector<double>>& distinct,
+                    AbortPoll& poll) {
   const int m = static_cast<int>(q.atoms.size());
   JoinPlan plan;
   std::vector<bool> used(m, false);
@@ -131,6 +132,7 @@ JoinPlan PlanGreedy(const BoundQuery& q,
     double pick_size = std::numeric_limits<double>::infinity();
     for (int a = 0; a < m; ++a) {
       if (used[a]) continue;
+      if (poll.Check()) return {};
       std::vector<int> atoms = plan.atom_order;
       atoms.push_back(a);
       const double size = EstimateJoinSize(q, distinct, atoms);
@@ -148,10 +150,13 @@ JoinPlan PlanGreedy(const BoundQuery& q,
 
 }  // namespace
 
-JoinPlan PlanJoin(const BoundQuery& q, PlanStrategy strategy) {
+JoinPlan PlanJoin(const BoundQuery& q, PlanStrategy strategy,
+                  AbortPoll& poll) {
   const auto distinct = DistinctCounts(q);
-  return strategy == PlanStrategy::kDynamicProgramming ? PlanDp(q, distinct)
-                                                       : PlanGreedy(q, distinct);
+  return strategy == PlanStrategy::kDynamicProgramming &&
+                 static_cast<int>(q.atoms.size()) <= kDpMaxAtoms
+             ? PlanDp(q, distinct, poll)
+             : PlanGreedy(q, distinct, poll);
 }
 
 }  // namespace wcoj

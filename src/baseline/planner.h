@@ -9,7 +9,7 @@
 //
 //  * kDynamicProgramming — left-deep DP over atom subsets with textbook
 //    independence/containment estimates (the "smart" plans the paper
-//    credits PostgreSQL with on 3-path).
+//    credits PostgreSQL with on 3-path), up to kDpMaxAtoms atoms.
 //  * kGreedySmallest — start from the smallest relation and repeatedly
 //    append the atom with the smallest estimated result, ignoring
 //    connectivity (the eager self-join-first behaviour the paper observed
@@ -20,6 +20,7 @@
 
 #include <vector>
 
+#include "core/engine.h"
 #include "query/query.h"
 
 namespace wcoj {
@@ -39,7 +40,14 @@ double EstimateJoinSize(const BoundQuery& q,
                         const std::vector<std::vector<double>>& distinct,
                         const std::vector<int>& atoms);
 
-JoinPlan PlanJoin(const BoundQuery& q, PlanStrategy strategy);
+// The DP's tables hold all 2^m atom subsets, so past this many atoms it
+// plans greedily. 12 is PostgreSQL's default geqo_threshold.
+constexpr int kDpMaxAtoms = 12;
+
+// Both plan loops check the run's `poll`; once it fires the plan is
+// incomplete, and the caller winds down with poll.status() instead.
+JoinPlan PlanJoin(const BoundQuery& q, PlanStrategy strategy,
+                  AbortPoll& poll);
 
 }  // namespace wcoj
 

@@ -1,7 +1,9 @@
 #include "bench_util/workloads.h"
 
 #include <cassert>
+#include <cstdio>
 
+#include "graph/generators.h"
 #include "graph/sampling.h"
 #include "query/parser.h"
 
@@ -96,6 +98,30 @@ void DatasetRelations::ResampleExact(int64_t count, uint64_t seed) {
   for (int i = 0; i < 4; ++i) {
     Put(kSampleNames[i], SampleNodesExact(*graph_, count, seed * 4 + i + 1));
   }
+}
+
+ToolsDataset::ToolsDataset()
+    : graph(Rmat(/*scale=*/12, /*num_edges=*/40000, 0.45, 0.2, 0.2,
+                 /*seed=*/7)),
+      rels(graph) {
+  rels.Resample(/*selectivity=*/10.0, /*seed=*/1);
+}
+
+Status LoadCatalogReported(Database* db, const std::string& dir) {
+  CatalogOpenStats open_stats;
+  const size_t n = db->LoadCatalog(dir, &open_stats);
+  if (!open_stats.status.ok()) {
+    std::fprintf(stderr, "load-catalog: %s\n",
+                 open_stats.status.ToString().c_str());
+    return open_stats.status;
+  }
+  std::printf("loaded catalog: %zu mmap-backed indexes from %s "
+              "(catalog_open_skipped=%zu)\n",
+              n, dir.c_str(), open_stats.skipped);
+  for (const std::string& line : open_stats.skip_log) {
+    std::fprintf(stderr, "load-catalog skip: %s\n", line.c_str());
+  }
+  return OkStatus();
 }
 
 BoundQuery BindWorkload(const Workload& w, const DatasetRelations& rels) {

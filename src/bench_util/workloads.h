@@ -13,6 +13,7 @@
 #include "query/query.h"
 #include "storage/catalog.h"
 #include "storage/relation.h"
+#include "util/status.h"
 
 namespace wcoj {
 
@@ -49,6 +50,20 @@ class DatasetRelations : public Database {
  private:
   const Graph* graph_;
 };
+
+// The dataset the command-line tools serve (query_runner, wcoj_serverd),
+// one definition so their counts line up: an Rmat graph at scale 12 with
+// 40,000 edges (seed 7), v1..v4 sampled at selectivity 10 (seed 1).
+struct ToolsDataset {
+  ToolsDataset();
+  const Graph graph;
+  DatasetRelations rels;  // over `graph`
+};
+
+// Loads the catalog saved in `dir` into `db` and reports it: installed
+// and skipped counts on stdout, one line per skipped entry on stderr. A
+// manifest-level failure is printed on stderr and returned.
+Status LoadCatalogReported(Database* db, const std::string& dir);
 
 // Binds a workload against the dataset's relations and catalog; dies on
 // inconsistencies (bench-internal misuse). The result shares `rels`'s

@@ -25,16 +25,6 @@ bool IsSubset(const std::vector<int>& a, const std::vector<int>& b) {
 
 }  // namespace
 
-Hypergraph Hypergraph::FromBound(const BoundQuery& q) {
-  Hypergraph h;
-  h.num_vertices = q.num_vars;
-  for (size_t i = 0; i < q.atoms.size(); ++i) {
-    h.edges.push_back(q.AtomVarsSorted(i));
-  }
-  h.edges = NormalizeEdges(std::move(h.edges));
-  return h;
-}
-
 Hypergraph Hypergraph::FromQuery(const Query& q) {
   Hypergraph h;
   std::map<std::string, int> id;

@@ -30,7 +30,6 @@ struct Hypergraph {
   int num_vertices = 0;
   std::vector<std::vector<int>> edges;  // each sorted ascending, de-duped
 
-  static Hypergraph FromBound(const BoundQuery& q);
   static Hypergraph FromQuery(const Query& q);  // vertices in first-use order
 };
 

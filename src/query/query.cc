@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 
+#include "query/parser.h"
 #include "storage/catalog.h"
 
 namespace wcoj {
@@ -67,14 +68,26 @@ Status CheckBindable(const Query& query,
   for (const Atom& atom : query.atoms) {
     const auto it = relations.find(atom.relation);
     if (it == relations.end()) {
-      return invalid("unknown relation '" + atom.relation + "'");
+      std::string known;
+      for (const auto& [name, rel] : relations) {
+        known += " " + name + "/" + std::to_string(rel->arity());
+      }
+      return invalid("unknown relation '" + atom.relation + "'; known:" +
+                     known);
     }
     if (static_cast<int>(atom.vars.size()) != it->second->arity()) {
       return invalid("relation '" + atom.relation + "' has arity " +
                      std::to_string(it->second->arity()) + ", got " +
                      std::to_string(atom.vars.size()) + " variables");
     }
-    atom_vars.insert(atom.vars.begin(), atom.vars.end());
+    std::set<std::string> seen;
+    for (const std::string& v : atom.vars) {
+      if (!seen.insert(v).second) {
+        return invalid("atom '" + Query{{atom}, {}}.DebugString() +
+                       "' repeats variable '" + v + "'");
+      }
+    }
+    atom_vars.insert(seen.begin(), seen.end());
   }
   for (const Filter& f : query.filters) {
     for (const std::string& v : {f.lo, f.hi}) {
@@ -83,7 +96,7 @@ Status CheckBindable(const Query& query,
       }
     }
   }
-  return Status::Ok();
+  return OkStatus();
 }
 
 BoundQuery Bind(const Query& query,
@@ -123,6 +136,22 @@ BoundQuery Bind(const Query& query, const Database& db,
                 const std::vector<std::string>& gao) {
   BoundQuery bq = Bind(query, db.Map(), gao);
   bq.catalog = db.catalog();
+  return bq;
+}
+
+StatusOr<BoundQuery> BindText(
+    const std::string& text,
+    const std::map<std::string, const Relation*>& relations,
+    IndexCatalog* catalog) {
+  const ParseResult parsed = ParseQuery(text);
+  if (!parsed.ok) {
+    return Status(StatusCode::kInvalidArgument,
+                  "parse error: " + parsed.error);
+  }
+  const Status vetted = CheckBindable(parsed.query, relations);
+  if (!vetted.ok()) return vetted;
+  BoundQuery bq = Bind(parsed.query, relations, parsed.query.Variables());
+  bq.catalog = catalog;
   return bq;
 }
 

@@ -70,18 +70,20 @@ struct BoundQuery {
   std::string DebugString() const;
 };
 
-// Vets `query` against `relations` for an untrusted boundary (the CLI,
-// the wire) before Bind, which trusts its input: every atom must name a
-// known relation with that relation's arity, and every filter variable
-// must be bound by some atom. Returns kInvalidArgument naming the first
-// violation, else OK.
+// Vets `query` against `relations` before Bind, which trusts its input:
+// every atom must name a known relation with that relation's arity and
+// must not repeat a variable (the engines index an atom's columns by
+// variable), and every filter variable must be bound by some atom.
+// Returns kInvalidArgument naming the first violation (for an unknown
+// relation, the message lists the known ones), else OK.
 Status CheckBindable(const Query& query,
                      const std::map<std::string, const Relation*>& relations);
 
 // Binds `query` against `relations` using `gao` (a permutation of the
 // query's variables; every query variable must appear exactly once).
-// Dies (assert) on unknown relation names or malformed GAOs: callers are
-// in-process test/bench code, not an untrusted boundary.
+// Every atom's variables are distinct. Dies (assert) on unknown relation
+// names or malformed GAOs: callers are in-process test/bench code, not
+// an untrusted boundary.
 BoundQuery Bind(const Query& query,
                 const std::map<std::string, const Relation*>& relations,
                 const std::vector<std::string>& gao);
@@ -91,6 +93,15 @@ BoundQuery Bind(const Query& query,
 // resident shared indexes (the paper's LogicBlox setting).
 BoundQuery Bind(const Query& query, const Database& db,
                 const std::vector<std::string>& gao);
+
+// The one gate from untrusted query text (the CLI, the wire) to a bound
+// query: parses `text`, vets it with CheckBindable and binds it with the
+// first-appearance GAO over `catalog` (may be null). kInvalidArgument on
+// a parse error or an unbindable query.
+StatusOr<BoundQuery> BindText(
+    const std::string& text,
+    const std::map<std::string, const Relation*>& relations,
+    IndexCatalog* catalog);
 
 // The GAO-consistent trie permutation for one bound atom: perm[i] = the
 // relation column exposed at trie depth i, columns ordered by ascending

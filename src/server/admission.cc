@@ -24,8 +24,7 @@ AdmissionController::AdmissionController(const AdmissionConfig& config)
 
 int64_t AdmissionController::ShedHintLocked(QueryClass cls) const {
   const auto& q = cls == QueryClass::kCheap ? cheap_ : heavy_;
-  return static_cast<int64_t>(config_.retry_after_base_ms) *
-         (1 + static_cast<int64_t>(q.size()));
+  return kRetryAfterBaseMs * (1 + static_cast<int64_t>(q.size()));
 }
 
 void AdmissionController::GrantWaitersLocked() {
@@ -60,34 +59,21 @@ AdmitResult AdmissionController::Admit(QueryClass cls,
                                        const Deadline& deadline,
                                        const StopToken* cancel) {
   MutexLock lock(mu_);
-  if (draining_) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    return {AdmitOutcome::kShed, -1,
-            static_cast<int64_t>(config_.retry_after_base_ms), 0};
-  }
+  if (draining_) return {AdmitOutcome::kShed, -1, kRetryAfterBaseMs, 0};
   // Fast path: a free slot with nobody queued ahead. Queued waiters
   // always have priority — jumping them would break FIFO within a
   // class.
   if (!free_slots_.empty() && cheap_.empty() && heavy_.empty()) {
     const int slot = free_slots_.back();
     free_slots_.pop_back();
-    admitted_.fetch_add(1, std::memory_order_relaxed);
     return {AdmitOutcome::kAdmitted, slot, 0, 0};
   }
   auto& q = QueueFor(cls);
   if (static_cast<int>(q.size()) >= config_.max_queue) {
-    const AdmitResult r{AdmitOutcome::kShed, -1, ShedHintLocked(cls),
-                        q.size()};
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    return r;
+    return {AdmitOutcome::kShed, -1, ShedHintLocked(cls), q.size()};
   }
   Waiter w{cls};
   q.push_back(&w);
-  uint64_t depth = cheap_.size() + heavy_.size();
-  uint64_t peak = queue_peak_.load(std::memory_order_relaxed);
-  while (depth > peak && !queue_peak_.compare_exchange_weak(
-                             peak, depth, std::memory_order_relaxed)) {
-  }
   GrantWaitersLocked();  // a slot may have freed since the fast path
   // Deadline and cancellation are polled on a short tick: both are
   // cheap reads and a 5ms reaction beats plumbing a third wakeup
@@ -107,14 +93,11 @@ AdmitResult AdmissionController::Admit(QueryClass cls,
     // A grant that raced a cancel still holds the slot; the caller's
     // execution polls the token and winds down immediately, then
     // releases the slot — simpler than un-granting here.
-    admitted_.fetch_add(1, std::memory_order_relaxed);
     return {AdmitOutcome::kAdmitted, w.slot, 0, 0};
   }
   // Drain fired while we waited: shed with the base hint.
   RemoveWaiterLocked(&w);
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  return {AdmitOutcome::kShed, -1,
-          static_cast<int64_t>(config_.retry_after_base_ms), 0};
+  return {AdmitOutcome::kShed, -1, kRetryAfterBaseMs, 0};
 }
 
 void AdmissionController::Release(int slot) {

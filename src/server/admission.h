@@ -27,7 +27,6 @@
 // calls shed immediately, and lets the running slots finish — the
 // graceful-shutdown half of the server's SIGTERM story. Thread-safe.
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -41,11 +40,13 @@ enum class QueryClass { kCheap, kHeavy };
 
 const char* QueryClassName(QueryClass cls);
 
+// Base of the shed hint: retry_after_ms = base * (1 + queued(class)), and
+// the base alone when the server sheds for a drain or an injected fault.
+constexpr int64_t kRetryAfterBaseMs = 25;
+
 struct AdmissionConfig {
   int max_concurrency = 4;  // execution slots
   int max_queue = 16;       // waiters per class beyond the slots
-  // Base of the shed hint: retry_after_ms = base * (1 + queued(class)).
-  int retry_after_base_ms = 25;
 };
 
 enum class AdmitOutcome {
@@ -85,13 +86,6 @@ class AdmissionController {
   // Introspection (racy snapshots; exact only when quiescent).
   int running() const;
   uint64_t queued() const;
-  uint64_t admitted_total() const {
-    return admitted_.load(std::memory_order_relaxed);
-  }
-  uint64_t shed_total() const { return shed_.load(std::memory_order_relaxed); }
-  uint64_t queue_peak() const {
-    return queue_peak_.load(std::memory_order_relaxed);
-  }
 
  private:
   // A Waiter lives on its Admit caller's stack and is only reachable
@@ -122,10 +116,6 @@ class AdmissionController {
   std::deque<Waiter*> heavy_ WCOJ_GUARDED_BY(mu_);
   bool prefer_cheap_ WCOJ_GUARDED_BY(mu_) = true;  // round-robin cursor
   bool draining_ WCOJ_GUARDED_BY(mu_) = false;
-
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> queue_peak_{0};
 };
 
 }  // namespace wcoj

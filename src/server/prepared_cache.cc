@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "query/agm.h"
-#include "query/parser.h"
 
 namespace wcoj {
 
@@ -18,23 +17,18 @@ PreparedQueryCache::PreparedQueryCache(
 std::shared_ptr<PreparedQuery> PreparedQueryCache::Build(
     const std::string& engine_name, const std::string& text,
     Status* status) const {
-  auto fail = [status](const std::string& why) {
-    *status = Status(StatusCode::kInvalidArgument, why);
-    return nullptr;
-  };
   std::unique_ptr<Engine> engine = CreateEngine(engine_name);
-  if (engine == nullptr) return fail("unknown engine '" + engine_name + "'");
-  const ParseResult parsed = ParseQuery(text);
-  if (!parsed.ok) return fail("parse error: " + parsed.error);
-  // The wire is an untrusted boundary; Bind() asserts on malformed
-  // input, so everything it trusts is vetted here first.
-  *status = CheckBindable(parsed.query, relations_);
-  if (!status->ok()) return nullptr;
+  if (engine == nullptr) {
+    *status = Status(StatusCode::kInvalidArgument,
+                     "unknown engine '" + engine_name + "'");
+    return nullptr;
+  }
+  StatusOr<BoundQuery> bound = BindText(text, relations_, catalog_);
+  *status = bound.status();
+  if (!bound.ok()) return nullptr;
   auto prepared = std::make_shared<PreparedQuery>();
   prepared->engine = std::move(engine);
-  prepared->bound =
-      Bind(parsed.query, relations_, parsed.query.Variables());
-  prepared->bound.catalog = catalog_;
+  prepared->bound = bound.take();
   // Classification for the fair queue: the AGM bound is the worst-case
   // output size, the best static proxy for "how long can this run"
   // available before execution. An unbounded query (shouldn't happen
@@ -56,7 +50,6 @@ std::shared_ptr<const PreparedQuery> PreparedQueryCache::Get(
     const auto it = index_.find(key);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
       if (cache_hit != nullptr) *cache_hit = true;
       *status = OkStatus();
       return it->second->second;
@@ -69,7 +62,6 @@ std::shared_ptr<const PreparedQuery> PreparedQueryCache::Get(
   std::shared_ptr<PreparedQuery> prepared =
       Build(engine_name, text, status);
   if (prepared == nullptr) return nullptr;
-  misses_.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(mu_);
   const auto it = index_.find(key);
   if (it != index_.end()) {

@@ -5,10 +5,10 @@
 // execute many times against the shared catalog.
 //
 // The daemon's hot path is "same query text, different client": every
-// entry memoizes the full front half of a request (ParseQuery, the
-// untrusted-boundary validation the CLI tools perform, Bind against
-// the server's relations, the engine instance, and the AGM-bound
-// cheap/heavy classification the admission controller keys on), so a
+// entry memoizes the full front half of a request (BindText, the one
+// parse-vet-bind gate query_runner also uses, against the server's
+// relations; the engine instance; and the AGM-bound cheap/heavy
+// classification the admission controller keys on), so a
 // cache hit goes straight from request line to Engine::Execute over the
 // already-resident indexes. Entries are immutable after construction
 // and handed out as shared_ptr, so concurrent requests execute the same
@@ -60,8 +60,6 @@ class PreparedQueryCache {
                                            const std::string& text,
                                            Status* status, bool* cache_hit);
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   size_t size() const;
 
  private:
@@ -80,8 +78,6 @@ class PreparedQueryCache {
       WCOJ_GUARDED_BY(mu_);
   std::map<std::string, decltype(lru_)::iterator> index_
       WCOJ_GUARDED_BY(mu_);
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
 };
 
 }  // namespace wcoj

@@ -25,6 +25,8 @@
 //   ERR <CODE> msg=<text>
 //   ERR RETRY_AFTER retry_after_ms=<n> queued=<n> msg=<text>
 //
+// The stats reply carries every ServerStats field keyed by its own
+// name (server.h's kServerStatsFields, printed by FormatServerStats).
 // <CODE> is StatusCodeName (BUDGET_EXCEEDED, DEADLINE_EXCEEDED,
 // CANCELLED, INVALID_ARGUMENT, ...); RETRY_AFTER is the admission
 // controller shedding load — the client should back off at least

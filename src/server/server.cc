@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <utility>
@@ -32,8 +33,7 @@ Server::Server(std::map<std::string, const Relation*> relations,
     : relations_(std::move(relations)),
       catalog_(catalog),
       config_(config),
-      admission_(AdmissionConfig{config.max_concurrency, config.max_queue,
-                                 config.retry_after_base_ms}),
+      admission_(AdmissionConfig{config.max_concurrency, config.max_queue}),
       cache_(relations_, catalog, config.heavy_log2_threshold,
              config.cache_capacity) {}
 
@@ -82,7 +82,7 @@ void Server::AcceptLoop() {
     // Injected accept-time failure: the daemon sheds the connection at
     // the door and keeps serving everyone else.
     if (WCOJ_FAILPOINT(AcceptFp())) {
-      accept_faults_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerStats::accept_faults);
       ::close(fd);
       continue;
     }
@@ -90,8 +90,7 @@ void Server::AcceptLoop() {
       ::close(fd);
       break;
     }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    connections_open_.fetch_add(1, std::memory_order_relaxed);
+    Count(&ServerStats::connections_accepted);
     auto conn = std::make_unique<Connection>(&drain_cancel_);
     conn->fd = fd;
     Connection* cp = conn.get();
@@ -142,35 +141,26 @@ bool Server::WriteReply(Connection* conn, const std::string& line) {
   // Injected write fault: fires *before* the first byte, so the peer
   // observes a cleanly closed connection, never a torn reply line.
   if (WCOJ_FAILPOINT(WriteFp()) || !SendAll(conn->fd, line).ok()) {
-    write_faults_.fetch_add(1, std::memory_order_relaxed);
+    Count(&ServerStats::write_faults);
     return false;
   }
   return true;
 }
 
-std::string Server::HandleStats() {
-  const ServerStats s = stats();
-  std::string out = "OK stats";
-  auto kv = [&out](const char* k, uint64_t v) {
-    out += ' ';
-    out += k;
+std::string FormatServerStats(const ServerStats& s) {
+  std::string out;
+  for (const ServerStatsField& f : kServerStatsFields) {
+    if (!out.empty()) out += ' ';
+    out += f.key;
     out += '=';
-    out += std::to_string(v);
-  };
-  kv("requests", s.requests);
-  kv("ok", s.ok);
-  kv("shed", s.shed);
-  kv("cancelled", s.cancelled);
-  kv("deadline_exceeded", s.deadline_exceeded);
-  kv("budget_exceeded", s.budget_exceeded);
-  kv("invalid", s.invalid);
-  kv("errors", s.errors);
-  kv("cache_hits", s.cache_hits);
-  kv("cache_misses", s.cache_misses);
-  kv("inflight", s.inflight);
-  kv("queued", s.queued);
-  kv("open_connections", s.connections_open);
+    out += std::to_string(s.*f.value);
+  }
   return out;
+}
+
+void Server::Count(uint64_t ServerStats::*field) {
+  MutexLock lock(stats_mu_);
+  ++(counts_.*field);
 }
 
 std::string Server::HandleQuery(Connection* conn, const ServerRequest& req) {
@@ -188,14 +178,15 @@ std::string Server::HandleQuery(Connection* conn, const ServerRequest& req) {
   std::shared_ptr<const PreparedQuery> prepared =
       cache_.Get(req.engine, req.text, &status, &cache_hit);
   if (prepared == nullptr) {
-    invalid_.fetch_add(1, std::memory_order_relaxed);
+    Count(&ServerStats::invalid);
     return FormatErrorReply(status);
   }
+  Count(cache_hit ? &ServerStats::cache_hits : &ServerStats::cache_misses);
   // Injected enqueue failure behaves exactly like a full queue: the
   // request is shed with a structured hint, never accepted-then-lost.
   if (WCOJ_FAILPOINT(EnqueueFp())) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    return FormatShedReply(config_.retry_after_base_ms, admission_.queued(),
+    Count(&ServerStats::shed);
+    return FormatShedReply(kRetryAfterBaseMs, admission_.queued(),
                            "injected enqueue fault (failpoint "
                            "server.enqueue)");
   }
@@ -206,7 +197,7 @@ std::string Server::HandleQuery(Connection* conn, const ServerRequest& req) {
       admission_.Admit(prepared->cls, deadline, &conn->token);
   switch (admit.outcome) {
     case AdmitOutcome::kShed:
-      shed_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerStats::shed);
       return FormatShedReply(
           admit.retry_after_ms, admit.queued,
           draining_.load(std::memory_order_relaxed)
@@ -214,17 +205,16 @@ std::string Server::HandleQuery(Connection* conn, const ServerRequest& req) {
               : std::string("admission queue full (class ") +
                     QueryClassName(prepared->cls) + ")");
     case AdmitOutcome::kCancelled:
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerStats::cancelled);
       return FormatErrorReply(
           Status(StatusCode::kCancelled, "cancelled while queued"));
     case AdmitOutcome::kDeadline:
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerStats::deadline_exceeded);
       return FormatErrorReply(Status(StatusCode::kDeadlineExceeded,
                                      "deadline expired while queued"));
     case AdmitOutcome::kAdmitted:
       break;
   }
-  inflight_.fetch_add(1, std::memory_order_relaxed);
   // Request-scoped cancellation: chained off the connection token (which
   // chains off the drain-cancel root), so client disconnect, drain
   // expiry, and this request's own wind-down each cancel exactly their
@@ -239,28 +229,27 @@ std::string Server::HandleQuery(Connection* conn, const ServerRequest& req) {
   if (budget_mb > 0) opts.budget = &budget;
   opts.scratch = slot_scratch_.ForWorker(admit.slot);
   const ExecResult r = RunTimed(*prepared->engine, prepared->bound, opts);
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
   admission_.Release(admit.slot);
   const bool draining = draining_.load(std::memory_order_relaxed);
   if (r.ok()) {
-    ok_.fetch_add(1, std::memory_order_relaxed);
-    if (draining) drain_completed_.fetch_add(1, std::memory_order_relaxed);
+    Count(&ServerStats::ok);
+    if (draining) Count(&ServerStats::drain_completed);
     return FormatOkReply(r.count, r.seconds, cache_hit,
                          QueryClassName(prepared->cls), r.stats.seeks);
   }
   switch (r.status.code()) {
     case StatusCode::kBudgetExceeded:
-      budget_exceeded_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerStats::budget_exceeded);
       break;
     case StatusCode::kDeadlineExceeded:
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerStats::deadline_exceeded);
       break;
     case StatusCode::kCancelled:
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      if (draining) drain_cancelled_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerStats::cancelled);
+      if (draining) Count(&ServerStats::drain_cancelled);
       break;
     default:
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerStats::errors);
       break;
   }
   return FormatErrorReply(r.status);
@@ -279,17 +268,17 @@ void Server::ServeConnection(Connection* conn) {
       // Injected read fault: the request is treated as a connection
       // I/O error — dropped whole, never half-processed.
       if (WCOJ_FAILPOINT(ReadFp())) {
-        read_faults_.fetch_add(1, std::memory_order_relaxed);
+        Count(&ServerStats::read_faults);
         close_conn = true;
         break;
       }
-      requests_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerStats::requests);
       ServerRequest req;
       std::string parse_error;
       std::string reply;
       bool quit = false;
       if (!ParseRequestLine(line, &req, &parse_error)) {
-        invalid_.fetch_add(1, std::memory_order_relaxed);
+        Count(&ServerStats::invalid);
         reply = FormatErrorReply(
             Status(StatusCode::kInvalidArgument, parse_error));
       } else {
@@ -298,7 +287,7 @@ void Server::ServeConnection(Connection* conn) {
             reply = "OK pong";
             break;
           case ServerRequest::Kind::kStats:
-            reply = HandleStats();
+            reply = "OK stats " + FormatServerStats(stats());
             break;
           case ServerRequest::Kind::kQuit:
             reply = "OK bye";
@@ -343,7 +332,6 @@ void Server::ServeConnection(Connection* conn) {
     ::close(conn->fd);
     conn->fd = -1;
   }
-  connections_open_.fetch_sub(1, std::memory_order_relaxed);
   conn->done.store(true, std::memory_order_release);
 }
 
@@ -374,21 +362,18 @@ void Server::Drain() {
   draining_.store(true, std::memory_order_relaxed);
   admission_.BeginDrain();
   // Phase 2: let in-flight requests finish under the drain deadline.
+  auto idle = [this] {
+    const ServerStats s = stats();
+    return s.inflight == 0 && s.connections_open == 0;
+  };
   Stopwatch watch;
-  while (watch.ElapsedMillis() < config_.drain_deadline_ms) {
-    if (inflight_.load(std::memory_order_relaxed) == 0 &&
-        connections_open_.load(std::memory_order_relaxed) == 0) {
-      break;
-    }
+  while (watch.ElapsedMillis() < config_.drain_deadline_ms && !idle()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   // Phase 3: the deadline passed — cancel whatever is left through the
   // token chain. Engines wind down at their next frontier poll and the
   // stragglers reply ERR CANCELLED before closing.
-  if (inflight_.load(std::memory_order_relaxed) != 0 ||
-      connections_open_.load(std::memory_order_relaxed) != 0) {
-    drain_cancel_.RequestStop();
-  }
+  if (!idle()) drain_cancel_.RequestStop();
   if (accept_thread_.joinable()) accept_thread_.join();
   for (;;) {
     ReapFinishedConnections();
@@ -420,26 +405,19 @@ Status Server::flush_status() const {
 
 ServerStats Server::stats() const {
   ServerStats s;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_open = connections_open_.load(std::memory_order_relaxed);
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.ok = ok_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.cancelled = cancelled_.load(std::memory_order_relaxed);
-  s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  s.budget_exceeded = budget_exceeded_.load(std::memory_order_relaxed);
-  s.invalid = invalid_.load(std::memory_order_relaxed);
-  s.errors = errors_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_.hits();
-  s.cache_misses = cache_.misses();
-  s.accept_faults = accept_faults_.load(std::memory_order_relaxed);
-  s.read_faults = read_faults_.load(std::memory_order_relaxed);
-  s.write_faults = write_faults_.load(std::memory_order_relaxed);
-  s.inflight = inflight_.load(std::memory_order_relaxed);
+  {
+    MutexLock lock(stats_mu_);
+    s = counts_;
+  }
+  {
+    MutexLock lock(conns_mu_);
+    s.connections_open = static_cast<uint64_t>(std::count_if(
+        conns_.begin(), conns_.end(), [](const auto& c) {
+          return !c->done.load(std::memory_order_acquire);
+        }));
+  }
+  s.inflight = static_cast<uint64_t>(admission_.running());
   s.queued = admission_.queued();
-  s.drain_completed = drain_completed_.load(std::memory_order_relaxed);
-  s.drain_cancelled = drain_cancelled_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -42,6 +42,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <map>
 #include <memory>
@@ -67,14 +68,14 @@ struct ServerConfig {
   int64_t default_deadline_ms = 60000;
   int64_t default_budget_mb = 0;  // 0 = ungoverned by default
   int64_t drain_deadline_ms = 2000;
-  int retry_after_base_ms = 25;
   double heavy_log2_threshold = 20.0;  // AGM bound >= 2^20 rows = heavy
   size_t cache_capacity = 128;
   // Flushed (IndexCatalog::SaveTo) at the end of a drain when set.
   std::string save_catalog_dir;
 };
 
-// Monotonic counters; snapshot via Server::stats().
+// The daemon's one outcome record: monotonic counters plus the gauges
+// connections_open, inflight and queued. Snapshot via Server::stats().
 struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_open = 0;
@@ -97,6 +98,41 @@ struct ServerStats {
   uint64_t drain_cancelled = 0;  // in-flight cancelled by drain deadline
 };
 
+// Every ServerStats field keyed by its own name, in declaration order:
+// the one list both reports print, the STATS reply and wcoj_serverd's
+// drain line.
+struct ServerStatsField {
+  const char* key;
+  uint64_t ServerStats::*value;
+};
+inline constexpr ServerStatsField kServerStatsFields[] = {
+    {"connections_accepted", &ServerStats::connections_accepted},
+    {"connections_open", &ServerStats::connections_open},
+    {"requests", &ServerStats::requests},
+    {"ok", &ServerStats::ok},
+    {"shed", &ServerStats::shed},
+    {"cancelled", &ServerStats::cancelled},
+    {"deadline_exceeded", &ServerStats::deadline_exceeded},
+    {"budget_exceeded", &ServerStats::budget_exceeded},
+    {"invalid", &ServerStats::invalid},
+    {"errors", &ServerStats::errors},
+    {"cache_hits", &ServerStats::cache_hits},
+    {"cache_misses", &ServerStats::cache_misses},
+    {"accept_faults", &ServerStats::accept_faults},
+    {"read_faults", &ServerStats::read_faults},
+    {"write_faults", &ServerStats::write_faults},
+    {"inflight", &ServerStats::inflight},
+    {"queued", &ServerStats::queued},
+    {"drain_completed", &ServerStats::drain_completed},
+    {"drain_cancelled", &ServerStats::drain_cancelled},
+};
+static_assert(sizeof(ServerStats) ==
+                  std::size(kServerStatsFields) * sizeof(uint64_t),
+              "every ServerStats field has an entry in kServerStatsFields");
+
+// "key=value" for every entry of kServerStatsFields, space-separated.
+std::string FormatServerStats(const ServerStats& s);
+
 class Server {
  public:
   // `relations`/`catalog` must outlive the server; the catalog is the
@@ -118,7 +154,6 @@ class Server {
   void Drain();
 
   ServerStats stats() const;
-  bool draining() const { return draining_.load(std::memory_order_relaxed); }
 
   // Outcome of the drain-time catalog flush (OK when no save_catalog_dir
   // is configured or the drain has not run). A non-OK value means the
@@ -140,7 +175,8 @@ class Server {
   void ServeConnection(Connection* conn);
   // Executes one parsed query request; returns the reply line.
   std::string HandleQuery(Connection* conn, const ServerRequest& req);
-  std::string HandleStats();
+  // Adds one to a counter of the outcome record.
+  void Count(uint64_t ServerStats::*field) WCOJ_EXCLUDES(stats_mu_);
   // Writes a reply line through SendAll; false = close the connection
   // (peer gone, or a server.write fault injected before the first byte).
   bool WriteReply(Connection* conn, const std::string& line);
@@ -181,23 +217,11 @@ class Server {
   mutable Mutex conns_mu_;
   std::list<std::unique_ptr<Connection>> conns_ WCOJ_GUARDED_BY(conns_mu_);
 
-  // Stats counters (relaxed; exactness only matters when quiescent).
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_open_{0};
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> ok_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> budget_exceeded_{0};
-  std::atomic<uint64_t> invalid_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> accept_faults_{0};
-  std::atomic<uint64_t> read_faults_{0};
-  std::atomic<uint64_t> write_faults_{0};
-  std::atomic<uint64_t> inflight_{0};
-  std::atomic<uint64_t> drain_completed_{0};
-  std::atomic<uint64_t> drain_cancelled_{0};
+  // The outcome record's counters. stats() reads its gauges from their
+  // owners, so nothing is counted twice: connections_open from conns_,
+  // inflight (the running slots) and queued from admission_.
+  mutable Mutex stats_mu_;
+  ServerStats counts_ WCOJ_GUARDED_BY(stats_mu_);
 };
 
 }  // namespace wcoj

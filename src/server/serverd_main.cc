@@ -28,7 +28,6 @@
 #include <thread>
 
 #include "bench_util/workloads.h"
-#include "graph/generators.h"
 #include "server/server.h"
 #include "util/failpoint.h"
 
@@ -93,28 +92,13 @@ int main(int argc, char** argv) {
   const int armed = FailPoints::ArmFromEnv();
   if (armed > 0) std::printf("failpoints armed: %d\n", armed);
 
-  // Same dataset as query_runner so counts line up across the tools.
-  const Graph g = Rmat(/*scale=*/12, /*num_edges=*/40000, 0.45, 0.2, 0.2,
-                       /*seed=*/7);
-  DatasetRelations rels(g);
-  rels.Resample(/*selectivity=*/10.0, /*seed=*/1);
-  if (!load_catalog_dir.empty()) {
-    CatalogOpenStats open_stats;
-    const size_t n = rels.LoadCatalog(load_catalog_dir, &open_stats);
-    if (!open_stats.status.ok()) {
-      std::fprintf(stderr, "load-catalog: %s\n",
-                   open_stats.status.ToString().c_str());
-      return 2;
-    }
-    std::printf("loaded catalog: %zu mmap-backed indexes from %s "
-                "(catalog_open_skipped=%zu)\n",
-                n, load_catalog_dir.c_str(), open_stats.skipped);
-    for (const std::string& line : open_stats.skip_log) {
-      std::fprintf(stderr, "load-catalog skip: %s\n", line.c_str());
-    }
+  ToolsDataset data;
+  if (!load_catalog_dir.empty() &&
+      !LoadCatalogReported(&data.rels, load_catalog_dir).ok()) {
+    return 2;
   }
 
-  Server server(rels.Map(), rels.catalog(), config);
+  Server server(data.rels.Map(), data.rels.catalog(), config);
   const Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());
@@ -135,24 +119,8 @@ int main(int argc, char** argv) {
               static_cast<long>(config.drain_deadline_ms));
   std::fflush(stdout);
   server.Drain();
-  const ServerStats s = server.stats();
-  std::printf(
-      "drain complete: requests=%llu ok=%llu shed=%llu cancelled=%llu "
-      "deadline_exceeded=%llu budget_exceeded=%llu invalid=%llu "
-      "errors=%llu cache_hits=%llu cache_misses=%llu "
-      "drain_completed=%llu drain_cancelled=%llu\n",
-      static_cast<unsigned long long>(s.requests),
-      static_cast<unsigned long long>(s.ok),
-      static_cast<unsigned long long>(s.shed),
-      static_cast<unsigned long long>(s.cancelled),
-      static_cast<unsigned long long>(s.deadline_exceeded),
-      static_cast<unsigned long long>(s.budget_exceeded),
-      static_cast<unsigned long long>(s.invalid),
-      static_cast<unsigned long long>(s.errors),
-      static_cast<unsigned long long>(s.cache_hits),
-      static_cast<unsigned long long>(s.cache_misses),
-      static_cast<unsigned long long>(s.drain_completed),
-      static_cast<unsigned long long>(s.drain_cancelled));
+  std::printf("drain complete: %s\n",
+              FormatServerStats(server.stats()).c_str());
   // A failed drain-time catalog flush is an operator-visible event (the
   // next start is cold), not a daemon failure: report, exit 0.
   const Status flush = server.flush_status();

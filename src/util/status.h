@@ -62,8 +62,6 @@ class [[nodiscard]] Status {
   Status(StatusCode code, std::string message)
       : code_(code), message_(std::move(message)) {}
 
-  static Status Ok() { return Status(); }
-
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }

@@ -121,7 +121,6 @@ class CondVar {
     return status;
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

@@ -32,7 +32,9 @@ TEST(PlannerTest, DpPrefersConnectedOrders) {
   rels.v1 = SampleNodesExact(g, 2, 7);
   Query q = MustParseQuery("v1(a), edge(a,b), edge(b,c)");
   BoundQuery bq = Bind(q, rels.Map(), {"a", "b", "c"});
-  JoinPlan plan = PlanJoin(bq, PlanStrategy::kDynamicProgramming);
+  const ExecOptions opts;
+  AbortPoll poll(opts);
+  JoinPlan plan = PlanJoin(bq, PlanStrategy::kDynamicProgramming, poll);
   ASSERT_EQ(plan.atom_order.size(), 3u);
   EXPECT_EQ(plan.atom_order[0], 0);  // v1 first
   EXPECT_EQ(plan.atom_order[1], 1);  // then the adjacent edge atom
@@ -44,7 +46,9 @@ TEST(PlannerTest, GreedyStartsFromSmallestRelation) {
   rels.v2 = SampleNodesExact(g, 3, 9);
   Query q = MustParseQuery("edge(a,b), v2(b)");
   BoundQuery bq = Bind(q, rels.Map(), {"a", "b"});
-  JoinPlan plan = PlanJoin(bq, PlanStrategy::kGreedySmallest);
+  const ExecOptions opts;
+  AbortPoll poll(opts);
+  JoinPlan plan = PlanJoin(bq, PlanStrategy::kGreedySmallest, poll);
   EXPECT_EQ(plan.atom_order[0], 1);
 }
 
@@ -58,6 +62,59 @@ TEST(PlannerTest, EstimateShrinksWithSharedVariables) {
   const double cross = static_cast<double>(bq.atoms[0].relation->size()) *
                        static_cast<double>(bq.atoms[1].relation->size());
   EXPECT_LT(joined, cross);
+}
+
+// "r(x0,x1), r(x1,x2), ..., r(x{n-1},xn)": an n-atom path over `r`.
+std::string PathQuery(const std::string& r, int atoms) {
+  std::string text;
+  for (int i = 0; i < atoms; ++i) {
+    text += (i == 0 ? "" : ", ") + r + "(x" + std::to_string(i) + ",x" +
+            std::to_string(i + 1) + ")";
+  }
+  return text;
+}
+
+// Past kDpMaxAtoms the DP strategy plans greedily: its tables have 2^m
+// entries, and at 32 atoms the old `1 << m` sizing crashed psql and
+// yannakakis. On a 40-node chain a 32-atom path has 8 answers.
+TEST(BinaryJoinTest, PathsPastTheDpLimitAreAnsweredExactly) {
+  std::vector<Tuple> chain;
+  for (Value v = 0; v + 1 < 40; ++v) chain.push_back({v, v + 1});
+  const Relation r = Relation::FromTuples(2, chain);
+  for (int atoms : {kDpMaxAtoms, kDpMaxAtoms + 1, 32}) {
+    const Query q = MustParseQuery(PathQuery("r", atoms));
+    const BoundQuery bq = Bind(q, {{"r", &r}}, q.Variables());
+    const ExecResult lftj = CreateEngine("lftj")->Execute(bq, ExecOptions{});
+    ASSERT_TRUE(lftj.ok()) << lftj.status.ToString();
+    EXPECT_EQ(lftj.count, static_cast<uint64_t>(40 - atoms)) << atoms;
+    for (const char* name : {"psql", "yannakakis"}) {
+      const ExecResult got = CreateEngine(name)->Execute(bq, ExecOptions{});
+      ASSERT_TRUE(got.ok()) << name << ": " << got.status.ToString();
+      EXPECT_EQ(got.count, lftj.count) << name << " at " << atoms;
+    }
+  }
+}
+
+// The planner and the join both poll the run's AbortPoll, so a wide path
+// over a real graph honours a 200 ms deadline: it winds down (or
+// finishes) well inside 2 s. At 18 atoms the unpolled DP alone ran
+// 5.8 s past a 1 s deadline.
+TEST(BinaryJoinTest, WidePathHonoursItsDeadline) {
+  const Graph g = ErdosRenyi(300, 1500, 6);
+  const GraphRelations rels = MakeGraphRelations(g);
+  for (int atoms : {kDpMaxAtoms, 18, 32}) {
+    const Query q = MustParseQuery(PathQuery("edge", atoms));
+    const BoundQuery bq = Bind(q, rels.Map(), q.Variables());
+    for (const char* name : {"psql", "yannakakis"}) {
+      ExecOptions opts;
+      opts.deadline = Deadline::AfterSeconds(0.2);
+      const ExecResult r = RunTimed(*CreateEngine(name), bq, opts);
+      EXPECT_LT(r.seconds, 2.0) << name << " at " << atoms;
+      EXPECT_TRUE(r.ok() ||
+                  r.status.code() == StatusCode::kDeadlineExceeded)
+          << name << " at " << atoms << ": " << r.status.ToString();
+    }
+  }
 }
 
 TEST(BinaryJoinTest, MaterializesIntermediates) {

@@ -86,7 +86,43 @@ TEST_F(CheckBindableTest, RejectsUnknownRelation) {
   const Status s = CheckBindable(MustParseQuery("edge(a,b), nope(b)"),
                                  relations_);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(s.message(), "unknown relation 'nope'");
+  EXPECT_EQ(s.message(), "unknown relation 'nope'; known: edge/2 v1/1");
+}
+
+// The engines index an atom's columns by variable, so a variable that
+// repeats inside one atom has no binding: `edge(a,a)` is refused, not
+// run (at the binary surface it crashed Minesweeper and miscounted
+// lftj and the pairwise engines). The same variable across atoms is a
+// join and stays legal.
+TEST_F(CheckBindableTest, RejectsAVariableRepeatedInsideOneAtom) {
+  const Status s =
+      CheckBindable(MustParseQuery("v1(a), edge(a,a)"), relations_);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.message(), "atom 'edge(a,a)' repeats variable 'a'");
+  EXPECT_TRUE(CheckBindable(MustParseQuery("edge(a,b), edge(b,a)"),
+                            relations_).ok());
+}
+
+// BindText is the one text-to-BoundQuery gate: parse errors and
+// CheckBindable refusals come back as kInvalidArgument, and a bindable
+// text binds with the first-appearance GAO over the given catalog.
+TEST_F(CheckBindableTest, BindTextParsesVetsAndBindsInFirstAppearanceOrder) {
+  const StatusOr<BoundQuery> bad = BindText("edge(a,", relations_, nullptr);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.status().message().rfind("parse error: ", 0), 0u);
+  EXPECT_EQ(BindText("edge(a,a)", relations_, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+
+  IndexCatalog catalog;
+  const StatusOr<BoundQuery> bq =
+      BindText("v1(b), edge(a,b), b<a", relations_, &catalog);
+  ASSERT_TRUE(bq.ok()) << bq.status().ToString();
+  EXPECT_EQ(bq.value().var_names, (std::vector<std::string>{"b", "a"}));
+  EXPECT_EQ(bq.value().atoms[1].vars, (std::vector<int>{1, 0}));
+  ASSERT_EQ(bq.value().less_than.size(), 1u);
+  EXPECT_EQ(bq.value().less_than[0], (std::pair<int, int>{0, 1}));
+  EXPECT_EQ(bq.value().catalog, &catalog);
 }
 
 TEST_F(CheckBindableTest, RejectsArityMismatch) {

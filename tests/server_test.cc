@@ -12,7 +12,9 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,7 +51,7 @@ bool WaitFor(Pred&& pred, double seconds = 5.0) {
 // AdmissionController
 
 TEST(AdmissionTest, FastPathGrantsDistinctSlotsUpToConcurrency) {
-  AdmissionController ac(AdmissionConfig{2, 4, 25});
+  AdmissionController ac(AdmissionConfig{2, 4});
   const AdmitResult a =
       ac.Admit(QueryClass::kCheap, Deadline::Infinite(), nullptr);
   const AdmitResult b =
@@ -61,11 +63,10 @@ TEST(AdmissionTest, FastPathGrantsDistinctSlotsUpToConcurrency) {
   ac.Release(a.slot);
   ac.Release(b.slot);
   EXPECT_EQ(ac.running(), 0);
-  EXPECT_EQ(ac.admitted_total(), 2u);
 }
 
 TEST(AdmissionTest, DeadlineExpiresWhileQueued) {
-  AdmissionController ac(AdmissionConfig{1, 4, 25});
+  AdmissionController ac(AdmissionConfig{1, 4});
   const AdmitResult slot =
       ac.Admit(QueryClass::kCheap, Deadline::Infinite(), nullptr);
   ASSERT_EQ(slot.outcome, AdmitOutcome::kAdmitted);
@@ -76,7 +77,7 @@ TEST(AdmissionTest, DeadlineExpiresWhileQueued) {
 }
 
 TEST(AdmissionTest, CancelTokenAbandonsQueuedWaiter) {
-  AdmissionController ac(AdmissionConfig{1, 4, 25});
+  AdmissionController ac(AdmissionConfig{1, 4});
   const AdmitResult slot =
       ac.Admit(QueryClass::kCheap, Deadline::Infinite(), nullptr);
   ASSERT_EQ(slot.outcome, AdmitOutcome::kAdmitted);
@@ -94,7 +95,7 @@ TEST(AdmissionTest, CancelTokenAbandonsQueuedWaiter) {
 }
 
 TEST(AdmissionTest, FullClassQueueShedsWithBacklogScaledHint) {
-  AdmissionConfig config{1, 1, 25};
+  AdmissionConfig config{1, 1};
   AdmissionController ac(config);
   const AdmitResult slot =
       ac.Admit(QueryClass::kHeavy, Deadline::Infinite(), nullptr);
@@ -114,9 +115,8 @@ TEST(AdmissionTest, FullClassQueueShedsWithBacklogScaledHint) {
   const AdmitResult shed =
       ac.Admit(QueryClass::kHeavy, Deadline::AfterSeconds(5), nullptr);
   EXPECT_EQ(shed.outcome, AdmitOutcome::kShed);
-  EXPECT_EQ(shed.retry_after_ms, 25 * 2);
+  EXPECT_EQ(shed.retry_after_ms, kRetryAfterBaseMs * 2);
   EXPECT_EQ(shed.queued, 1u);
-  EXPECT_EQ(ac.shed_total(), 1u);
   // The cheap queue is independent: a cheap request still queues (and
   // is granted once the slot frees).
   std::thread cheap([&] {
@@ -130,7 +130,6 @@ TEST(AdmissionTest, FullClassQueueShedsWithBacklogScaledHint) {
   waiter.join();
   cheap.join();
   EXPECT_TRUE(waiter_admitted.load());
-  EXPECT_GE(ac.queue_peak(), 2u);
 }
 
 // Class fairness: with a heavy backlog queued first and the round-robin
@@ -138,7 +137,7 @@ TEST(AdmissionTest, FullClassQueueShedsWithBacklogScaledHint) {
 // ahead of the older heavy waiters — a burst of analytics cannot starve
 // point lookups.
 TEST(AdmissionTest, CheapRequestIsNotStarvedByHeavyBacklog) {
-  AdmissionController ac(AdmissionConfig{1, 8, 25});
+  AdmissionController ac(AdmissionConfig{1, 8});
   const AdmitResult slot =
       ac.Admit(QueryClass::kHeavy, Deadline::Infinite(), nullptr);
   ASSERT_EQ(slot.outcome, AdmitOutcome::kAdmitted);
@@ -172,7 +171,7 @@ TEST(AdmissionTest, CheapRequestIsNotStarvedByHeavyBacklog) {
 }
 
 TEST(AdmissionTest, BeginDrainShedsQueuedAndFutureRequests) {
-  AdmissionController ac(AdmissionConfig{1, 8, 25});
+  AdmissionController ac(AdmissionConfig{1, 8});
   const AdmitResult slot =
       ac.Admit(QueryClass::kCheap, Deadline::Infinite(), nullptr);
   ASSERT_EQ(slot.outcome, AdmitOutcome::kAdmitted);
@@ -349,7 +348,6 @@ class ServerTest : public testing::Test {
     config.max_queue = 1;
     config.default_deadline_ms = 60000;
     config.drain_deadline_ms = 400;
-    config.retry_after_base_ms = 10;
     // Single atoms (~2^15 AGM rows) are cheap; triangles and cross
     // products land heavy.
     config.heavy_log2_threshold = 20.0;
@@ -389,14 +387,13 @@ TEST_F(ServerTest, PreparedCacheHitsClassifiesAndRejects) {
   EXPECT_EQ(cheap->cls, QueryClass::kCheap);
   const auto blocker = cache.Get("lftj", kBlockerQuery, &status, &hit);
   ASSERT_NE(blocker, nullptr) << status.ToString();
+  EXPECT_FALSE(hit);
   EXPECT_EQ(blocker->cls, QueryClass::kHeavy);
   EXPECT_GT(blocker->agm_log2, cheap->agm_log2);
   // Second lookup of the same key is a hit returning the same object.
   const auto again = cache.Get("lftj", kCheapQuery, &status, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(again.get(), cheap.get());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 2u);
 
   // Validation failures return structured kInvalidArgument, uncached.
   for (const char* bad :
@@ -533,22 +530,27 @@ TEST_F(ServerTest, InvalidQueriesGetStructuredErrorsOnALiveConnection) {
   ASSERT_TRUE(conn.Connect(server->port()).ok());
   ServerReply r;
   // Garbage line, unknown engine, unknown relation, arity mismatch,
-  // unbound filter variable: every one a structured INVALID_ARGUMENT.
+  // unbound filter variable, a variable repeated inside one atom (which,
+  // unrefused, crashed the daemon inside Minesweeper): every one a
+  // structured INVALID_ARGUMENT.
   for (const std::string& bad :
        {std::string("open the pod bay doors"),
         QueryLine(kCheapQuery, "nosuch_engine"),
         QueryLine("nosuch(a,b)", "lftj"), QueryLine("edge(a,b,c)", "lftj"),
-        QueryLine("edge(a,b), a<z", "lftj")}) {
+        QueryLine("edge(a,b), a<z", "lftj"), QueryLine("edge(a,a)", "ms")}) {
     ASSERT_TRUE(Call(conn, bad, &r)) << bad;
     EXPECT_FALSE(r.ok) << bad;
     EXPECT_EQ(r.code, "INVALID_ARGUMENT") << bad;
     EXPECT_FALSE(r.message.empty()) << bad;
   }
-  // The connection survives all of it.
+  // The connection survives all of it, and so does the engine.
   ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "lftj"), &r));
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.count, cheap_count_);
-  EXPECT_EQ(server->stats().invalid, 5u);
+  ASSERT_TRUE(Call(conn, QueryLine(kTriangleQuery, "ms"), &r));
+  ASSERT_TRUE(r.ok) << r.code << " " << r.message;
+  EXPECT_EQ(r.count, triangle_count_);
+  EXPECT_EQ(server->stats().invalid, 6u);
 }
 
 // A 71-variable path is past Minesweeper's variable limit: every
@@ -857,6 +859,111 @@ TEST_F(ServerTest, EnqueueFaultIsAStructuredShedReply) {
   ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "lftj"), &r));
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.count, cheap_count_);
+}
+
+// Every ServerStats field by its name, spelled out apart from
+// kServerStatsFields so the key names themselves are pinned.
+std::map<std::string, uint64_t> FieldsByName(const ServerStats& s) {
+  return {{"connections_accepted", s.connections_accepted},
+          {"connections_open", s.connections_open},
+          {"requests", s.requests},
+          {"ok", s.ok},
+          {"shed", s.shed},
+          {"cancelled", s.cancelled},
+          {"deadline_exceeded", s.deadline_exceeded},
+          {"budget_exceeded", s.budget_exceeded},
+          {"invalid", s.invalid},
+          {"errors", s.errors},
+          {"cache_hits", s.cache_hits},
+          {"cache_misses", s.cache_misses},
+          {"accept_faults", s.accept_faults},
+          {"read_faults", s.read_faults},
+          {"write_faults", s.write_faults},
+          {"inflight", s.inflight},
+          {"queued", s.queued},
+          {"drain_completed", s.drain_completed},
+          {"drain_cancelled", s.drain_cancelled}};
+}
+
+// The "key=value" tokens of a report line; other words are skipped.
+std::map<std::string, uint64_t> ReportedFields(const std::string& line) {
+  std::map<std::string, uint64_t> fields;
+  std::istringstream in(line);
+  std::string token;
+  while (in >> token) {
+    const size_t eq = token.find('=');
+    if (eq == std::string::npos) continue;
+    fields[token.substr(0, eq)] = std::stoull(token.substr(eq + 1));
+  }
+  return fields;
+}
+
+// One outcome record, printed one way: after a mix of OK, invalid, shed,
+// deadline, budget and injected-fault requests, the STATS reply and the
+// drain-line formatter each carry all 19 ServerStats fields under their
+// own names, equal to stats().
+TEST_F(ServerTest, StatsReplyAndDrainLineCarryTheWholeOutcomeRecord) {
+  auto server = StartServer(SmallConfig());
+  ServerClient conn;
+  ASSERT_TRUE(conn.Connect(server->port()).ok());
+  ServerReply r;
+  ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "lftj"), &r));  // ok, miss
+  ASSERT_TRUE(r.ok);
+  ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "lftj"), &r));  // ok, hit
+  ASSERT_TRUE(r.ok);
+  ASSERT_TRUE(Call(conn, "not a request", &r));                 // invalid
+  ASSERT_TRUE(Call(conn, QueryLine("edge(a,a)", "ms"), &r));    // invalid
+  FailPoints::Arm("server.enqueue", 1);
+  ASSERT_TRUE(Call(conn, QueryLine(kCheapQuery, "lftj"), &r));  // shed, hit
+  ASSERT_TRUE(r.shed());
+  ASSERT_TRUE(Call(conn, QueryLine(kBlockerQuery, "lftj", 100), &r));
+  ASSERT_EQ(r.code, "DEADLINE_EXCEEDED");                       // miss
+  ASSERT_TRUE(
+      Call(conn, QueryLine(kBlockerQuery, "ms", 30000, /*budget_mb=*/1), &r));
+  ASSERT_EQ(r.code, "BUDGET_EXCEEDED");                         // miss
+  // Injected faults, each on a connection of its own: a failed reply
+  // write and a failed request read close theirs, a failed accept drops
+  // its socket at the door.
+  for (const char* point : {"server.write", "server.read", "server.accept"}) {
+    FailPoints::Arm(point, 1);
+    ServerClient doomed;
+    ASSERT_TRUE(doomed.Connect(server->port()).ok()) << point;
+    EXPECT_FALSE(doomed.Call("PING").ok()) << point;
+    FailPoints::DisarmAll();
+  }
+  ASSERT_TRUE(
+      WaitFor([&] { return server->stats().connections_open == 1; }));
+
+  ASSERT_TRUE(conn.SendLine("STATS").ok());
+  const StatusOr<std::string> line = conn.ReadLine();
+  ASSERT_TRUE(line.ok()) << line.status().ToString();
+  ASSERT_EQ(line.value().rfind("OK stats ", 0), 0u) << line.value();
+  const ServerStats s = server->stats();
+  EXPECT_EQ(ReportedFields(line.value()), FieldsByName(s));
+  EXPECT_EQ(ReportedFields(FormatServerStats(s)), FieldsByName(s));
+  // The request mix lands where it should: the write-faulted PING is a
+  // request, the read-faulted one never became one, and STATS counts
+  // itself.
+  EXPECT_EQ(s.connections_accepted, 3u);
+  EXPECT_EQ(s.connections_open, 1u);
+  EXPECT_EQ(s.requests, 9u);
+  EXPECT_EQ(s.ok, 2u);
+  EXPECT_EQ(s.invalid, 2u);
+  EXPECT_EQ(s.shed, 1u);
+  EXPECT_EQ(s.deadline_exceeded, 1u);
+  EXPECT_EQ(s.budget_exceeded, 1u);
+  EXPECT_EQ(s.cache_hits, 2u);
+  EXPECT_EQ(s.cache_misses, 3u);
+  EXPECT_EQ(s.accept_faults, 1u);
+  EXPECT_EQ(s.read_faults, 1u);
+  EXPECT_EQ(s.write_faults, 1u);
+
+  conn.Close();
+  server->Drain();
+  const ServerStats drained = server->stats();
+  EXPECT_EQ(drained.connections_open, 0u);
+  EXPECT_EQ(ReportedFields(FormatServerStats(drained)),
+            FieldsByName(drained));
 }
 
 // Pins the Drain() flush-status fix: a failed drain-time catalog flush
